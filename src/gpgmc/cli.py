@@ -49,6 +49,16 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 _SAMPLERS = ("rwm", "hmc", "rhmc", "lmc")
 _TARGETS = ("banana", "bbd", "gaussian", "elliptic")
+_TOP_KEYS = ("target", "sampler", "geometry", "seed", "iters", "burnin",
+             "output_dir", "timing", "init")
+_SAMPLER_KEYS = {
+    "rwm": ("name", "proposal_sd", "tune", "target_accept"),
+    "gradient": ("name", "step_size", "n_steps", "fixed_point_iters",
+                 "fixed_point_tol", "tune", "target_accept"),
+}
+# target dimensions when the config gives none
+_DEFAULT_DIM = {"bbd": 4, "elliptic": 6}
+_DEFAULT_GAUSSIAN_MEAN = [0.0, 0.0]
 
 
 def _need(cfg: dict, key: str, typ, path: str, default=None, required=False):
@@ -57,6 +67,9 @@ def _need(cfg: dict, key: str, typ, path: str, default=None, required=False):
             raise ConfigError(f"{path}/{key}", "missing required key")
         return default
     val = cfg[key]
+    # bool is a subclass of int, but true/false is no count or step size
+    if typ in (int, float) and isinstance(val, bool):
+        raise ConfigError(f"{path}/{key}", f"expected {typ}, got bool")
     if typ is float and isinstance(val, int):
         val = float(val)
     if not isinstance(val, typ):
@@ -64,10 +77,39 @@ def _need(cfg: dict, key: str, typ, path: str, default=None, required=False):
     return val
 
 
+def _reject_unknown(cfg: dict, known, path: str, what: str):
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}/{key}", f"unknown key for {what}")
+
+
+def _target_dim(tcfg: dict) -> int:
+    name = tcfg["name"]
+    if name == "banana":
+        return 2
+    if name == "gaussian":
+        return int(np.size(tcfg.get("mean", _DEFAULT_GAUSSIAN_MEAN)))
+    return tcfg.get("dim", _DEFAULT_DIM[name])
+
+
+def _init_point(cfg: dict, dim: int) -> list:
+    init = cfg["init"]
+    if not isinstance(init, list):
+        raise ConfigError("/init", f"expected a list, got {type(init).__name__}")
+    if len(init) != dim:
+        raise ConfigError("/init", f"expected {dim} coordinates, got {len(init)}")
+    for val in init:
+        if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                or not np.isfinite(val):
+            raise ConfigError("/init", f"coordinates must be finite numbers, got {val!r}")
+    return [float(v) for v in init]
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate and normalize a run config; raises ConfigError with a path."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be an object")
+    _reject_unknown(cfg, _TOP_KEYS, "", "the config")
     out = {}
     tgt = _need(cfg, "target", dict, "", required=True)
     name = _need(tgt, "name", str, "/target", required=True)
@@ -79,6 +121,8 @@ def validate_config(cfg: dict) -> dict:
     sname = _need(smp, "name", str, "/sampler", required=True)
     if sname not in _SAMPLERS:
         raise ConfigError("/sampler/name", f"must be one of {_SAMPLERS}")
+    _reject_unknown(smp, _SAMPLER_KEYS["rwm" if sname == "rwm" else "gradient"],
+                    "/sampler", f"sampler {sname!r}")
     norm = {"name": sname}
     if sname == "rwm":
         norm["proposal_sd"] = _need(smp, "proposal_sd", float, "/sampler", 0.5)
@@ -117,6 +161,8 @@ def validate_config(cfg: dict) -> dict:
     if timing not in ("real", "none"):
         raise ConfigError("/timing", "must be 'real' or 'none'")
     out["timing"] = timing
+    if "init" in cfg:
+        out["init"] = _init_point(cfg, _target_dim(tgt))
     return out
 
 
@@ -137,13 +183,13 @@ def build_target(cfg: dict, seed: int):
                                   mu_true=tcfg.get("mu_true", 0.0),
                                   sigma_y=tcfg.get("sigma_y", 1.0),
                                   sigma_theta=tcfg.get("sigma_theta", 1.0),
-                                  dim=tcfg.get("dim", 4))
+                                  dim=_target_dim(tcfg))
     if name == "gaussian":
-        mean = np.asarray(tcfg.get("mean", [0.0, 0.0]), dtype=float)
+        mean = np.asarray(tcfg.get("mean", _DEFAULT_GAUSSIAN_MEAN), dtype=float)
         cov = np.asarray(tcfg.get("cov", np.eye(mean.size).tolist()), dtype=float)
         return GaussianTarget(mean, cov)
     if name == "elliptic":
-        dim = tcfg.get("dim", 6)
+        dim = _target_dim(tcfg)
         kl = KLExpansion(n_modes=dim, mesh_size=tcfg.get("mesh_size", 20),
                          lengthscale=tcfg.get("kl_lengthscale", 0.5),
                          variance=tcfg.get("kl_variance", 1.0))
@@ -176,7 +222,7 @@ def _prior_sample(target, rng, count):
     return rng.standard_normal((count, target.dim))
 
 
-def _evaluated_design(target, points, with_gradients=False, with_per_datum=True):
+def _evaluated_design(target, points, with_gradients=False):
     pots, pds, grads, pdgs = [], [], [], []
     for th in points:
         if with_gradients:
@@ -191,8 +237,8 @@ def _evaluated_design(target, points, with_gradients=False, with_per_datum=True)
         points=np.asarray(points, dtype=float),
         potentials=np.array(pots),
         gradients=np.array(grads) if with_gradients else None,
-        per_datum=np.array(pds) if with_per_datum else None,
-        per_datum_grads=np.array(pdgs) if (with_gradients and with_per_datum) else None)
+        per_datum=np.array(pds),
+        per_datum_grads=np.array(pdgs) if with_gradients else None)
 
 
 # -- chain execution -----------------------------------------------------
@@ -244,11 +290,10 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
                     init_keep=acfg.get("init_keep", 5),
                     maxmin_radius=acfg.get("maxmin_radius", 0.2),
                     max_size=acfg.get("max_size", 40)),
-                rng=rng)
+                rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
             kernel_tag = f"adp-gpe-{scfg['name']}"
 
-    theta0 = np.asarray(cfg.get("init", np.zeros(dim).tolist()), dtype=float) \
-        if isinstance(cfg.get("init"), list) else np.zeros(dim)
+    theta0 = np.asarray(cfg["init"], dtype=float) if "init" in cfg else np.zeros(dim)
     chain_target = adaptive.target if adaptive is not None else target
     state = init_state(chain_target, theta0, rng)
 
@@ -406,8 +451,9 @@ def design_cmd(cfg: dict):
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
 
     if dcfg.get("with_gradients", False):
-        design = _evaluated_design(target, design.points, with_gradients=True,
-                                   with_per_datum=design.per_datum is not None)
+        # the re-evaluation yields per-datum data whatever the source, and
+        # metric-based samplers need it
+        design = _evaluated_design(target, design.points, with_gradients=True)
     if design.n_tilde > q + 3:
         hyper, _ = fit_hyperparameters(
             DesignSet(points=design.points, potentials=design.potentials),

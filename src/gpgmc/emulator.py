@@ -4,7 +4,8 @@ Conditions on a design of points with potential values, optional gradients and
 optional per-datum potential decompositions.  Every prediction (value,
 gradient, Hessian, empirical Fisher matrix, metric-derivative tensor) is a
 linear map of the stacked design data, so the heavy factorizations are done
-once per design.
+once per design.  Posterior means need no map at all: they read the weights
+``beta_hat = P u`` and ``w = Q u`` stored at build time.
 """
 
 from __future__ import annotations
@@ -202,12 +203,12 @@ class Emulator:
 
         u = design.data_vector()
         self.beta_hat = self.P @ u
+        self.w = self.Q @ u
         quad = float(u @ self.Q @ u)
         self.sigma2_hat = max(quad, 0.0) / (n_tilde - q - 2)
         self.degenerate_sigma2 = self.sigma2_hat <= 1e-12 * max(1.0, float(u @ u))
         self.dof = n_tilde - q
         self.q = q
-        self._u = u
 
         self.gfi = None
         if design.per_datum is not None:
@@ -220,12 +221,20 @@ class Emulator:
 
     # -- linear maps -----------------------------------------------------
 
-    def linear_map(self, points: np.ndarray, order: int) -> np.ndarray:
-        """Prediction operator L so that mean = L @ data_vector (flat layout)."""
+    def _cross_corr(self, points, order):
+        return kernels.cross_corr(points, order, self.design.points,
+                                  self.hyper.rho, self.design.has_gradients)
+
+    def linear_map(self, points: np.ndarray, order: int,
+                   cross: np.ndarray | None = None) -> np.ndarray:
+        """Prediction operator L so that mean = L @ data_vector (flat layout).
+
+        ``cross`` is the order-``order`` cross-correlation of ``points`` with
+        the design, when the caller has already built it.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         H_e = kernels.basis(points, order)
-        C_ed = kernels.cross_corr(points, order, self.design.points,
-                                  self.hyper.rho, self.design.has_gradients)
+        C_ed = self._cross_corr(points, order) if cross is None else cross
         L = H_e @ self.P + C_ed @ self.Q
         if order == 2:
             # enforce exact (k,l) row symmetry of the second-derivative map
@@ -235,6 +244,17 @@ class Emulator:
             L4 = 0.5 * (L4 + L4.transpose(1, 0, 2, 3))
             L = L4.reshape(dim * dim * m, -1)
         return L
+
+    def _mean(self, points, order, cross):
+        """Posterior mean H_e beta_hat + C_ed w in natural shape."""
+        m, dim = points.shape
+        flat = kernels.basis(points, order) @ self.beta_hat + cross @ self.w
+        if order == 0:
+            return flat
+        if order == 1:
+            return flat.reshape(dim, m).T
+        hess = flat.reshape(dim, dim, m).transpose(2, 0, 1)
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
 
     # -- predictions -----------------------------------------------------
 
@@ -246,15 +266,7 @@ class Emulator:
         would need fourth kernel derivatives which are never formed.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        m, dim = points.shape
-        L = self.linear_map(points, order)
-        flat = L @ self._u
-        if order == 0:
-            mean = flat
-        elif order == 1:
-            mean = flat.reshape(dim, m).T
-        else:
-            mean = flat.reshape(dim, dim, m).transpose(2, 0, 1)
+        mean = self._mean(points, order, self._cross_corr(points, order))
         cov = None
         if with_cov:
             if order not in (0, 1):
@@ -265,8 +277,7 @@ class Emulator:
     def _corr_cov(self, points, order):
         """Unscaled predictive covariance C** in flat layout."""
         H_e = kernels.basis(points, order)
-        C_ed = kernels.cross_corr(points, order, self.design.points,
-                                  self.hyper.rho, self.design.has_gradients)
+        C_ed = self._cross_corr(points, order)
         C_ee = kernels.corr_block(points, points, order, min(order, 1),
                                   self.hyper.rho) if order <= 1 else None
         HPC = H_e @ self.P @ C_ed.T
@@ -289,15 +300,6 @@ class Emulator:
             var *= self.sigma2_hat
         return var
 
-    def predict_per_datum_grads(self, points: np.ndarray) -> np.ndarray:
-        """Emulated per-datum gradient matrices, (m, D, N)."""
-        if self.gfi is None:
-            raise MissingPerDatum("design carries no per-datum potentials")
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        m, dim = points.shape
-        du = self.linear_map(points, 1) @ self.design.per_datum_matrix()
-        return du.reshape(dim, m, -1).transpose(1, 0, 2)
-
     def predict_efi(self, points: np.ndarray) -> np.ndarray:
         """Emulated empirical Fisher matrices, (m, D, D), symmetric PSD."""
         if self.gfi is None:
@@ -312,23 +314,27 @@ class Emulator:
 
     def predict_christoffel(self, points: np.ndarray) -> np.ndarray:
         """Emulated first-kind connection tensors Gamma[i][a,b,c], (m, D, D, D)."""
-        G, T3 = self.predict_metric_bundle(points)
-        return T3
+        return self.predict_metric_bundle(points)[1]
 
     def predict_metric_bundle(self, points: np.ndarray):
-        """Emulated metric and its raw derivative tensor in one pass.
+        """Emulated metric, its raw derivative tensor and the gradient.
 
-        Returns ``(G, T3)`` with ``G`` the (m, D, D) empirical Fisher matrices
-        and ``T3`` the (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the
-        first-kind connection Gamma_{ab,c}; the metric derivative follows as
-        dG_c[a,b] = T3[a,c,b] + T3[b,c,a].
+        Everything comes from one pass over the design: the order-1 and
+        order-2 cross-correlation blocks are built once and give the maps
+        A1 and A2 and the gradient mean.  Returns ``(G, T3, grad)`` with
+        ``G`` the (m, D, D) empirical Fisher matrices, ``T3`` the
+        (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the first-kind
+        connection Gamma_{ab,c} (the metric derivative follows as
+        dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and ``grad`` the (m, D)
+        potential gradients, equal to ``predict(points, 1).mean``.
         """
         if self.gfi is None:
             raise MissingPerDatum("design carries no per-datum potentials")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, dim = points.shape
-        A1 = self.linear_map(points, 1)
-        A2 = self.linear_map(points, 2)
+        C1, C2 = self._cross_corr(points, (1, 2))
+        A1 = self.linear_map(points, 1, C1)
+        A2 = self.linear_map(points, 2, C2)
         gA1 = self.gfi @ A1.T
         M = A1 @ gA1
         M = 0.5 * (M + M.T)
@@ -336,7 +342,7 @@ class Emulator:
         T = A2 @ gA1
         T5 = T.reshape(dim, dim, m, dim, m)
         T3 = np.einsum("abici->iabc", T5)
-        return G, T3
+        return G, T3, self._mean(points, 1, C1)
 
 
 def build_emulator(design: DesignSet, hyper: Hyperparameters,

@@ -1,10 +1,14 @@
 """Uniform geometry interface consumed by the transition kernels.
 
-A provider answers potential, gradient, metric and metric-derivative queries
-at a point.  Exact providers delegate to a target model's analytic formulas;
-the emulated provider reads everything off a Gaussian-process emulator, so a
-sampler runs identically in "full" and "emulated" mode.  Acceptance tests
-never go through a provider: they always use the exact target potential.
+A provider answers two queries at a point.  ``grad(theta)`` is the
+potential gradient, all that HMC needs.  ``metric_and_derivs(theta)`` returns
+``(G, dG, grad)``: the metric, its derivatives ``dG[k] = dG/dtheta_k`` and the
+potential gradient, everything a Riemannian or Lagrangian integrator point
+needs, in one call.  Exact providers delegate to a target model's analytic
+formulas; the emulated provider reads everything off a Gaussian-process
+emulator, so a sampler runs identically in "full" and "emulated" mode.
+Acceptance tests never go through a provider: they always use the exact
+target potential.
 """
 
 from __future__ import annotations
@@ -33,23 +37,13 @@ class ExactGeometry:
 
     def __init__(self, target):
         self.target = target
-        self.capabilities = {"potential", "gradient"}
-        if hasattr(target, "fisher"):
-            self.capabilities.add("metric")
-        if hasattr(target, "fisher_derivs"):
-            self.capabilities.add("christoffel")
-
-    def value(self, theta) -> float:
-        return self.target.potential(theta)
 
     def grad(self, theta) -> np.ndarray:
         return self.target.potential_grad(theta)[1]
 
-    def metric(self, theta) -> np.ndarray:
-        return self.target.fisher(theta)
-
     def metric_and_derivs(self, theta):
-        return self.target.fisher_derivs(theta)
+        G, dG = self.target.fisher_derivs(theta)
+        return G, dG, self.target.potential_grad(theta)[1]
 
 
 class EmulatedGeometry:
@@ -63,12 +57,6 @@ class EmulatedGeometry:
     def __init__(self, emulator: Emulator, reg_scale: float = METRIC_REG_SCALE):
         self.emulator = emulator
         self.reg_scale = reg_scale
-        self.capabilities = {"potential", "gradient"}
-        if emulator.gfi is not None:
-            self.capabilities.update({"metric", "christoffel"})
-
-    def value(self, theta) -> float:
-        return float(self.emulator.predict(np.atleast_2d(theta), 0).mean[0])
 
     def grad(self, theta) -> np.ndarray:
         return self.emulator.predict(np.atleast_2d(theta), 1).mean[0]
@@ -78,16 +66,10 @@ class EmulatedGeometry:
         lam = max(self.reg_scale * float(np.trace(G)) / dim, 1e-12)
         return G + lam * np.eye(dim), lam
 
-    def metric(self, theta) -> np.ndarray:
-        if self.emulator.gfi is None:
-            raise MissingPerDatum("emulator has no per-datum information")
-        G = self.emulator.predict_efi(np.atleast_2d(theta))[0]
-        return self._regularize(G)[0]
-
     def metric_and_derivs(self, theta):
         if self.emulator.gfi is None:
             raise MissingPerDatum("emulator has no per-datum information")
-        G_raw, T3 = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
+        G_raw, T3, grad = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
         G_raw, T3 = G_raw[0], T3[0]
         dim = G_raw.shape[0]
         # dG_c[a, b] = T3[a, c, b] + T3[b, c, a]
@@ -97,4 +79,4 @@ class EmulatedGeometry:
         if lam <= 1e-12:
             dlam = np.zeros(dim)
         dG = dG + dlam[:, None, None] * np.eye(dim)[None, :, :]
-        return G, dG
+        return G, dG, grad[0]

@@ -64,6 +64,54 @@ def _diff_and_corr(A, B, rho):
     return diff, corr
 
 
+def _block_rows(diff, corr, rho, orders, with_gradients):
+    """Cross-correlation blocks of each evaluation order, from one pass.
+
+    For each ``order_a`` in ``orders`` returns the (m D^order_a, n~) matrix
+    ``[(order_a, 0) | (order_a, 1)]``, or the (order_a, 0) block alone
+    without gradients.  Every block is a polynomial prefactor times ``corr``;
+    with ``a = 2 rho * diff`` the prefactors are
+
+    * (0,0): ``1``, and (0,1): ``a_p``;
+    * (1,0): ``-a_k``, and (1,1): ``2 rho_k d_kp - a_k a_p``;
+    * (2,0): ``a_k a_l - 2 rho_k d_kl``, the negative of (1,1);
+    * (2,1): ``(a_k a_l - 2 rho_k d_kl) a_p - 2 rho_k d_kp a_l
+      - 2 rho_l d_lp a_k``.
+
+    With ``at = [1; a]`` the (o,0) and (o,1) prefactors stack along one
+    axis, so each matrix is one product with ``corr`` and one reshape.
+    """
+    if not with_gradients and not any(orders):
+        # plain values: no prefactor, and the hot path of MLE fits and MICE
+        return [corr for _ in orders]
+    m, n, dim = diff.shape
+    a = 2.0 * rho[:, None, None] * diff.transpose(2, 0, 1)  # (p, i, j)
+    at = np.concatenate([np.ones((1, m, n)), a]) if with_gradients \
+        else np.ones((1, m, n))
+    two_rho = np.diag(2.0 * rho)[:, :, None, None]  # 2 rho_k d_kp
+    out = []
+    for order in orders:
+        if order == 0:
+            pref = at
+        elif order == 1:
+            pref = -a[:, None] * at[None]  # (k, q, i, j)
+            if with_gradients:
+                pref[:, 1:] += two_rho
+        elif order == 2:
+            a2 = a[:, None] * a[None] - two_rho  # (k, l, i, j)
+            pref = a2[:, :, None] * at[None, None]  # (k, l, q, i, j)
+            if with_gradients:
+                cross = two_rho[None] * a[:, None, None]  # 2 rho_l d_lp a_k
+                pref[:, :, 1:] -= cross + cross.swapaxes(0, 1)
+        else:
+            raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
+        blk = pref * corr
+        # (deriv..., q, i, j) -> (deriv..., i, q, j), flattened
+        blk = blk.swapaxes(-3, -2)
+        out.append(blk.reshape(dim**order * m, at.shape[0] * n))
+    return out
+
+
 def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
                rho: np.ndarray) -> np.ndarray:
     """Cross-correlation block between derivative observations.
@@ -72,35 +120,12 @@ def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
     ``order_b`` in {0,1} the order at ``B`` (n points).  Output shapes are
     ``(m D^order_a, n D^order_b)`` with coordinate-major flattening.
     """
+    if order_b not in (0, 1):
+        raise ValueError(f"unsupported block orders ({order_a}, {order_b})")
     diff, corr = _diff_and_corr(A, B, rho)
-    m, n, dim = diff.shape
-    rho = np.asarray(rho, dtype=float)
-    eye = np.eye(dim)
-
-    if (order_a, order_b) == (0, 0):
-        return corr
-    if (order_a, order_b) == (1, 0):
-        blk = np.einsum("k,ijk,ij->kij", -2.0 * rho, diff, corr)
-        return blk.reshape(dim * m, n)
-    if (order_a, order_b) == (0, 1):
-        blk = np.einsum("l,ijl,ij->ilj", 2.0 * rho, diff, corr)
-        return blk.reshape(m, dim * n)
-    if (order_a, order_b) == (1, 1):
-        pref = 2.0 * np.einsum("kl,ij->klij", np.diag(rho), corr)
-        pref -= 4.0 * np.einsum("k,l,ijk,ijl,ij->klij", rho, rho, diff, diff, corr)
-        return pref.transpose(0, 2, 1, 3).reshape(dim * m, dim * n)
-    if (order_a, order_b) == (2, 0):
-        pref = -2.0 * np.einsum("kl,ij->klij", np.diag(rho), corr)
-        pref += 4.0 * np.einsum("k,l,ijk,ijl,ij->klij", rho, rho, diff, diff, corr)
-        return pref.reshape(dim * dim * m, n)
-    if (order_a, order_b) == (2, 1):
-        t = -4.0 * np.einsum("kl,k,p,ijp,ij->klpij", eye, rho, rho, diff, corr)
-        t += -4.0 * np.einsum("kp,k,l,ijl,ij->klpij", eye, rho, rho, diff, corr)
-        t += -4.0 * np.einsum("lp,k,l,ijk,ij->klpij", eye, rho, rho, diff, corr)
-        t += 8.0 * np.einsum("k,l,p,ijk,ijl,ijp,ij->klpij", rho, rho, rho,
-                             diff, diff, diff, corr)
-        return t.transpose(0, 1, 3, 2, 4).reshape(dim * dim * m, dim * n)
-    raise ValueError(f"unsupported block orders ({order_a}, {order_b})")
+    rows = _block_rows(diff, corr, np.asarray(rho, dtype=float), (order_a,),
+                       with_gradients=order_b == 1)[0]
+    return rows[:, diff.shape[1]:] if order_b == 1 else rows
 
 
 def _prefactors(diff, rho, order_a, order_b):
@@ -192,15 +217,12 @@ def tilde_corr(points: np.ndarray, rho: np.ndarray, with_gradients: bool,
     Returns ``C`` of size (n~, n~) where n~ = n or n(1+D); with ``rho_grad``
     also returns the stacked derivatives (D, n~, n~).
     """
-    C00 = corr_block(points, points, 0, 0, rho)
+    diff, corr = _diff_and_corr(points, points, rho)
     if not with_gradients:
-        if not rho_grad:
-            return C00
-        return C00, corr_block_rho_grad(points, points, 0, 0, rho)
-    C01 = corr_block(points, points, 0, 1, rho)
-    C10 = corr_block(points, points, 1, 0, rho)
-    C11 = corr_block(points, points, 1, 1, rho)
-    C = np.block([[C00, C01], [C10, C11]])
+        if rho_grad:
+            return corr, corr_block_rho_grad(points, points, 0, 0, rho)
+        return corr
+    C = np.vstack(_block_rows(diff, corr, np.asarray(rho, dtype=float), (0, 1), True))
     if not rho_grad:
         return C
     d00 = corr_block_rho_grad(points, points, 0, 0, rho)
@@ -224,15 +246,17 @@ def tilde_corr_rho_hess(points, rho, with_gradients, d, e):
     return np.block([[h00, h01], [h10, h11]])
 
 
-def cross_corr(eval_points: np.ndarray, order: int, design_points: np.ndarray,
-               rho: np.ndarray, with_gradients: bool) -> np.ndarray:
+def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,
+               rho: np.ndarray, with_gradients: bool):
     """Cross-correlation of order-``order`` evaluations against a design.
 
     Output is (m D^order, n~): the order-0 design block, extended with the
-    order-1 design block when the design carries gradients.
+    order-1 design block when the design carries gradients.  ``order`` may
+    also be a tuple of orders; the matrices of every order are then built
+    from one pass over the design and returned as a tuple.
     """
-    left = corr_block(eval_points, design_points, order, 0, rho)
-    if not with_gradients:
-        return left
-    right = corr_block(eval_points, design_points, order, 1, rho)
-    return np.hstack([left, right])
+    single = np.ndim(order) == 0
+    diff, corr = _diff_and_corr(eval_points, design_points, rho)
+    out = _block_rows(diff, corr, np.asarray(rho, dtype=float),
+                      (order,) if single else order, with_gradients)
+    return out[0] if single else tuple(out)

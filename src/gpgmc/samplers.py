@@ -166,7 +166,7 @@ class _ManifoldPoint:
 
     def __init__(self, geometry, theta):
         self.theta = np.asarray(theta, dtype=float)
-        G, dG = geometry.metric_and_derivs(self.theta)
+        G, dG, grad_u = geometry.metric_and_derivs(self.theta)
         if not _finite(G, dG):
             raise NonFiniteGradient("metric non-finite")
         self.G = G
@@ -174,7 +174,6 @@ class _ManifoldPoint:
         self.chol = cholesky(G, lower=True)
         self.Ginv = cho_solve((self.chol, True), np.eye(G.shape[0]))
         self.logdet = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
-        grad_u = geometry.grad(self.theta)
         # grad of phi = U + log det(G)/2
         self.gphi = grad_u + 0.5 * np.einsum("ij,kji->k", self.Ginv, dG)
         if not _finite(self.gphi):

@@ -51,6 +51,50 @@ class TestValidation:
                                  "seed": 1, "iters": 5})
 
 
+    def test_unknown_top_level_key_reports_path(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(tmp_path, n_dta=500))
+        assert "/n_dta" in str(err.value)
+
+    def test_unknown_sampler_key_reports_path(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, sampler={"name": "hmc", "step_size": 0.1, "pool_cap": 60}))
+        assert "/sampler/pool_cap" in str(err.value)
+        # a key of another sampler would be ignored just the same
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, sampler={"name": "rwm", "step_size": 0.1}))
+        assert "/sampler/step_size" in str(err.value)
+
+    @pytest.mark.parametrize("where", ["iters", "n_steps"])
+    def test_bool_is_not_an_int(self, tmp_path, where):
+        if where == "iters":
+            cfg = banana_config(tmp_path, iters=True, burnin=0)
+        else:
+            cfg = banana_config(tmp_path, sampler={"name": "hmc", "n_steps": True})
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(cfg)
+        assert f"/{where}" in str(err.value)
+
+    @pytest.mark.parametrize("init", [[0.1], [0.1, 0.2, 0.3], [0.1, float("nan")],
+                                      [0.1, float("inf")], [0.1, "a"], [True, 0.0],
+                                      0.5])
+    def test_init_must_be_finite_point_of_target_dimension(self, tmp_path, init):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(tmp_path, init=init))
+        assert "/init" in str(err.value)
+
+    def test_init_dimension_follows_target_config(self, tmp_path):
+        cfg = cli.validate_config(banana_config(
+            tmp_path, target={"name": "bbd", "dim": 3, "n_data": 50},
+            init=[1, 0.5, -0.5]))
+        assert cfg["init"] == [1.0, 0.5, -0.5]
+        with pytest.raises(ConfigError):
+            cli.validate_config(banana_config(
+                tmp_path, target={"name": "bbd", "n_data": 50}, init=[1, 0.5, -0.5]))
+
+
 class TestRun:
     def test_outputs_and_header(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path))
@@ -74,6 +118,17 @@ class TestRun:
         meta = json.loads((out / "meta.json").read_text())
         cli.validate_config(meta["config"])  # round trip
 
+    def test_init_starts_the_chain(self, tmp_path):
+        cfg = cli.validate_config(banana_config(
+            tmp_path, sampler={"name": "rwm", "proposal_sd": 1e-9},
+            init=[0.5, -0.5], iters=5, burnin=0))
+        out = cli.run(cfg)
+        rows = (out / "chain.csv").read_text().splitlines()[1:]
+        thetas = np.array([[float(v) for v in r.split(",")[1:3]] for r in rows])
+        np.testing.assert_allclose(thetas, [[0.5, -0.5]] * 5, atol=1e-7)
+        meta = json.loads((out / "meta.json").read_text())
+        assert cli.validate_config(meta["config"])["init"] == [0.5, -0.5]
+
     def test_single_post_burnin_sample_flags_ess(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path, iters=21, burnin=20))
         out = cli.run(cfg)
@@ -94,6 +149,31 @@ class TestRun:
         for name in ("chain.csv", "events.csv", "summary.csv", "design.json",
                      "meta.json"):
             assert (out / name).exists()
+
+    def test_adaptive_tune_reaches_sampler(self, tmp_path, monkeypatch):
+        built = []
+
+        class Recording(cli.AdaptiveGPeSampler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "AdaptiveGPeSampler", Recording)
+        cfg = cli.validate_config(banana_config(
+            tmp_path,
+            target={"name": "bbd", "dim": 4, "n_data": 300},
+            sampler={"name": "hmc", "step_size": 0.05, "n_steps": 4,
+                     "tune": True, "target_accept": 0.8},
+            geometry={"mode": "emulated",
+                      "adaptation": {"test_interval": 5, "init_size": 16,
+                                     "max_adaptations": 0,
+                                     "maxmin_radius": 0.3}},
+            iters=6, burnin=3))
+        (tmp_path / "out").mkdir()
+        cli.run_single_chain(cfg, 0, tmp_path / "out")
+        assert len(built) == 1
+        assert built[0].tuner is not None
+        assert built[0].tuner.target == 0.8
 
     def test_multiple_chains(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path, iters=60, burnin=10))
@@ -128,6 +208,31 @@ class TestDesignCommand:
         design, _ = load_design(path)
         assert design.n <= 15
         assert design.per_datum is None
+
+    def test_chain_source_with_gradients_supports_rhmc(self, tmp_path):
+        bbd = {"name": "bbd", "dim": 4, "n_data": 300}
+        pilot = cli.validate_config(banana_config(
+            tmp_path / "pilot", target=bbd,
+            sampler={"name": "rwm", "proposal_sd": 0.05}, iters=150, burnin=0))
+        out = cli.run(pilot)
+        cfg = cli.validate_config(banana_config(
+            tmp_path / "design", target=bbd,
+            geometry={"mode": "exact",
+                      "design": {"source": "chain", "path": str(out / "chain.csv"),
+                                 "target_size": 15, "maxmin_radius": 0.02,
+                                 "with_gradients": True}}))
+        path, _ = cli.design_cmd(cfg)
+        design, _ = load_design(path)
+        assert design.per_datum is not None
+        assert design.per_datum_grads is not None
+
+        run_path = tmp_path / "rhmc.json"
+        run_path.write_text(json.dumps(banana_config(
+            tmp_path / "rhmc", target=bbd,
+            sampler={"name": "rhmc", "step_size": 0.001, "n_steps": 3},
+            geometry={"mode": "emulated", "design_file": str(path)},
+            iters=8, burnin=2)))
+        assert cli.main(["run", str(run_path)]) == 0
 
     def test_refined_design_beats_random_subsets(self, tmp_path):
         """Greedy selection outperforms random 20-subsets on held-out error."""

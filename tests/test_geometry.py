@@ -1,0 +1,88 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import SmoothTestFunction, spread_points
+from gpgmc.emulator import Emulator, Hyperparameters
+from gpgmc.geometry import EmulatedGeometry, ExactGeometry
+from gpgmc.targets import banana_target
+
+
+@st.composite
+def emulated_points(draw):
+    """A random emulator with per-datum data and a point to query it at."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    gradients = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = 1 + 2 * dim
+    n = draw(st.integers(4, 8)) if gradients else draw(st.integers(q + 3, q + 8))
+    fn = SmoothTestFunction(rng, dim)
+    design = fn.design(spread_points(rng, n, dim), gradients=gradients)
+    hyper = Hyperparameters(rho=rng.uniform(0.3, 1.5, dim))
+    return Emulator(design, hyper), rng.uniform(-2.0, 2.0, dim)
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(emulated_points())
+def test_metric_and_derivs_match_linear_map_oracles(case):
+    """One fused query returns what the per-quantity linear maps give."""
+    em, x = case
+    dim = x.size
+    # reg_scale 0 leaves only the 1e-12 floor on the metric, constant in x
+    G, dG, grad = EmulatedGeometry(em, reg_scale=0.0).metric_and_derivs(x)
+
+    L1 = em.linear_map(x[None, :], 1)
+    L2 = em.linear_map(x[None, :], 2)
+    assert _rel_err(grad, L1 @ em.design.data_vector()) <= 1e-9
+
+    pd = em.design.per_datum_matrix()
+    ndata = pd.shape[1]
+    DU = L1 @ pd
+    centered = DU - DU.mean(axis=1, keepdims=True)
+    fisher = centered @ centered.T
+    assert _rel_err(G, fisher + 1e-12 * np.eye(dim)) <= 1e-9
+
+    D2U = (L2 @ pd).reshape(dim, dim, ndata)
+    J = np.eye(ndata) - np.ones((ndata, ndata)) / ndata
+    gamma = np.einsum("abn,nm,cm->abc", D2U, J, DU)
+    # dG_c[a, b] = Gamma_{ac,b} + Gamma_{bc,a}
+    oracle = np.einsum("acb->cab", gamma) + np.einsum("bca->cab", gamma)
+    assert _rel_err(dG, oracle) <= 1e-9
+
+
+def test_fused_gradient_equals_gradient_query():
+    rng = np.random.default_rng(3)
+    fn = SmoothTestFunction(rng, 3)
+    em = Emulator(fn.design(spread_points(rng, 8, 3)),
+                  Hyperparameters(rho=np.array([0.6, 0.9, 1.2])))
+    geo = EmulatedGeometry(em)
+    for x in rng.uniform(-1.5, 1.5, (5, 3)):
+        np.testing.assert_array_equal(geo.metric_and_derivs(x)[2], geo.grad(x))
+
+
+def test_exact_provider_queries_metric_then_gradient():
+    calls = []
+
+    class Recording:
+        def __init__(self, target):
+            self.target = target
+
+        def fisher_derivs(self, theta):
+            calls.append("fisher_derivs")
+            return self.target.fisher_derivs(theta)
+
+        def potential_grad(self, theta):
+            calls.append("potential_grad")
+            return self.target.potential_grad(theta)
+
+    target = banana_target(rng=np.random.default_rng(1))
+    theta = np.array([0.2, -0.3])
+    G, dG, grad = ExactGeometry(Recording(target)).metric_and_derivs(theta)
+    assert calls == ["fisher_derivs", "potential_grad"]
+    G_ref, dG_ref = target.fisher_derivs(theta)
+    np.testing.assert_array_equal(G, G_ref)
+    np.testing.assert_array_equal(dG, dG_ref)
+    np.testing.assert_array_equal(grad, target.potential_grad(theta)[1])

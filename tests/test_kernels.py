@@ -115,6 +115,61 @@ def test_all_blocks_match_finite_differences(dim):
                                            rtol=1e-5, atol=1e-7)
 
 
+def _einsum_block(A, B, order_a, order_b, rho):
+    """Term-by-term einsum form of each block, as an independent reference."""
+    diff = A[:, None, :] - B[None, :, :]
+    corr = np.exp(-np.einsum("ijk,k->ij", diff**2, rho))
+    m, n, dim = diff.shape
+    eye = np.eye(dim)
+    if (order_a, order_b) == (0, 0):
+        return corr
+    if (order_a, order_b) == (1, 0):
+        return np.einsum("k,ijk,ij->kij", -2.0 * rho, diff, corr).reshape(dim * m, n)
+    if (order_a, order_b) == (0, 1):
+        return np.einsum("l,ijl,ij->ilj", 2.0 * rho, diff, corr).reshape(m, dim * n)
+    if (order_a, order_b) in ((1, 1), (2, 0)):
+        pref = 2.0 * np.einsum("kl,ij->klij", np.diag(rho), corr)
+        pref -= 4.0 * np.einsum("k,l,ijk,ijl,ij->klij", rho, rho, diff, diff, corr)
+        if (order_a, order_b) == (2, 0):
+            return (-pref).reshape(dim * dim * m, n)
+        return pref.transpose(0, 2, 1, 3).reshape(dim * m, dim * n)
+    t = -4.0 * np.einsum("kl,k,p,ijp,ij->klpij", eye, rho, rho, diff, corr)
+    t += -4.0 * np.einsum("kp,k,l,ijl,ij->klpij", eye, rho, rho, diff, corr)
+    t += -4.0 * np.einsum("lp,k,l,ijk,ij->klpij", eye, rho, rho, diff, corr)
+    t += 8.0 * np.einsum("k,l,p,ijk,ijl,ijp,ij->klpij", rho, rho, rho,
+                         diff, diff, diff, corr)
+    return t.transpose(0, 1, 3, 2, 4).reshape(dim * dim * m, dim * n)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
+def test_single_pass_blocks_match_einsum_reference(dim, orders):
+    rng = np.random.default_rng(10 + dim)
+    rho = rng.uniform(0.3, 1.5, dim)
+    A = rng.normal(size=(3, dim))
+    B = rng.normal(size=(5, dim))
+    ref = _einsum_block(A, B, *orders, rho)
+    got = kernels.corr_block(A, B, *orders, rho)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("with_gradients", [False, True])
+def test_cross_corr_orders_share_one_pass(with_gradients):
+    """A tuple of orders gives the same matrices as one call per order."""
+    rng = np.random.default_rng(21)
+    rho = rng.uniform(0.3, 1.5, 3)
+    x = rng.normal(size=(2, 3))
+    design = rng.normal(size=(6, 3))
+    together = kernels.cross_corr(x, (0, 1, 2), design, rho, with_gradients)
+    for order, got in zip((0, 1, 2), together):
+        alone = kernels.cross_corr(x, order, design, rho, with_gradients)
+        np.testing.assert_array_equal(got, alone)
+        blocks = [kernels.corr_block(x, design, order, b, rho)
+                  for b in ((0, 1) if with_gradients else (0,))]
+        np.testing.assert_array_equal(got, np.hstack(blocks))
+
+
 def _rows(i):
     return i
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import spread_points
-from gpgmc.emulator import DesignSet, build_emulator
+from conftest import SmoothTestFunction, spread_points
+from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
 from gpgmc.errors import NonFiniteGradient
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.mle import fit_hyperparameters
@@ -23,6 +24,15 @@ def banana():
 def gauss2d():
     return GaussianTarget(np.array([0.5, -1.0]),
                           np.array([[1.0, 0.6], [0.6, 2.0]]))
+
+
+@pytest.fixture(scope="module")
+def smooth_emulated():
+    """Emulated geometry of a smooth 12-datum surface from a gradient design."""
+    rng = np.random.default_rng(12)
+    fn = SmoothTestFunction(rng, dim=2, n_data=12)
+    design = fn.design(spread_points(rng, 14, 2, spread=1.8))
+    return EmulatedGeometry(build_emulator(design, Hyperparameters(rho=np.ones(2))))
 
 
 def run_chain(step, state, n):
@@ -181,6 +191,24 @@ class TestGeneralizedLeapfrog:
         t2, p2, _ = generalized_leapfrog(t1, -p1, geo, cfg)
         assert np.abs(t2 - theta0).max() < 1e-6
         assert np.abs(-p2 - p0).max() < 1e-6
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reversibility_under_emulated_geometry(self, smooth_emulated, start,
+                                                   seed):
+        """Flipping the momentum at the end retraces the emulated trajectory."""
+        cfg = IntegratorConfig(step_size=0.02, n_steps=10,
+                               fixed_point_iters=100, fixed_point_tol=1e-13)
+        theta0 = np.array(start)
+        point = _ManifoldPoint(smooth_emulated, theta0)
+        p0 = point.sample_momentum(np.random.default_rng(seed))
+        t1, p1, _ = generalized_leapfrog(theta0, p0, smooth_emulated, cfg,
+                                         start=point)
+        t2, p2, _ = generalized_leapfrog(t1, -p1, smooth_emulated, cfg)
+        scale = 1.0 + np.abs(p0).max()
+        assert np.abs(t2 - theta0).max() < 1e-6
+        assert np.abs(-p2 - p0).max() < 1e-6 * scale
 
     def test_fixed_point_residuals_decrease(self, banana):
         """Momentum fixed-point iterates contract for a small step size."""
