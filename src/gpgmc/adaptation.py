@@ -10,7 +10,7 @@ rebuilt, and the next state drawn from Q, all without disturbing the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, LinAlgError
@@ -18,7 +18,8 @@ from scipy.special import logsumexp
 
 from . import kernels, samplers
 from .emulator import DesignSet, Emulator, Hyperparameters, build_emulator
-from .errors import AllDegenerate, RejectionBudgetExhausted
+from .errors import (AllDegenerate, IllConditioned, OptimFailed,
+                     RejectionBudgetExhausted, TooFewPoints)
 from .geometry import EmulatedGeometry, METRIC_REG_SCALE
 from .mle import fit_hyperparameters
 
@@ -289,7 +290,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
             hyper, _ = fit_hyperparameters(
                 fit_on, nugget=cfg.nugget,
                 rng=rng if rng is not None else np.random.default_rng(0))
-        except Exception:
+        except (OptimFailed, TooFewPoints, LinAlgError):
             if hyper is None:
                 raise
     rho = hyper.rho
@@ -335,7 +336,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
                     DesignSet(points=current.points, potentials=current.potentials),
                     nugget=cfg.nugget, rng=np.random.default_rng(0))
                 rho = hyper.rho
-            except Exception:
+            except (OptimFailed, TooFewPoints, LinAlgError):
                 pass
         if holdout is not None and current.n >= min_size:
             mspe = _holdout_mspe(current, hyper, holdout)
@@ -351,7 +352,7 @@ def _holdout_mspe(design: DesignSet, hyper: Hyperparameters, holdout) -> float:
     points, potentials = holdout
     try:
         em = build_emulator(design, hyper)
-    except Exception:
+    except (IllConditioned, TooFewPoints):
         return np.inf
     pred = em.predict(points, 0).mean
     return float(np.mean((pred - potentials)**2))
@@ -434,8 +435,10 @@ class AdaptiveGPeSampler:
         self.raw_target = target
         self.target = _PerDatumRecorder(target)
         self.kernel = kernel
-        self.cfg = integrator_cfg
-        self.schedule = schedule or RegenSchedule()
+        # private copies: step-size tuning and the end of adaptation change
+        # them, and the caller's objects stay as given
+        self.cfg = replace(integrator_cfg)
+        self.schedule = replace(schedule) if schedule is not None else RegenSchedule()
         self.mice_cfg = mice_cfg or MICEConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.reg_scale = reg_scale

@@ -56,6 +56,19 @@ _SAMPLER_KEYS = {
     "gradient": ("name", "step_size", "n_steps", "fixed_point_iters",
                  "fixed_point_tol", "tune", "target_accept"),
 }
+_TARGET_KEYS = {
+    "banana": ("name", "n_data", "mu_true", "sigma_y", "sigma_theta"),
+    "bbd": ("name", "n_data", "mu_true", "sigma_y", "sigma_theta", "dim"),
+    "gaussian": ("name", "mean", "cov"),
+    "elliptic": ("name", "dim", "mesh_size", "kl_lengthscale", "kl_variance",
+                 "theta_true", "noise_sd"),
+}
+_GEOMETRY_KEYS = ("mode", "design_file", "design", "adaptation")
+_DESIGN_KEYS = ("source", "count", "path", "maxmin_radius", "target_size",
+                "with_gradients")
+_ADAPTATION_KEYS = ("test_interval", "stop_mspe_rel", "max_adaptations",
+                    "init_keep", "maxmin_radius", "max_size", "init_design",
+                    "init_size")
 # target dimensions when the config gives none
 _DEFAULT_DIM = {"bbd": 4, "elliptic": 6}
 _DEFAULT_GAUSSIAN_MEAN = [0.0, 0.0]
@@ -115,6 +128,7 @@ def validate_config(cfg: dict) -> dict:
     name = _need(tgt, "name", str, "/target", required=True)
     if name not in _TARGETS:
         raise ConfigError("/target/name", f"must be one of {_TARGETS}")
+    _reject_unknown(tgt, _TARGET_KEYS[name], "/target", f"target {name!r}")
     out["target"] = dict(tgt)
 
     smp = _need(cfg, "sampler", dict, "", required=True)
@@ -142,6 +156,10 @@ def validate_config(cfg: dict) -> dict:
     out["sampler"] = norm
 
     geo = _need(cfg, "geometry", dict, "", default={"mode": "exact"})
+    _reject_unknown(geo, _GEOMETRY_KEYS, "/geometry", "geometry")
+    for key, known in (("design", _DESIGN_KEYS), ("adaptation", _ADAPTATION_KEYS)):
+        sub = _need(geo, key, dict, "/geometry", {})
+        _reject_unknown(sub, known, f"/geometry/{key}", key)
     mode = _need(geo, "mode", str, "/geometry", "exact")
     if mode not in ("exact", "emulated"):
         raise ConfigError("/geometry/mode", "must be 'exact' or 'emulated'")
@@ -416,15 +434,20 @@ def design_cmd(cfg: dict):
     rng = _rng(cfg["seed"], STREAM_DESIGN)
 
     source = dcfg.get("source", "prior")
+    with_gradients = dcfg.get("with_gradients", False)
     if source == "prior":
-        cand_pts = _prior_sample(target, rng, dcfg.get("count", 100))
-        cand = []
-        for th in cand_pts:
+        points = _prior_sample(target, rng, dcfg.get("count", 100))
+        pots, pds = [], []
+        for th in points:
+            # the candidates' potentials, and so the fit and the picks, come
+            # from potential_per_datum's sum; a gradient design is re-evaluated
+            # below, so its candidates' per-datum rows are not kept
             u, vals = target.potential_per_datum(th)
-            cand.append((th, u, vals))
-        points = np.array([c[0] for c in cand])
-        pots = np.array([c[1] for c in cand])
-        pds = np.array([c[2] for c in cand])
+            pots.append(u)
+            if not with_gradients:
+                pds.append(vals)
+        pots = np.array(pots)
+        pds = None if with_gradients else np.array(pds)
     elif source == "chain":
         points, pots = _read_chain_csv(dcfg["path"], target.dim)
         pds = None
@@ -450,7 +473,7 @@ def design_cmd(cfg: dict):
                       maxmin_radius=radius, refit_at_start=False)
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
 
-    if dcfg.get("with_gradients", False):
+    if with_gradients:
         # the re-evaluation yields per-datum data whatever the source, and
         # metric-based samplers need it
         design = _evaluated_design(target, design.points, with_gradients=True)

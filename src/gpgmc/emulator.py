@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import kernels
-from .errors import IllConditioned, MissingPerDatum, ShapeMismatch, TooFewPoints
+from .errors import (DesignFileError, IllConditioned, MissingPerDatum,
+                     ShapeMismatch, TooFewPoints)
 
 __all__ = ["Hyperparameters", "DesignSet", "Prediction", "Emulator",
            "build_emulator", "save_design", "load_design"]
@@ -367,15 +368,21 @@ def build_emulator(design: DesignSet, hyper: Hyperparameters,
 # -- persistence ---------------------------------------------------------
 
 def save_design(path, design: DesignSet, hyper: Hyperparameters) -> None:
-    """Write a design plus fitted hyperparameters as JSON (+ per-datum CSV)."""
+    """Write a design plus fitted hyperparameters.
+
+    ``path`` gets a JSON document with the points, potentials, gradients and
+    hyperparameters, each float as its shortest round-trip decimal.  A design
+    with per-datum data also gets a sidecar ``<stem>.per_datum.npy`` beside
+    it: the stacked (n~, N) float64 matrix of :meth:`DesignSet.per_datum_matrix`
+    in ``data_vector`` row order, written by ``np.save``.  The JSON names the
+    sidecar under ``per_datum_path``.
+    """
     path = Path(path)
     per_datum_path = None
     if design.per_datum is not None:
-        per_datum_path = path.with_suffix(".per_datum.csv").name
-        rows = design.per_datum_matrix()
-        with open(path.parent / per_datum_path, "w") as fh:
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        per_datum_path = path.with_suffix(".per_datum.npy").name
+        np.save(path.parent / per_datum_path, design.per_datum_matrix(),
+                allow_pickle=False)
     doc = {
         "points": [[repr(float(v)) for v in row] for row in design.points],
         "potentials": [repr(float(v)) for v in design.potentials],
@@ -391,7 +398,12 @@ def save_design(path, design: DesignSet, hyper: Hyperparameters) -> None:
 
 
 def load_design(path) -> tuple[DesignSet, Hyperparameters]:
-    """Round-trip counterpart of :func:`save_design` (bit-stable)."""
+    """Round-trip counterpart of :func:`save_design` (bit-stable).
+
+    Raises DesignFileError, naming the file, when the per-datum sidecar is
+    not a float64 ``.npy`` matrix of the design's n~ rows (decimal-text
+    ``.per_datum.csv`` sidecars are not read).
+    """
     path = Path(path)
     with open(path) as fh:
         doc = json.load(fh)
@@ -402,14 +414,18 @@ def load_design(path) -> tuple[DesignSet, Hyperparameters]:
         gradients = np.array([[float(v) for v in row] for row in doc["gradients"]])
     per_datum = per_datum_grads = None
     if doc.get("per_datum_path"):
-        rows = []
-        with open(path.parent / doc["per_datum_path"]) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        stacked = np.array(rows)
+        pd_file = path.parent / doc["per_datum_path"]
         n, dim = points.shape
+        n_tilde = n * (1 + dim) if gradients is not None else n
+        try:
+            stacked = np.load(pd_file, allow_pickle=False)
+        except (ValueError, EOFError):  # text, pickled or truncated content
+            stacked = None
+        if not (isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
+                and stacked.ndim == 2 and stacked.shape[0] == n_tilde):
+            raise DesignFileError(
+                f"{pd_file}: expected a float64 .npy matrix with {n_tilde} rows "
+                f"written by save_design; regenerate the design")
         per_datum = stacked[:n]
         if gradients is not None:
             per_datum_grads = stacked[n:].reshape(dim, n, -1).transpose(1, 0, 2)

@@ -21,6 +21,10 @@ class MissingPerDatum(GpgmcError):
     """Operation needs per-datum potentials that the design does not carry."""
 
 
+class DesignFileError(GpgmcError):
+    """A design file or its per-datum sidecar cannot be read."""
+
+
 class DegenerateKernel(GpgmcError):
     """Requested more eigenpairs than the numerically nonzero spectrum."""
 

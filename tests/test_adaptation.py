@@ -4,8 +4,9 @@ from scipy.special import logsumexp
 
 from conftest import spread_points
 from gpgmc import adaptation as ad
-from gpgmc.emulator import DesignSet
-from gpgmc.errors import AllDegenerate, RejectionBudgetExhausted
+from gpgmc.emulator import DesignSet, Hyperparameters
+from gpgmc.errors import (AllDegenerate, IllConditioned, OptimFailed,
+                          RejectionBudgetExhausted, ShapeMismatch)
 from gpgmc.mle import fit_hyperparameters
 from gpgmc.samplers import IntegratorConfig, init_state
 from gpgmc.targets import banana_target
@@ -276,6 +277,56 @@ class TestMiceRefine:
         assert after < before
 
 
+class TestNarrowedFailures:
+    """Fit and build failures are absorbed; any other error propagates."""
+
+    def refine(self, banana, design, **cfg_kw):
+        pool_pts = spread_points(np.random.default_rng(10), 12, 2, spread=2.5,
+                                 min_sep=0.3)
+        pool = ad.CandidatePool(pool_pts,
+                                np.array([banana.potential(p) for p in pool_pts]))
+        cfg = ad.MICEConfig(init_keep=5, max_size=design.n + 3, **cfg_kw)
+        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
+        return ad.mice_refine(design, pool, cfg, hyper=hyper)
+
+    @staticmethod
+    def raising(exc):
+        def fit(*args, **kwargs):
+            raise exc
+        return fit
+
+    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True},
+                                        {"refit_at_start": False,
+                                         "refit_each_step": True}])
+    def test_fit_failure_keeps_rho(self, banana, spread_banana_design,
+                                   monkeypatch, cfg_kw):
+        monkeypatch.setattr(ad, "fit_hyperparameters",
+                            self.raising(OptimFailed("diverged")))
+        _, hyper, info = self.refine(banana, spread_banana_design, **cfg_kw)
+        assert info["added"] > 0
+        np.testing.assert_array_equal(hyper.rho, [0.7, 0.4])
+
+    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True},
+                                        {"refit_at_start": False,
+                                         "refit_each_step": True}])
+    @pytest.mark.parametrize("exc", [ShapeMismatch("bad shape"), TypeError("bug")])
+    def test_unrelated_fit_error_propagates(self, banana, spread_banana_design,
+                                            monkeypatch, cfg_kw, exc):
+        monkeypatch.setattr(ad, "fit_hyperparameters", self.raising(exc))
+        with pytest.raises(type(exc)):
+            self.refine(banana, spread_banana_design, **cfg_kw)
+
+    def test_holdout_mspe(self, banana, spread_banana_design, monkeypatch):
+        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
+        holdout = (np.zeros((1, 2)), np.zeros(1))
+        monkeypatch.setattr(ad, "build_emulator",
+                            self.raising(IllConditioned("singular")))
+        assert ad._holdout_mspe(spread_banana_design, hyper, holdout) == np.inf
+        monkeypatch.setattr(ad, "build_emulator", self.raising(TypeError("bug")))
+        with pytest.raises(TypeError):
+            ad._holdout_mspe(spread_banana_design, hyper, holdout)
+
+
 class TestAdaptiveSampler:
     def make_sampler(self, banana, design, rng, **schedule_kw):
         cfg = IntegratorConfig(step_size=0.05, n_steps=10)
@@ -375,6 +426,29 @@ class TestAdaptiveSampler:
         bm = draws.reshape(nb, -1, 2).mean(axis=1)
         se = bm.std(axis=0, ddof=1) / np.sqrt(nb)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se)
+
+    def test_caller_configs_unchanged_by_tuned_run(self, banana):
+        rng = np.random.default_rng(18)
+        pts = 0.15 * np.random.default_rng(19).standard_normal((10, 2))
+        cfg = IntegratorConfig(step_size=0.05, n_steps=10)
+        schedule = ad.RegenSchedule(test_interval=5, min_pool=12,
+                                    max_adaptations=1)
+        sampler = ad.AdaptiveGPeSampler(
+            banana, evaluated_design(banana, pts), cfg, kernel="hmc",
+            schedule=schedule,
+            mice_cfg=ad.MICEConfig(init_keep=5, maxmin_radius=0.25, max_size=40),
+            rng=rng, tune=True)
+        state = init_state(sampler.target, np.zeros(2), rng)
+        for _ in range(2000):
+            state, _ = sampler.step(state)
+            if not sampler.schedule.adaptation_active:
+                break
+        # the sampler's own copies moved; the caller's did not
+        assert not sampler.schedule.adaptation_active
+        assert sampler.cfg.step_size != 0.05
+        assert cfg == IntegratorConfig(step_size=0.05, n_steps=10)
+        assert schedule == ad.RegenSchedule(test_interval=5, min_pool=12,
+                                            max_adaptations=1)
 
     def test_budget_deactivates_adaptation(self, banana):
         rng = np.random.default_rng(18)

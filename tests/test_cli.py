@@ -67,6 +67,39 @@ class TestValidation:
                 tmp_path, sampler={"name": "rwm", "step_size": 0.1}))
         assert "/sampler/step_size" in str(err.value)
 
+    @pytest.mark.parametrize("target, key", [
+        ({"name": "banana", "n_dta": 60}, "n_dta"),
+        # a key of another target is unknown too
+        ({"name": "banana", "dim": 3}, "dim"),
+        ({"name": "gaussian", "mean": [0.0], "n_data": 5}, "n_data"),
+        ({"name": "elliptic", "mesh": 10}, "mesh"),
+    ])
+    def test_unknown_target_key_reports_path(self, tmp_path, target, key):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(tmp_path, target=target))
+        assert f"/target/{key}" in str(err.value)
+
+    def test_unknown_geometry_key_reports_path(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, geometry={"mode": "exact", "design_fil": "d.json"}))
+        assert "/geometry/design_fil" in str(err.value)
+
+    def test_unknown_design_key_reports_path(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, geometry={"mode": "exact",
+                                    "design": {"source": "prior", "size": 20}}))
+        assert "/geometry/design/size" in str(err.value)
+
+    def test_unknown_adaptation_key_reports_path(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, sampler={"name": "hmc"},
+                geometry={"mode": "emulated",
+                          "adaptation": {"test_interval": 5, "pool_cap": 60}}))
+        assert "/geometry/adaptation/pool_cap" in str(err.value)
+
     @pytest.mark.parametrize("where", ["iters", "n_steps"])
     def test_bool_is_not_an_int(self, tmp_path, where):
         if where == "iters":

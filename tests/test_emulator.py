@@ -1,11 +1,18 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import SmoothTestFunction, spread_points
 from gpgmc import kernels
 from gpgmc.emulator import (DesignSet, Emulator, Hyperparameters, build_emulator,
                             load_design, save_design)
-from gpgmc.errors import IllConditioned, MissingPerDatum, TooFewPoints
+from gpgmc.errors import (DesignFileError, IllConditioned, MissingPerDatum,
+                          TooFewPoints)
 
 
 def make_emulator(seed=0, dim=2, n=12, gradients=True, per_datum=True,
@@ -243,8 +250,88 @@ def test_design_json_roundtrip_is_bit_stable(tmp_path, smooth_fn):
     assert np.array_equal(loaded.per_datum_matrix(), design.per_datum_matrix())
     assert np.array_equal(hyper2.rho, hyper.rho)
     assert hyper2.nugget == hyper.nugget
-    # second save is byte-identical
+    # second save is byte-identical, the JSON and its per-datum sidecar
     path2 = tmp_path / "design2.json"
     save_design(path2, loaded, hyper2)
     assert path.read_bytes() == path2.read_bytes().replace(
-        b"design2.per_datum.csv", b"design.per_datum.csv")
+        b"design2.per_datum.npy", b"design.per_datum.npy")
+    assert (tmp_path / "design.per_datum.npy").read_bytes() \
+        == (tmp_path / "design2.per_datum.npy").read_bytes()
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# any finite double, signed zeros, subnormals and extreme exponents included
+_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _designs(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    ndata = draw(st.integers(1, 4))
+    gradients = draw(st.booleans())
+    per_datum = draw(st.booleans())
+    # distinct points: distinct grid cells scaled by a positive factor
+    cells = draw(st.lists(st.tuples(*[st.integers(-50, 50)] * dim), min_size=n,
+                          max_size=n, unique=True))
+    scale = draw(st.floats(1e-3, 1e3))
+    arr = lambda shape: draw(hnp.arrays(np.float64, shape, elements=_doubles))
+    design = DesignSet(
+        points=scale * np.array(cells, dtype=float),
+        potentials=arr((n,)),
+        gradients=arr((n, dim)) if gradients else None,
+        per_datum=arr((n, ndata)) if per_datum else None,
+        per_datum_grads=arr((n, dim, ndata)) if gradients and per_datum else None)
+    hyper = Hyperparameters(
+        rho=draw(hnp.arrays(np.float64, (dim,),
+                            elements=st.floats(1e-300, 1e300))),
+        nugget=draw(st.floats(0.0, 1e300)))
+    return design, hyper
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_designs())
+def test_design_save_load_save_is_bit_stable(case):
+    design, hyper = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a" / "d.json", Path(tmp) / "b" / "d.json"
+        first.parent.mkdir()
+        second.parent.mkdir()
+        save_design(first, design, hyper)
+        loaded, hyper2 = load_design(first)
+        save_design(second, loaded, hyper2)
+        for name in ("points", "potentials", "gradients", "per_datum",
+                     "per_datum_grads"):
+            assert _same_bits(getattr(loaded, name), getattr(design, name)), name
+        assert _same_bits(hyper2.rho, hyper.rho)
+        assert _same_bits(np.float64(hyper2.nugget), np.float64(hyper.nugget))
+        names = sorted(p.name for p in first.parent.iterdir())
+        assert names == sorted(p.name for p in second.parent.iterdir())
+        assert names == (["d.json", "d.per_datum.npy"] if design.per_datum is not None
+                         else ["d.json"])
+        for name in names:
+            assert (first.parent / name).read_bytes() \
+                == (second.parent / name).read_bytes(), name
+
+
+def test_decimal_text_sidecar_fails_with_its_name(tmp_path, smooth_fn):
+    design = smooth_fn.design(spread_points(np.random.default_rng(18), 8, 2))
+    path = tmp_path / "design.json"
+    save_design(path, design, Hyperparameters(rho=np.ones(2)))
+    # the layout an earlier version wrote: one decimal row per stacked datum row
+    csv = tmp_path / "design.per_datum.csv"
+    csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for row in design.per_datum_matrix()))
+    doc = json.loads(path.read_text())
+    doc["per_datum_path"] = csv.name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DesignFileError) as err:
+        load_design(path)
+    assert str(csv) in str(err.value)
+    assert "pickle" not in str(err.value)

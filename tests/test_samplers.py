@@ -308,6 +308,26 @@ class TestLMC:
         assert np.abs(-v2 - v0).max() < 1e-8
         assert abs(ld_f + ld_b) < 1e-8
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reversibility_under_emulated_geometry(self, smooth_emulated, start,
+                                                   seed):
+        """Flipping the velocity at the end retraces the emulated trajectory,
+        and the backward log Jacobian cancels the forward one."""
+        cfg = IntegratorConfig(step_size=0.02, n_steps=10)
+        theta0 = np.array(start)
+        point = _ManifoldPoint(smooth_emulated, theta0)
+        v0 = point.sample_velocity(np.random.default_rng(seed))
+        t1, v1, _, ld_f = lmc_integrator(theta0, v0, smooth_emulated, cfg,
+                                         start=point)
+        t2, v2, _, ld_b = lmc_integrator(t1, -v1, smooth_emulated, cfg)
+        scale = 1.0 + np.abs(v0).max()
+        # the integrator is explicit, so only round-off remains (seen ~1e-12)
+        assert np.abs(t2 - theta0).max() < 1e-9
+        assert np.abs(-v2 - v0).max() < 1e-9 * scale
+        assert abs(ld_f + ld_b) < 1e-9
+
     def test_banana_mean_matches_hmc_reference(self, banana):
         geo = ExactGeometry(banana)
         ref_state = init_state(banana, np.zeros(2), np.random.default_rng(12))
