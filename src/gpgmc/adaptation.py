@@ -290,7 +290,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
             hyper, _ = fit_hyperparameters(
                 fit_on, nugget=cfg.nugget,
                 rng=rng if rng is not None else np.random.default_rng(0))
-        except (OptimFailed, TooFewPoints, LinAlgError):
+        except (OptimFailed, TooFewPoints, IllConditioned):
             if hyper is None:
                 raise
     rho = hyper.rho
@@ -336,7 +336,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
                     DesignSet(points=current.points, potentials=current.potentials),
                     nugget=cfg.nugget, rng=np.random.default_rng(0))
                 rho = hyper.rho
-            except (OptimFailed, TooFewPoints, LinAlgError):
+            except (OptimFailed, TooFewPoints, IllConditioned):
                 pass
         if holdout is not None and current.n >= min_size:
             mspe = _holdout_mspe(current, hyper, holdout)

@@ -126,8 +126,11 @@ class DesignSet:
         if not self.has_gradients:
             return self.per_datum.copy()
         n, dim, ndata = self.per_datum_grads.shape
-        grad_rows = self.per_datum_grads.transpose(1, 0, 2).reshape(dim * n, ndata)
-        return np.vstack([self.per_datum, grad_rows])
+        out = np.empty((n * (1 + dim), ndata))
+        out[:n] = self.per_datum
+        for k in range(dim):
+            out[n * (1 + k):n * (2 + k)] = self.per_datum_grads[:, k]
+        return out
 
     def subset(self, idx) -> "DesignSet":
         idx = np.asarray(idx)
@@ -210,13 +213,15 @@ class Emulator:
         self.degenerate_sigma2 = self.sigma2_hat <= 1e-12 * max(1.0, float(u @ u))
         self.dof = n_tilde - q
         self.q = q
+        self.logdet_C = 2.0 * np.sum(np.log(np.diagonal(self._chol[0])))
+        self.logdet_B = 2.0 * np.sum(np.log(np.diagonal(self._chol_B[0])))
 
         self.gfi = None
         if design.per_datum is not None:
             ndata = design.per_datum.shape[1]
-            U = design.per_datum_matrix()
-            centered = U - U.mean(axis=1, keepdims=True)
-            gfi = centered @ centered.T  # U J_N U' with J_N = I - 11'/N
+            U = design.per_datum_matrix()  # a fresh copy, centred in place
+            U -= U.mean(axis=1, keepdims=True)
+            gfi = U @ U.T  # U J_N U' with J_N = I - 11'/N
             self.gfi = 0.5 * (gfi + gfi.T)
             self._ndata = ndata
 

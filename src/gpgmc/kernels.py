@@ -10,6 +10,18 @@ points, the first-derivative axis is flattened as ``row = k*m + i`` (coordinate
 ``row = (k*D + l)*m + i``.  Blocks are named by the derivative order of each
 operand, e.g. ``(2,1)`` correlates second derivatives at the first point set
 with first derivatives at the second.
+
+Rho-derivatives come from the same prefactor table.  With ``delta = x - y``,
+``dk/drho_d = -delta_d^2 k``, and d/drho commutes with the point derivatives,
+so each rho-derivative is a block of ``g k`` for a polynomial ``g(delta)``:
+``g = -delta_d^2`` for the gradient and ``g = delta_d^2 delta_e^2`` for the
+Hessian.  The product rule (x-derivatives are d/d delta, y-derivatives
+-d/d delta) gives the blocks of ``g k`` from those of ``k``::
+
+    G00    = g K00
+    G10_k  = g K10_k  + g_k K00
+    G01_l  = g K01_l  - g_l K00
+    G11_kl = g K11_kl + g_k K01_l - g_l K10_k - g_kl K00
 """
 
 from __future__ import annotations
@@ -19,7 +31,8 @@ import numpy as np
 from .errors import ShapeMismatch
 
 __all__ = ["basis", "corr_block", "corr_block_rho_grad", "corr_block_rho_hess",
-           "tilde_basis", "tilde_corr", "cross_corr"]
+           "tilde_basis", "tilde_corr", "tilde_corr_rho_grad", "tilde_corr_rho_hess",
+           "cross_corr"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -64,13 +77,14 @@ def _diff_and_corr(A, B, rho):
     return diff, corr
 
 
-def _block_rows(diff, corr, rho, orders, with_gradients):
-    """Cross-correlation blocks of each evaluation order, from one pass.
+def _prefactor_table(diff, rho, orders, with_gradients):
+    """Polynomial prefactors of every block, one array per evaluation order.
 
-    For each ``order_a`` in ``orders`` returns the (m D^order_a, n~) matrix
-    ``[(order_a, 0) | (order_a, 1)]``, or the (order_a, 0) block alone
-    without gradients.  Every block is a polynomial prefactor times ``corr``;
-    with ``a = 2 rho * diff`` the prefactors are
+    Each order's array has axes (deriv..., q, i, j): the derivative axes of
+    the evaluation points (none, ``k`` or ``k, l``), then ``q`` over the
+    design-side blocks ``[(o,0); (o,1)_p]`` (just ``(o,0)`` without
+    gradients), then the point axes.  With ``a = 2 rho * diff`` the
+    prefactors are
 
     * (0,0): ``1``, and (0,1): ``a_p``;
     * (1,0): ``-a_k``, and (1,1): ``2 rho_k d_kp - a_k a_p``;
@@ -78,12 +92,8 @@ def _block_rows(diff, corr, rho, orders, with_gradients):
     * (2,1): ``(a_k a_l - 2 rho_k d_kl) a_p - 2 rho_k d_kp a_l
       - 2 rho_l d_lp a_k``.
 
-    With ``at = [1; a]`` the (o,0) and (o,1) prefactors stack along one
-    axis, so each matrix is one product with ``corr`` and one reshape.
+    With ``at = [1; a]`` the (o,0) and (o,1) prefactors stack along ``q``.
     """
-    if not with_gradients and not any(orders):
-        # plain values: no prefactor, and the hot path of MLE fits and MICE
-        return [corr for _ in orders]
     m, n, dim = diff.shape
     a = 2.0 * rho[:, None, None] * diff.transpose(2, 0, 1)  # (p, i, j)
     at = np.concatenate([np.ones((1, m, n)), a]) if with_gradients \
@@ -105,11 +115,28 @@ def _block_rows(diff, corr, rho, orders, with_gradients):
                 pref[:, :, 1:] -= cross + cross.swapaxes(0, 1)
         else:
             raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
-        blk = pref * corr
-        # (deriv..., q, i, j) -> (deriv..., i, q, j), flattened
-        blk = blk.swapaxes(-3, -2)
-        out.append(blk.reshape(dim**order * m, at.shape[0] * n))
+        out.append(pref)
     return out
+
+
+def _flatten(blk):
+    """(deriv..., q, i, j) -> (deriv..., i, q, j), as a (rows, q n) matrix."""
+    q, _, n = blk.shape[-3:]
+    return blk.swapaxes(-3, -2).reshape(-1, q * n)
+
+
+def _block_rows(diff, corr, rho, orders, with_gradients):
+    """Cross-correlation blocks of each evaluation order, from one pass.
+
+    For each ``order_a`` in ``orders`` returns the (m D^order_a, n~) matrix
+    ``[(order_a, 0) | (order_a, 1)]``, or the (order_a, 0) block alone
+    without gradients: each is its prefactor table times ``corr``, flattened.
+    """
+    if not with_gradients and not any(orders):
+        # plain values: no prefactor, and the hot path of MLE fits and MICE
+        return [corr for _ in orders]
+    return [_flatten(pref * corr)
+            for pref in _prefactor_table(diff, rho, orders, with_gradients)]
 
 
 def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
@@ -128,78 +155,64 @@ def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
     return rows[:, diff.shape[1]:] if order_b == 1 else rows
 
 
-def _prefactors(diff, rho, order_a, order_b):
-    """Polynomial prefactor P (block = P*corr) and its rho derivatives.
+def _rho_poly(diff, coords):
+    """g = prod over ``coords`` of ``-diff_c^2``, with its diff-derivatives.
 
-    Returns (P, dP, ddP) with dP[d] = dP/drho_d and ddP[d,e] the second
-    derivative.  Axes are (derivative axes..., i, j), the point axes always
-    last.  Only orders in {0,1} are needed (design-side blocks).
+    Returns ``(g, g1, g2)`` with ``g1[k] = dg/d diff_k`` and ``g2[k, l]`` the
+    second derivatives; ``g k`` is the rho-derivative of ``k`` over ``coords``.
     """
     m, n, dim = diff.shape
-    eye = np.eye(dim)
-    if (order_a, order_b) == (0, 0):
-        P = np.ones((m, n))
-        dP = np.zeros((dim, m, n))
-        ddP = np.zeros((dim, dim, m, n))
-    elif (order_a, order_b) == (1, 0):
-        P = np.einsum("k,ijk->kij", -2.0 * rho, diff)
-        dP = np.einsum("kd,ijk->dkij", -2.0 * eye, diff)
-        ddP = np.zeros((dim, dim, dim, m, n))
-    elif (order_a, order_b) == (0, 1):
-        P = np.einsum("l,ijl->lij", 2.0 * rho, diff)
-        dP = np.einsum("ld,ijl->dlij", 2.0 * eye, diff)
-        ddP = np.zeros((dim, dim, dim, m, n))
-    elif (order_a, order_b) == (1, 1):
-        dd = np.einsum("ijk,ijl->klij", diff, diff)
-        P = 2.0 * np.einsum("kl,ij->klij", np.diag(rho), np.ones((m, n)))
-        P -= 4.0 * np.einsum("k,l,klij->klij", rho, rho, dd)
-        dP = np.einsum("kd,kl,ij->dklij", 2.0 * eye, eye, np.ones((m, n)))
-        dP = dP - 4.0 * np.einsum("kd,l,klij->dklij", eye, rho, dd) \
-            - 4.0 * np.einsum("k,ld,klij->dklij", rho, eye, dd)
-        ddP = -4.0 * (np.einsum("kd,le,klij->deklij", eye, eye, dd)
-                      + np.einsum("ke,ld,klij->deklij", eye, eye, dd))
-    else:
+    g, g1, g2 = np.ones((m, n)), np.zeros((dim, m, n)), np.zeros((dim, dim, m, n))
+    for c in coords:  # product rule for one more factor f = -diff_c^2
+        f, df = -diff[:, :, c]**2, -2.0 * diff[:, :, c]
+        g2 *= f
+        g2[c] += g1 * df
+        g2[:, c] += g1 * df
+        g2[c, c] -= 2.0 * g
+        g1 *= f
+        g1[c] += g * df
+        g = g * f
+    return g, g1, g2
+
+
+def _rho_rows(A, B, rho, with_gradients, coords):
+    """Row blocks ``[(0, .); (1, .)]`` of the rho-derivative over ``coords``.
+
+    The derivative is ``g k`` with ``g`` from :func:`_rho_poly`; the product
+    rule of the module docstring builds its blocks from the order-0 and
+    order-1 prefactor tables of ``k``, where K00 = 1, K01_l = a_l and
+    K10_k = -a_k.
+    """
+    diff, corr = _diff_and_corr(A, B, rho)
+    T0, T1 = _prefactor_table(diff, np.asarray(rho, dtype=float), (0, 1),
+                              with_gradients)
+    g, g1, g2 = _rho_poly(diff, coords)
+    G0 = g * T0
+    G1 = g * T1
+    G1[:, 0] += g1
+    if with_gradients:  # the (., 1) blocks
+        a = T0[1:]
+        G0[1:] -= g1
+        G1[:, 1:] += g1[:, None] * a[None] + a[:, None] * g1[None] - g2
+    return _flatten(G0 * corr), _flatten(G1 * corr)
+
+
+def _rho_block(A, B, order_a, order_b, rho, coords):
+    if order_a not in (0, 1) or order_b not in (0, 1):
         raise ValueError(f"rho derivatives unsupported for orders ({order_a}, {order_b})")
-    return P, dP, ddP
-
-
-def _reorder(arr, order_a, order_b, m, n, dim):
-    """Flatten a prefactor-shaped block (deriv axes..., i, j) to matrix layout."""
-    if (order_a, order_b) == (0, 0):
-        return arr
-    if (order_a, order_b) == (1, 0):
-        return arr.reshape(dim * m, n)
-    if (order_a, order_b) == (0, 1):
-        # (l, i, j) -> (i, l, j)
-        return arr.transpose(1, 0, 2).reshape(m, dim * n)
-    # (1, 1): (k, l, i, j) -> (k, i, l, j)
-    return arr.transpose(0, 2, 1, 3).reshape(dim * m, dim * n)
+    rows = _rho_rows(A, B, rho, order_b == 1, coords)[order_a]
+    return rows[:, np.atleast_2d(B).shape[0]:] if order_b == 1 else rows
 
 
 def corr_block_rho_grad(A, B, order_a, order_b, rho):
     """d(block)/d rho_d for all d, stacked as (D, rows, cols)."""
-    diff, corr = _diff_and_corr(A, B, rho)
-    m, n, dim = diff.shape
-    rho = np.asarray(rho, dtype=float)
-    P, dP, _ = _prefactors(diff, rho, order_a, order_b)
-    sq = diff**2  # (m, n, D)
-    out = []
-    for d in range(dim):
-        term = dP[d] - P * sq[:, :, d]
-        out.append(_reorder(term * corr, order_a, order_b, m, n, dim))
-    return np.stack(out)
+    return np.stack([_rho_block(A, B, order_a, order_b, rho, (d,))
+                     for d in range(np.size(rho))])
 
 
 def corr_block_rho_hess(A, B, order_a, order_b, rho, d, e):
     """d^2(block)/d rho_d d rho_e as a single matrix."""
-    diff, corr = _diff_and_corr(A, B, rho)
-    m, n, dim = diff.shape
-    rho = np.asarray(rho, dtype=float)
-    P, dP, ddP = _prefactors(diff, rho, order_a, order_b)
-    sq = diff**2
-    term = ddP[d, e] - dP[d] * sq[:, :, e] - dP[e] * sq[:, :, d] \
-        + P * sq[:, :, d] * sq[:, :, e]
-    return _reorder(term * corr, order_a, order_b, m, n, dim)
+    return _rho_block(A, B, order_a, order_b, rho, (d, e))
 
 
 def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:
@@ -210,40 +223,30 @@ def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:
     return np.vstack([H, basis(points, 1)])
 
 
-def tilde_corr(points: np.ndarray, rho: np.ndarray, with_gradients: bool,
-               rho_grad: bool = False):
-    """Design auto-correlation matrix, optionally with its rho gradient.
-
-    Returns ``C`` of size (n~, n~) where n~ = n or n(1+D); with ``rho_grad``
-    also returns the stacked derivatives (D, n~, n~).
-    """
+def tilde_corr(points: np.ndarray, rho: np.ndarray, with_gradients: bool):
+    """Design auto-correlation matrix ``C`` of size (n~, n~), n~ = n or n(1+D)."""
     diff, corr = _diff_and_corr(points, points, rho)
     if not with_gradients:
-        if rho_grad:
-            return corr, corr_block_rho_grad(points, points, 0, 0, rho)
         return corr
-    C = np.vstack(_block_rows(diff, corr, np.asarray(rho, dtype=float), (0, 1), True))
-    if not rho_grad:
-        return C
-    d00 = corr_block_rho_grad(points, points, 0, 0, rho)
-    d01 = corr_block_rho_grad(points, points, 0, 1, rho)
-    d10 = corr_block_rho_grad(points, points, 1, 0, rho)
-    d11 = corr_block_rho_grad(points, points, 1, 1, rho)
-    dim = points.shape[1]
-    dC = np.stack([np.block([[d00[d], d01[d]], [d10[d], d11[d]]])
-                   for d in range(dim)])
-    return C, dC
+    return np.vstack(_block_rows(diff, corr, np.asarray(rho, dtype=float), (0, 1), True))
+
+
+def tilde_corr_rho_grad(points, rho, with_gradients):
+    """dC~ / d rho_d for every d, stacked as (D, n~, n~)."""
+    dim = np.size(rho)
+    if not with_gradients:
+        # dC_d = -diff_d^2 * corr; one contiguous array per coordinate
+        diff, corr = _diff_and_corr(points, points, rho)
+        sq = diff**2
+        return np.stack([-sq[:, :, d] * corr for d in range(dim)])
+    return np.stack([np.vstack(_rho_rows(points, points, rho, True, (d,)))
+                     for d in range(dim)])
 
 
 def tilde_corr_rho_hess(points, rho, with_gradients, d, e):
     """d^2 C~ / d rho_d d rho_e."""
-    h00 = corr_block_rho_hess(points, points, 0, 0, rho, d, e)
-    if not with_gradients:
-        return h00
-    h01 = corr_block_rho_hess(points, points, 0, 1, rho, d, e)
-    h10 = corr_block_rho_hess(points, points, 1, 0, rho, d, e)
-    h11 = corr_block_rho_hess(points, points, 1, 1, rho, d, e)
-    return np.block([[h00, h01], [h10, h11]])
+    rows = _rho_rows(points, points, rho, with_gradients, (d, e))
+    return np.vstack(rows) if with_gradients else rows[0]
 
 
 def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,

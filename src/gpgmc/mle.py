@@ -6,20 +6,22 @@ process variance is
     l(rho) = -(n~-q)/2 log sigma2_hat - 1/2 logdet C - 1/2 logdet B
 
 with C the (nugget-augmented, possibly derivative-augmented) design
-correlation matrix and B = H' C^-1 H.  Analytic gradient and Hessian in rho
-are available; optimization runs in the unconstrained tau = -log rho
-parameterization with a bounded quasi-Newton iteration and random restarts.
+correlation matrix and B = H' C^-1 H.  Every term is read from the
+factorization an :class:`~gpgmc.emulator.Emulator` builds for the design, so
+a failed factorization raises ``IllConditioned``.  Analytic gradient and
+Hessian in rho are available; optimization runs in the unconstrained
+tau = -log rho parameterization with a bounded quasi-Newton iteration and
+random restarts.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.optimize import minimize
 
 from . import kernels
-from .emulator import DesignSet, Hyperparameters
-from .errors import OptimFailed, TooFewPoints
+from .emulator import DesignSet, Emulator, Hyperparameters
+from .errors import IllConditioned, OptimFailed, TooFewPoints
 
 __all__ = ["profile_loglik", "profile_loglik_grad", "profile_loglik_hess",
            "fit_hyperparameters"]
@@ -27,64 +29,40 @@ __all__ = ["profile_loglik", "profile_loglik_grad", "profile_loglik_hess",
 TAU_BOUND = 8.0
 
 
-def _factors(design: DesignSet, rho: np.ndarray, nugget: float,
-             with_rho_grad: bool):
-    grads = design.has_gradients
-    if with_rho_grad:
-        C, dC = kernels.tilde_corr(design.points, rho, grads, rho_grad=True)
-    else:
-        C = kernels.tilde_corr(design.points, rho, grads)
-        dC = None
-    C[np.diag_indices_from(C)] += nugget
-    chol = cho_factor(C, lower=True)
-    H = kernels.tilde_basis(design.points, grads)
-    Ci_H = cho_solve(chol, H)
-    B = H.T @ Ci_H
-    chol_B = cho_factor(B, lower=True)
-    P = cho_solve(chol_B, Ci_H.T)
-    Q = cho_solve(chol, np.eye(C.shape[0])) - Ci_H @ P
-    Q = 0.5 * (Q + Q.T)
-    u = design.data_vector()
-    n_tilde, q = C.shape[0], H.shape[1]
-    sigma2 = float(u @ Q @ u) / (n_tilde - q - 2)
-    logdet_C = 2.0 * np.sum(np.log(np.diagonal(chol[0])))
-    logdet_B = 2.0 * np.sum(np.log(np.diagonal(chol_B[0])))
-    return chol, Q, u, sigma2, logdet_C, logdet_B, n_tilde, q, dC
+def _loglik(em: Emulator) -> float:
+    return -0.5 * em.dof * np.log(em.sigma2_hat) - 0.5 * em.logdet_C \
+        - 0.5 * em.logdet_B
 
 
 def profile_loglik(design: DesignSet, rho, nugget: float = 1e-8) -> float:
     """Profile log-likelihood l(rho) up to an additive constant."""
-    rho = np.asarray(rho, dtype=float)
-    _, _, _, sigma2, ldC, ldB, n_tilde, q, _ = _factors(design, rho, nugget, False)
-    if sigma2 <= 0.0:
-        return -np.inf
-    return -0.5 * (n_tilde - q) * np.log(sigma2) - 0.5 * ldC - 0.5 * ldB
+    em = Emulator(design, Hyperparameters(rho, nugget))
+    return _loglik(em) if em.sigma2_hat > 0.0 else -np.inf
 
 
 def profile_loglik_grad(design: DesignSet, rho, nugget: float = 1e-8):
     """Return (l, dl/drho) with the analytic gradient."""
     rho = np.asarray(rho, dtype=float)
-    _, Q, u, sigma2, ldC, ldB, n_tilde, q, dC = _factors(design, rho, nugget, True)
-    if sigma2 <= 0.0:
+    em = Emulator(design, Hyperparameters(rho, nugget))
+    if em.sigma2_hat <= 0.0:
         return -np.inf, np.full(rho.shape, np.nan)
-    l = -0.5 * (n_tilde - q) * np.log(sigma2) - 0.5 * ldC - 0.5 * ldB
-    Qu = Q @ u
-    coef = (n_tilde - q) / (2.0 * (n_tilde - q - 2) * sigma2)
-    grad = np.array([coef * (Qu @ dC[d] @ Qu) - 0.5 * np.sum(Q * dC[d].T)
+    dC = kernels.tilde_corr_rho_grad(design.points, rho, design.has_gradients)
+    coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
+    grad = np.array([coef * (em.w @ dC[d] @ em.w) - 0.5 * np.sum(em.Q * dC[d].T)
                      for d in range(rho.size)])
-    return l, grad
+    return _loglik(em), grad
 
 
 def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
     """Return (l, grad, hess) with the analytic Hessian in rho."""
     rho = np.asarray(rho, dtype=float)
-    _, Q, u, sigma2, ldC, ldB, n_tilde, q, dC = _factors(design, rho, nugget, True)
+    em = Emulator(design, Hyperparameters(rho, nugget))
+    sigma2, Q, Qu = em.sigma2_hat, em.Q, em.w
     if sigma2 <= 0.0:
         raise OptimFailed("sigma2_hat non-positive; likelihood degenerate")
-    l = -0.5 * (n_tilde - q) * np.log(sigma2) - 0.5 * ldC - 0.5 * ldB
-    Qu = Q @ u
-    nq = n_tilde - q
-    nq2 = n_tilde - q - 2
+    dC = kernels.tilde_corr_rho_grad(design.points, rho, design.has_gradients)
+    nq = em.dof
+    nq2 = em.dof - 2
     quad = np.array([Qu @ dC[d] @ Qu for d in range(rho.size)])
     grad = nq / (2.0 * nq2 * sigma2) * quad \
         - 0.5 * np.array([np.sum(Q * dC[d].T) for d in range(rho.size)])
@@ -100,7 +78,7 @@ def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
             term2 = -nq / (2.0 * nq2 * sigma2) * (Qu @ mid @ Qu)
             term3 = 0.5 * (np.sum(QdC[d] * QdC[e].T) - np.sum(Q * d2C.T))
             hess[d, e] = hess[e, d] = term1 + term2 + term3
-    return l, grad, hess
+    return _loglik(em), grad, hess
 
 
 def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
@@ -123,7 +101,7 @@ def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
         rho = np.exp(-np.clip(tau, -TAU_BOUND, TAU_BOUND))
         try:
             l, g_rho = profile_loglik_grad(design, rho, nugget)
-        except LinAlgError:
+        except IllConditioned:
             return np.inf, np.zeros_like(tau)
         if not np.isfinite(l):
             return np.inf, np.zeros_like(tau)

@@ -335,3 +335,28 @@ def test_decimal_text_sidecar_fails_with_its_name(tmp_path, smooth_fn):
         load_design(path)
     assert str(csv) in str(err.value)
     assert "pickle" not in str(err.value)
+
+
+def test_build_holds_one_copy_of_the_per_datum_matrix():
+    """Building G = U J_N U' allocates the stacked (n~, N) matrix once."""
+    import tracemalloc
+
+    rng = np.random.default_rng(21)
+    n, dim, ndata = 20, 4, 30_000
+    design = DesignSet(points=spread_points(rng, n, dim),
+                       potentials=rng.normal(size=n),
+                       gradients=rng.normal(size=(n, dim)),
+                       per_datum=rng.normal(size=(n, ndata)),
+                       per_datum_grads=rng.normal(size=(n, dim, ndata)))
+    hyper = Hyperparameters(rho=np.full(dim, 0.5))
+    stacked_bytes = design.n_tilde * ndata * 8
+    tracemalloc.start()
+    try:
+        em = Emulator(design, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stacked_bytes, (peak, stacked_bytes)
+    U = design.per_datum_matrix()
+    centered = U - U.mean(axis=1, keepdims=True)
+    np.testing.assert_allclose(em.gfi, centered @ centered.T, rtol=1e-12)

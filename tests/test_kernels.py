@@ -226,3 +226,28 @@ def test_shape_mismatch():
         kernels.corr_block(np.zeros((2, 2)), np.zeros((2, 3)), 0, 0, np.ones(2))
     with pytest.raises(ShapeMismatch):
         kernels.corr_block(np.zeros((2, 2)), np.zeros((2, 2)), 0, 0, np.ones(3))
+
+
+@pytest.mark.parametrize("with_gradients", [False, True])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_tilde_rho_derivatives_match_central_differences(dim, with_gradients):
+    """dC~/drho and d2C~/drho2 against differences of the level below."""
+    rng = np.random.default_rng(30 + dim)
+    rho = rng.uniform(0.4, 1.4, dim)
+    pts = rng.normal(size=(4, dim))
+    grad = kernels.tilde_corr_rho_grad(pts, rho, with_gradients)
+    n_tilde = 4 * (1 + dim) if with_gradients else 4
+    assert grad.shape == (dim, n_tilde, n_tilde)
+    h = 1e-6
+    for e in range(dim):
+        rp, rm = rho.copy(), rho.copy()
+        rp[e] += h
+        rm[e] -= h
+        fd = (kernels.tilde_corr(pts, rp, with_gradients)
+              - kernels.tilde_corr(pts, rm, with_gradients)) / (2 * h)
+        np.testing.assert_allclose(grad[e], fd, atol=1e-8)
+        fd_grad = (kernels.tilde_corr_rho_grad(pts, rp, with_gradients)
+                   - kernels.tilde_corr_rho_grad(pts, rm, with_gradients)) / (2 * h)
+        for d in range(dim):
+            hess = kernels.tilde_corr_rho_hess(pts, rho, with_gradients, d, e)
+            np.testing.assert_allclose(hess, fd_grad[d], atol=1e-7)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import SmoothTestFunction, spread_points
-from gpgmc import mle
-from gpgmc.errors import TooFewPoints
+from gpgmc import kernels, mle
+from gpgmc.emulator import DesignSet
+from gpgmc.errors import IllConditioned, TooFewPoints
 
 
 def make_design(seed, dim=2, n=14, gradients=False):
@@ -70,3 +71,34 @@ def test_fit_rejects_tiny_designs():
     design = make_design(8, n=5)
     with pytest.raises(TooFewPoints):
         mle.fit_hyperparameters(design)
+
+
+@pytest.mark.parametrize("gradients", [False, True])
+def test_loglik_matches_dense_algebra(gradients):
+    """l(rho) against explicit inverses and slogdet, not against itself."""
+    design = make_design(9, gradients=gradients)
+    rng = np.random.default_rng(10)
+    H = kernels.tilde_basis(design.points, gradients)
+    u = design.data_vector()
+    n_tilde, q = H.shape
+    for _ in range(3):
+        rho, nugget = np.exp(rng.uniform(-1.0, 0.5, 2)), 1e-6
+        C = kernels.tilde_corr(design.points, rho, gradients) + nugget * np.eye(n_tilde)
+        Ci = np.linalg.inv(C)
+        B = H.T @ Ci @ H
+        Q = Ci - Ci @ H @ np.linalg.inv(B) @ H.T @ Ci
+        sigma2 = u @ Q @ u / (n_tilde - q - 2)
+        ref = -0.5 * (n_tilde - q) * np.log(sigma2) \
+            - 0.5 * np.linalg.slogdet(C)[1] - 0.5 * np.linalg.slogdet(B)[1]
+        got = mle.profile_loglik(design, rho, nugget)
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+        assert mle.profile_loglik_grad(design, rho, nugget)[0] == got
+
+
+def test_singular_design_correlation_raises_ill_conditioned():
+    rng = np.random.default_rng(12)
+    base = spread_points(rng, 8, 2)
+    pts = np.vstack([base, base[0] + 1e-13])
+    design = DesignSet(points=pts, potentials=rng.normal(size=9))
+    with pytest.raises(IllConditioned):
+        mle.profile_loglik(design, np.ones(2), nugget=0.0)
