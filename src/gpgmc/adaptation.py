@@ -10,6 +10,7 @@ rebuilt, and the next state drawn from Q, all without disturbing the target.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = ["GaussianMixtureProposal", "build_mixture_proposal", "regen_log_prob"
            "AdaptiveGPeSampler"]
 
 LOG2PI = np.log(2.0 * np.pi)
+# tour points set aside to score a refreshed design, and the most tour
+# points offered to MICE as candidates
+HOLDOUT_SIZE = 20
+POOL_CAP = 200
+# chain log(pi/q) values whose median is the split constant of a probe
+PROBE_WINDOW = 25
 
 
 # -- independence proposal -------------------------------------------------
@@ -72,7 +79,6 @@ class GaussianMixtureProposal:
 
 
 def build_mixture_proposal(emulator: Emulator,
-                           reg_scale: float = METRIC_REG_SCALE,
                            precision_floor: np.ndarray | None = None
                            ) -> GaussianMixtureProposal:
     """Mixture proposal over the emulator's design points.
@@ -101,7 +107,7 @@ def build_mixture_proposal(emulator: Emulator,
         else np.asarray(precision_floor, dtype=float)
     precisions = np.empty_like(efis)
     for i in range(n):
-        lam = max(reg_scale * float(np.trace(efis[i])) / dim, 1e-12)
+        lam = max(METRIC_REG_SCALE * float(np.trace(efis[i])) / dim, 1e-12)
         precisions[i] = 0.5 * (efis[i] + efis[i].T) + floor + lam * np.eye(dim)
     return GaussianMixtureProposal(design.points, precisions, design.potentials)
 
@@ -172,7 +178,6 @@ class MICEConfig:
     init_keep: int = 5
     maxmin_radius: float = 0.2
     max_size: int = 40
-    stop_mspe: float | None = None
     refit_each_step: bool = False
     refit_at_start: bool = True
 
@@ -254,33 +259,25 @@ class CandidatePool:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.potentials = np.asarray(self.potentials, dtype=float)
 
-    def __len__(self):
-        return self.points.shape[0]
-
-    def take(self, idx):
-        idx = np.asarray(idx, dtype=int)
-        return CandidatePool(
-            self.points[idx], self.potentials[idx],
-            None if self.per_datum is None else self.per_datum[idx])
-
 
 def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
                 hyper: Hyperparameters | None = None,
-                holdout: tuple[np.ndarray, np.ndarray] | None = None,
                 rng: np.random.Generator | None = None):
     """Refresh the design from a candidate pool, one greedy pick at a time.
 
     Keeps the ``init_keep`` most recently added design points, returns the
     remaining design rows to the candidate pool, then grows the design by
-    repeated :func:`mice_select` until ``max_size`` (or the holdout-MSPE stop)
-    is reached.  Stored potentials and per-datum rows are recycled; no new
-    target evaluations happen here.  Gradient information is dropped: refined
+    repeated :func:`mice_select` until ``max_size`` is reached or every
+    candidate is degenerate.  Picks are indices into one array of points;
+    the refined design is assembled once, at the end.  Stored potentials
+    and per-datum rows are recycled (the per-datum rows are gathered from
+    views of the inputs, without stacking the pool); no new target
+    evaluations happen here.  Gradient information is dropped: refined
     designs are value-based.
 
     Returns ``(DesignSet, Hyperparameters, info)``.
     """
     q = 1 + 2 * design.dim
-    min_size = q + 3
     use_pd = design.per_datum is not None and pool.per_datum is not None
 
     # hyperparameters are refreshed once per refresh, on the incoming design
@@ -296,56 +293,48 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     rho = hyper.rho
 
     if design.n >= cfg.max_size:
-        info = {"added": 0, "final_size": design.n, "mspe_trace": [], "rho": rho}
+        info = {"added": 0, "final_size": design.n, "rho": rho}
         return design, Hyperparameters(rho=rho, nugget=cfg.nugget), info
 
+    # rows: the kept design points, then the pool, then the recycled design
+    # points; candidates are filtered in pool-then-recycled order, which
+    # decides ties
     keep = min(cfg.init_keep, design.n)
-    kept = design.subset(np.arange(design.n - keep, design.n))
-    current = DesignSet(points=kept.points, potentials=kept.potentials,
-                        per_datum=kept.per_datum if use_pd else None)
-    recycled_idx = np.arange(design.n - keep)
-    extra = CandidatePool(
-        design.points[recycled_idx], design.potentials[recycled_idx],
-        design.per_datum[recycled_idx] if use_pd else None)
-    merged = CandidatePool(
-        np.vstack([pool.points, extra.points]),
-        np.concatenate([pool.potentials, extra.potentials]),
-        np.vstack([pool.per_datum, extra.per_datum]) if use_pd else None)
-
+    recycled = design.n - keep
+    points = np.vstack([design.points[recycled:], pool.points,
+                        design.points[:recycled]])
+    potentials = np.concatenate([design.potentials[recycled:], pool.potentials,
+                                 design.potentials[:recycled]])
+    chosen = list(range(keep))
     # drop candidates indistinct from the kept design or each other
-    keep_idx = maxmin_filter(merged.points, 1e-9, existing=current.points)
-    merged = merged.take(keep_idx)
+    cand = keep + maxmin_filter(points[keep:], 1e-9, existing=points[:keep])
 
-    mspe_trace = []
-    added = 0
-    while current.n < cfg.max_size and len(merged) > 0:
+    while len(chosen) < cfg.max_size and cand.size > 0:
+        current = DesignSet(points=points[chosen], potentials=potentials[chosen])
         try:
-            j, _ = mice_select(current, merged.points, rho, cfg)
+            j, _ = mice_select(current, points[cand], rho, cfg)
         except AllDegenerate:
             break
-        current = current.appended(
-            merged.points[j], merged.potentials[j],
-            per_datum_row=merged.per_datum[j] if use_pd else None)
-        mask = np.ones(len(merged), dtype=bool)
-        mask[j] = False
-        merged = merged.take(np.nonzero(mask)[0])
-        added += 1
-        if cfg.refit_each_step and current.n > q + 2:
+        chosen.append(int(cand[j]))
+        cand = np.delete(cand, j)
+        if cfg.refit_each_step and len(chosen) > q + 2:
             try:
                 hyper, _ = fit_hyperparameters(
-                    DesignSet(points=current.points, potentials=current.potentials),
+                    DesignSet(points=points[chosen], potentials=potentials[chosen]),
                     nugget=cfg.nugget, rng=np.random.default_rng(0))
                 rho = hyper.rho
             except (OptimFailed, TooFewPoints, IllConditioned):
                 pass
-        if holdout is not None and current.n >= min_size:
-            mspe = _holdout_mspe(current, hyper, holdout)
-            mspe_trace.append(mspe)
-            if cfg.stop_mspe is not None and mspe <= cfg.stop_mspe:
-                break
-    info = {"added": added, "final_size": current.n, "mspe_trace": mspe_trace,
-            "rho": rho}
-    return current, Hyperparameters(rho=rho, nugget=cfg.nugget), info
+
+    per_datum = None
+    if use_pd:
+        rows = [*design.per_datum[recycled:], *pool.per_datum,
+                *design.per_datum[:recycled]]
+        per_datum = np.array([rows[i] for i in chosen])
+    refined = DesignSet(points=points[chosen], potentials=potentials[chosen],
+                        per_datum=per_datum)
+    info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho}
+    return refined, Hyperparameters(rho=rho, nugget=cfg.nugget), info
 
 
 def _holdout_mspe(design: DesignSet, hyper: Hyperparameters, holdout) -> float:
@@ -367,21 +356,25 @@ class RegenSchedule:
     ``adaptation_active`` False turns the chain into a plain alternating
     sampler (no probes, design never mutates).  ``refine`` False keeps the
     regeneration probes and Q-restarts but never refreshes the design, which
-    gives genuine i.i.d. tours under a fixed split constant.  ``track_c``
-    re-derives the split constant at every probe from the rolling median of
-    the chain's recent pi/q history, so early regenerations cannot be
-    strangled by a constant calibrated to a bad initial design; the split
-    identity holds for any per-step constant, so the target is untouched.
+    gives genuine i.i.d. tours under the fixed split constant
+    ``AdaptiveGPeSampler.log_c``.  While refining, every probe instead takes
+    its split constant from the median of the chain's last ``PROBE_WINDOW``
+    log(pi/q) values, so early regenerations cannot be strangled by a
+    constant calibrated to a bad initial design; the split identity holds
+    for any per-step constant, so the target is untouched.
+
+    A refresh needs ``min_pool`` tour points.  It sets ``HOLDOUT_SIZE`` of
+    them aside, offers at most ``POOL_CAP`` of the rest to
+    :func:`mice_refine`, and stops adaptation once the refreshed design's
+    holdout MSPE falls below ``stop_mspe_rel`` times the holdout variance,
+    or after ``max_adaptations`` refreshes.
     """
 
     test_interval: int = 20
     adaptation_active: bool = True
     refine: bool = True
-    track_c: bool = True
     stop_mspe_rel: float = 1e-2
     max_adaptations: int = 10
-    holdout_size: int = 20
-    pool_cap: int = 200
     min_pool: int = 10
 
     def __post_init__(self):
@@ -427,7 +420,6 @@ class AdaptiveGPeSampler:
                  kernel: str = "hmc", schedule: RegenSchedule | None = None,
                  mice_cfg: MICEConfig | None = None,
                  rng: np.random.Generator | None = None,
-                 reg_scale: float = METRIC_REG_SCALE,
                  hyper: Hyperparameters | None = None,
                  tune: bool = False, target_accept: float = 0.7):
         if kernel not in ("hmc", "rhmc", "lmc"):
@@ -441,7 +433,6 @@ class AdaptiveGPeSampler:
         self.schedule = replace(schedule) if schedule is not None else RegenSchedule()
         self.mice_cfg = mice_cfg or MICEConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.reg_scale = reg_scale
         self.tuner = samplers.DualAveraging(integrator_cfg.step_size,
                                             target=target_accept) if tune else None
 
@@ -453,7 +444,7 @@ class AdaptiveGPeSampler:
         self._tour_points: list[np.ndarray] = []
         self._tour_potentials: list[float] = []
         self._tour_pd: list[np.ndarray] = []
-        self._logw_history: list[float] = []
+        self._logw_history: deque[float] = deque(maxlen=PROBE_WINDOW)
         self.last_holdout_mspe = np.nan
 
         self.design = design
@@ -468,23 +459,16 @@ class AdaptiveGPeSampler:
 
     def _rebuild(self):
         self.emulator = build_emulator(self.design, self.hyper)
-        self.geometry = EmulatedGeometry(self.emulator, reg_scale=self.reg_scale)
+        self.geometry = EmulatedGeometry(self.emulator)
         floor = self.raw_target.prior_precision() \
             if hasattr(self.raw_target, "prior_precision") else None
-        self.proposal = build_mixture_proposal(self.emulator, self.reg_scale,
-                                               precision_floor=floor)
-        self.log_c = self._recompute_log_c()
+        self.proposal = build_mixture_proposal(self.emulator, precision_floor=floor)
+        # the fixed split constant: median of log(pi/q) over the design points
+        self.log_c = float(np.median(
+            [-u - self.proposal.logpdf(p)
+             for u, p in zip(self.design.potentials, self.design.points)]))
         # ratios recorded under the previous proposal are meaningless now
         self._logw_history.clear()
-
-    def _recompute_log_c(self):
-        """Median of log(pi/q) over chain states seen at independence probes."""
-        recent = self._logw_history[-200:]
-        if len(recent) >= 10:
-            return float(np.median(recent))
-        logw = np.array([-u - self.proposal.logpdf(p)
-                         for u, p in zip(self.design.potentials, self.design.points)])
-        return float(np.median(logw))
 
     def _record_tour(self, theta, potential, per_datum):
         self._tour_points.append(np.array(theta))
@@ -526,38 +510,33 @@ class AdaptiveGPeSampler:
         new_state = samplers.ChainState(prop, u_prop, state.rng)
         self._record_tour(prop, u_prop, pd_prop)
         if self.schedule.adaptation_active:
-            log_c = self.log_c
-            if self.schedule.refine and self.schedule.track_c:
-                recent = self._logw_history[-25:]
-                if recent:
-                    log_c = float(np.median(recent))
+            log_c = float(np.median(self._logw_history)) \
+                if self.schedule.refine else self.log_c
             log_r = regen_log_prob(log_w_cur, log_w_prop, log_c)
             if np.log(self.rng.random()) < log_r:
-                self._probe_log_c = log_c
-                new_state = self._on_regeneration(new_state)
+                new_state = self._on_regeneration(new_state, log_c)
         return new_state, True
 
-    def _on_regeneration(self, state):
+    def _on_regeneration(self, state, log_c):
         self.n_regenerations += 1
         self.events.append(AdaptEvent(self.iteration, "regen", self.design.n,
                                       self.last_holdout_mspe))
-        return self._adapt(state)
+        return self._adapt(state, log_c)
 
     def _clear_tour(self):
         self._tour_points.clear()
         self._tour_potentials.clear()
         self._tour_pd.clear()
 
-    def _adapt(self, state):
-        probe_log_c = getattr(self, "_probe_log_c", self.log_c)
+    def _adapt(self, state, log_c):
         if self.schedule.refine:
             pool, holdout = self._collect_pool()
             if pool is not None:
                 self.events.append(AdaptEvent(self.iteration, "adapt_start",
                                               self.design.n))
-                new_design, new_hyper, info = mice_refine(
+                new_design, new_hyper, _ = mice_refine(
                     self.design, pool, self.mice_cfg, hyper=self.hyper,
-                    holdout=holdout, rng=self.rng)
+                    rng=self.rng)
                 q = 1 + 2 * self.design.dim
                 if new_design.n > q + 2:
                     self.design, self.hyper = new_design, new_hyper
@@ -588,7 +567,7 @@ class AdaptiveGPeSampler:
         try:
             theta, log_pi, _ = sample_Q(
                 self.rng, lambda t: -self.target.potential(t), self.proposal,
-                probe_log_c)
+                log_c)
             restart = samplers.ChainState(np.asarray(theta), -log_pi, state.rng)
             self._record_tour(restart.theta, restart.potential,
                               self.target.last_values)
@@ -606,7 +585,7 @@ class AdaptiveGPeSampler:
         potentials = np.array(self._tour_potentials)
         pd = np.array(self._tour_pd) if len(self._tour_pd) == len(pts) else None
         # reserve a spread holdout before thinning
-        nh = min(self.schedule.holdout_size, max(0, len(pts) - 5))
+        nh = min(HOLDOUT_SIZE, max(0, len(pts) - 5))
         hold_idx = np.linspace(0, len(pts) - 1, nh).astype(int) if nh >= 3 else []
         hold_mask = np.zeros(len(pts), dtype=bool)
         hold_mask[hold_idx] = True
@@ -614,8 +593,8 @@ class AdaptiveGPeSampler:
         points, potentials = points[~hold_mask], potentials[~hold_mask]
         if pd is not None:
             pd = pd[~hold_mask]
-        if points.shape[0] > self.schedule.pool_cap:
-            thin = np.linspace(0, points.shape[0] - 1, self.schedule.pool_cap).astype(int)
+        if points.shape[0] > POOL_CAP:
+            thin = np.linspace(0, points.shape[0] - 1, POOL_CAP).astype(int)
             points, potentials = points[thin], potentials[thin]
             if pd is not None:
                 pd = pd[thin]

@@ -241,22 +241,20 @@ def _prior_sample(target, rng, count):
 
 
 def _evaluated_design(target, points, with_gradients=False):
-    pots, pds, grads, pdgs = [], [], [], []
-    for th in points:
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    ndata = target.data_count
+    pots = np.empty(n)
+    pds = np.empty((n, ndata))
+    grads = np.empty((n, dim)) if with_gradients else None
+    pdgs = np.empty((n, dim, ndata)) if with_gradients else None
+    for i, th in enumerate(points):
         if with_gradients:
-            u, g, vals, DU = target.per_datum(th)
-            grads.append(g)
-            pdgs.append(DU)
+            pots[i], grads[i], pds[i], pdgs[i] = target.per_datum(th)
         else:
-            u, vals = target.potential_per_datum(th)
-        pots.append(u)
-        pds.append(vals)
-    return DesignSet(
-        points=np.asarray(points, dtype=float),
-        potentials=np.array(pots),
-        gradients=np.array(grads) if with_gradients else None,
-        per_datum=np.array(pds),
-        per_datum_grads=np.array(pdgs) if with_gradients else None)
+            pots[i], pds[i] = target.potential_per_datum(th)
+    return DesignSet(points=points, potentials=pots, gradients=grads,
+                     per_datum=pds, per_datum_grads=pdgs)
 
 
 # -- chain execution -----------------------------------------------------
@@ -272,9 +270,14 @@ def _format_row(values):
 
 
 def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = ""):
-    """Run one chain to completion; returns paths and the summary."""
+    """Run one chain to completion; returns the summary.
+
+    Chain 0 also writes the target's data to ``data.csv``.
+    """
     seed = cfg["seed"]
     target = build_target(cfg, seed)
+    if chain_idx == 0:
+        _write_data_csv(out_dir / "data.csv", target)
     dim = target.dim
     scfg = cfg["sampler"]
     gcfg = cfg["geometry"]
@@ -396,8 +399,6 @@ def run(cfg: dict, n_chains: int = 1):
     """Execute a validated config; returns the output directory."""
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = build_target(cfg, cfg["seed"])
-    _write_data_csv(out_dir / "data.csv", target)
     t0 = time.perf_counter()
     if n_chains == 1:
         run_single_chain(cfg, 0, out_dir)

@@ -142,21 +142,6 @@ class DesignSet:
             per_datum_grads=None if self.per_datum_grads is None else self.per_datum_grads[idx],
         )
 
-    def appended(self, point, potential, gradient=None, per_datum_row=None,
-                 per_datum_grad=None) -> "DesignSet":
-        """New design with one extra point (insertion order preserved)."""
-        return DesignSet(
-            points=np.vstack([self.points, np.asarray(point, dtype=float)[None, :]]),
-            potentials=np.append(self.potentials, float(potential)),
-            gradients=None if self.gradients is None
-            else np.vstack([self.gradients, np.asarray(gradient, dtype=float)[None, :]]),
-            per_datum=None if self.per_datum is None
-            else np.vstack([self.per_datum, np.asarray(per_datum_row, dtype=float)[None, :]]),
-            per_datum_grads=None if self.per_datum_grads is None
-            else np.concatenate([self.per_datum_grads,
-                                 np.asarray(per_datum_grad, dtype=float)[None]], axis=0),
-        )
-
 
 @dataclass
 class Prediction:

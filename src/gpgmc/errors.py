@@ -49,10 +49,6 @@ class SingularUpdate(GpgmcError):
     """An explicit integrator update matrix is numerically singular."""
 
 
-class NonPositiveDensity(GpgmcError):
-    """A density underflowed to zero where a positive value is required."""
-
-
 class RejectionBudgetExhausted(GpgmcError):
     """Rejection sampling used up its trial budget."""
 

@@ -27,6 +27,8 @@ __all__ = ["profile_loglik", "profile_loglik_grad", "profile_loglik_hess",
            "fit_hyperparameters"]
 
 TAU_BOUND = 8.0
+FIT_RESTARTS = 5
+FIT_MAX_ITER = 200
 
 
 def _loglik(em: Emulator) -> float:
@@ -82,14 +84,15 @@ def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
 
 
 def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
-                        init_tau: np.ndarray | None = None,
-                        n_restarts: int = 5, max_iter: int = 200,
                         rng: np.random.Generator | None = None):
     """Fit rho by maximizing the profile likelihood over tau = -log rho.
 
+    The first start puts each lengthscale at the design's span in that
+    coordinate; ``FIT_RESTARTS - 1`` more starts are drawn around it from
+    ``rng``, and each runs at most ``FIT_MAX_ITER`` L-BFGS-B iterations.
     Returns ``(Hyperparameters, info)`` where ``info`` records the achieved
     likelihood, projected gradient norm and a ``warn`` flag set when no
-    restart converged cleanly.  Deterministic given ``rng`` and the budget.
+    restart converged cleanly.  Deterministic given ``rng``.
     """
     dim = design.dim
     q = 1 + 2 * dim
@@ -108,12 +111,11 @@ def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
         # chain rule: d l / d tau = -rho * d l / d rho
         return -l, rho * g_rho
 
-    if init_tau is None:
-        spans = design.points.max(axis=0) - design.points.min(axis=0)
-        spans = np.where(spans > 0, spans, 1.0)
-        init_tau = -np.log(1.0 / spans**2)
-    starts = [np.asarray(init_tau, dtype=float)]
-    for _ in range(max(0, n_restarts - 1)):
+    spans = design.points.max(axis=0) - design.points.min(axis=0)
+    spans = np.where(spans > 0, spans, 1.0)
+    init_tau = -np.log(1.0 / spans**2)
+    starts = [init_tau]
+    for _ in range(FIT_RESTARTS - 1):
         starts.append(init_tau + rng.normal(scale=1.5, size=dim))
 
     best = None
@@ -122,7 +124,7 @@ def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
     for tau0 in starts:
         res = minimize(neg_l_and_grad, np.clip(tau0, -TAU_BOUND, TAU_BOUND),
                        jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": max_iter, "gtol": 1e-9, "ftol": 1e-13})
+                       options={"maxiter": FIT_MAX_ITER, "gtol": 1e-9, "ftol": 1e-13})
         if not np.isfinite(res.fun):
             continue
         any_converged = any_converged or bool(res.success)

@@ -356,15 +356,19 @@ def lmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
 # -- step-size adaptation ------------------------------------------------
 
 class DualAveraging:
-    """Dual-averaging step-size tuner aiming at a target acceptance rate."""
+    """Dual-averaging step-size tuner aiming at a target acceptance rate.
 
-    def __init__(self, initial_step: float, target: float = 0.7,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    ``GAMMA``, ``T0`` and ``KAPPA`` are the shrinkage, the early-iteration
+    damping and the averaging-weight decay of Hoffman & Gelman (2014).
+    """
+
+    GAMMA = 0.05
+    T0 = 10.0
+    KAPPA = 0.75
+
+    def __init__(self, initial_step: float, target: float = 0.7):
         self.mu = np.log(10.0 * initial_step)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.t = 0
         self.h_bar = 0.0
         self.log_eps = np.log(initial_step)
@@ -373,10 +377,10 @@ class DualAveraging:
     def update(self, alpha: float) -> float:
         """Feed one acceptance probability; returns the step size to use next."""
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
+        frac = 1.0 / (self.t + self.T0)
         self.h_bar = (1 - frac) * self.h_bar + frac * (self.target - alpha)
-        self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
-        eta = self.t ** (-self.kappa)
+        self.log_eps = self.mu - np.sqrt(self.t) / self.GAMMA * self.h_bar
+        eta = self.t ** (-self.KAPPA)
         self.log_eps_bar = eta * self.log_eps + (1 - eta) * self.log_eps_bar
         return float(np.exp(self.log_eps))
 

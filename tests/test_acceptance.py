@@ -452,7 +452,7 @@ def test_c11_greedy_selection_oracle(banana, banana_design_points):
         rng=np.random.default_rng(0))
     before = ad._holdout_mspe(init, hyper0, holdout)
     refined, hyper1, _ = ad.mice_refine(
-        init, pool, ad.MICEConfig(init_keep=6, max_size=40), holdout=holdout)
+        init, pool, ad.MICEConfig(init_keep=6, max_size=40))
     after = ad._holdout_mspe(refined, hyper1, holdout)
     assert after < before
     _report(11, "greedy selection equals exhaustive argmax; holdout improves", t0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -272,9 +274,72 @@ class TestMiceRefine:
             DesignSet(points=design.points, potentials=design.potentials),
             rng=np.random.default_rng(0))
         before = ad._holdout_mspe(design, hyper0, holdout)
-        refined, hyper, info = ad.mice_refine(design, pool, cfg, holdout=holdout)
+        refined, hyper, info = ad.mice_refine(design, pool, cfg)
         after = ad._holdout_mspe(refined, hyper, holdout)
         assert after < before
+
+    def test_matches_one_pick_at_a_time_reference(self, banana,
+                                                  spread_banana_design):
+        """Index picks give the design a plain append loop builds."""
+        rng = np.random.default_rng(30)
+        pool_pts = spread_points(rng, 30, 2, spread=2.5, min_sep=0.3)
+        pool = ad.CandidatePool(
+            pool_pts,
+            np.array([banana.potential(p) for p in pool_pts]),
+            np.stack([banana.potential_per_datum(p)[1] for p in pool_pts]))
+        cfg = ad.MICEConfig(init_keep=5, max_size=30, refit_at_start=False)
+        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
+        out, _, info = ad.mice_refine(spread_banana_design, pool, cfg, hyper=hyper)
+
+        # reference: the kept design points, then one mice_select per pick
+        # over the pool followed by the recycled design points
+        design = spread_banana_design
+        recycled = design.n - cfg.init_keep
+        pts = list(design.points[recycled:])
+        pots = list(design.potentials[recycled:])
+        rows = list(design.per_datum[recycled:])
+        c_pts = list(pool.points) + list(design.points[:recycled])
+        c_pots = list(pool.potentials) + list(design.potentials[:recycled])
+        c_rows = list(pool.per_datum) + list(design.per_datum[:recycled])
+        while len(pts) < cfg.max_size:
+            j, _ = ad.mice_select(DesignSet(points=np.array(pts),
+                                            potentials=np.array(pots)),
+                                  np.array(c_pts), hyper.rho, cfg)
+            pts.append(c_pts.pop(j))
+            pots.append(c_pots.pop(j))
+            rows.append(c_rows.pop(j))
+
+        assert info["added"] == cfg.max_size - cfg.init_keep
+        assert np.array_equal(out.points, np.array(pts))
+        assert np.array_equal(out.potentials, np.array(pots))
+        assert np.array_equal(out.per_datum, np.array(rows))
+
+    def test_refresh_builds_no_emulator_and_copies_rows_once(self, monkeypatch):
+        """A refresh at N = 30 000 holds about one copy of the refined rows."""
+        from gpgmc.targets import BBDTarget
+        rng = np.random.default_rng(3)
+        target = BBDTarget.simulate(rng, n_data=30_000, dim=4)
+        pts = rng.standard_normal((76, 4))
+        evals = [target.potential_per_datum(p) for p in pts]
+        pots = np.array([u for u, _ in evals])
+        rows = np.array([v for _, v in evals])
+        design = DesignSet(points=pts[:16], potentials=pots[:16], per_datum=rows[:16])
+        pool = ad.CandidatePool(pts[16:], pots[16:], rows[16:])
+        builds = []
+        build = ad.build_emulator
+        monkeypatch.setattr(ad, "build_emulator",
+                            lambda *a, **k: builds.append(1) or build(*a, **k))
+
+        tracemalloc.start()
+        try:
+            out, _, info = ad.mice_refine(design, pool, ad.MICEConfig(),
+                                          rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["added"] == 35 and out.per_datum.shape == (40, 30_000)
+        assert builds == []
+        assert peak <= 1.25 * out.per_datum.nbytes
 
 
 class TestNarrowedFailures:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,15 @@ class TestRun:
         assert (out / "chain_1.csv").exists()
         assert (out / "chain_0.csv").read_bytes() != (out / "chain_1.csv").read_bytes()
 
+    def test_run_builds_the_target_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_target
+        monkeypatch.setattr(cli, "build_target",
+                            lambda *a: calls.append(1) or build(*a))
+        out = cli.run(cli.validate_config(banana_config(tmp_path)))
+        assert len(calls) == 1
+        assert (out / "data.csv").read_text().startswith("y\n")
+
 
 class TestDesignCommand:
     def test_prior_candidates_reach_target_size(self, tmp_path):
@@ -323,6 +333,26 @@ class TestDesignCommand:
         design, _ = load_design(path)
         assert info["added"] == 0
         assert design.n >= 8  # the seeded initial design is returned as-is
+
+    def test_evaluated_design_holds_one_copy_of_its_rows(self):
+        """Per-datum rows and gradients are written in place, not stacked."""
+        target = cli.build_target(cli.validate_config({
+            "target": {"name": "bbd", "dim": 4, "n_data": 30_000},
+            "sampler": {"name": "rhmc"}, "seed": 3, "iters": 2}), 3)
+        points = np.random.default_rng(4).standard_normal((20, 4))
+        tracemalloc.start()
+        try:
+            design = cli._evaluated_design(target, points, with_gradients=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = design.per_datum.nbytes + design.per_datum_grads.nbytes
+        assert peak <= 1.25 * rows
+        u, g, vals, DU = target.per_datum(points[7])
+        assert design.potentials[7] == u
+        assert np.array_equal(design.gradients[7], g)
+        assert np.array_equal(design.per_datum[7], vals)
+        assert np.array_equal(design.per_datum_grads[7], DU)
 
 
 class TestDiagnose:
