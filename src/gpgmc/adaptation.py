@@ -178,7 +178,6 @@ class MICEConfig:
     init_keep: int = 5
     maxmin_radius: float = 0.2
     max_size: int = 40
-    refit_each_step: bool = False
     refit_at_start: bool = True
 
     def __post_init__(self):
@@ -277,7 +276,6 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
 
     Returns ``(DesignSet, Hyperparameters, info)``.
     """
-    q = 1 + 2 * design.dim
     use_pd = design.per_datum is not None and pool.per_datum is not None
 
     # hyperparameters are refreshed once per refresh, on the incoming design
@@ -317,14 +315,6 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
             break
         chosen.append(int(cand[j]))
         cand = np.delete(cand, j)
-        if cfg.refit_each_step and len(chosen) > q + 2:
-            try:
-                hyper, _ = fit_hyperparameters(
-                    DesignSet(points=points[chosen], potentials=potentials[chosen]),
-                    nugget=cfg.nugget, rng=np.random.default_rng(0))
-                rho = hyper.rho
-            except (OptimFailed, TooFewPoints, IllConditioned):
-                pass
 
     per_datum = None
     if use_pd:
@@ -583,27 +573,24 @@ class AdaptiveGPeSampler:
             return None, None
         points = np.array(pts)
         potentials = np.array(self._tour_potentials)
-        pd = np.array(self._tour_pd) if len(self._tour_pd) == len(pts) else None
         # reserve a spread holdout before thinning
         nh = min(HOLDOUT_SIZE, max(0, len(pts) - 5))
         hold_idx = np.linspace(0, len(pts) - 1, nh).astype(int) if nh >= 3 else []
         hold_mask = np.zeros(len(pts), dtype=bool)
         hold_mask[hold_idx] = True
         holdout = (points[hold_mask], potentials[hold_mask]) if nh >= 3 else None
-        points, potentials = points[~hold_mask], potentials[~hold_mask]
-        if pd is not None:
-            pd = pd[~hold_mask]
-        if points.shape[0] > POOL_CAP:
-            thin = np.linspace(0, points.shape[0] - 1, POOL_CAP).astype(int)
-            points, potentials = points[thin], potentials[thin]
-            if pd is not None:
-                pd = pd[thin]
-        kept = maxmin_filter(points, self.mice_cfg.maxmin_radius)
-        if kept.size == 0:
+        # the pool is chosen on the points alone, as tour indices; the
+        # per-datum rows are gathered once, for the kept indices only
+        idx = np.flatnonzero(~hold_mask)
+        if idx.size > POOL_CAP:
+            idx = idx[np.linspace(0, idx.size - 1, POOL_CAP).astype(int)]
+        idx = idx[maxmin_filter(points[idx], self.mice_cfg.maxmin_radius)]
+        if idx.size == 0:
             return None, holdout
-        pool = CandidatePool(points[kept], potentials[kept],
-                             None if pd is None else pd[kept])
-        return pool, holdout
+        pd = None
+        if len(self._tour_pd) == len(pts):
+            pd = np.array([self._tour_pd[i] for i in idx])
+        return CandidatePool(points[idx], potentials[idx], pd), holdout
 
     # -- public ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,39 +47,56 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 # -- config ------------------------------------------------------------------
+# One table per section; see _section for how an entry reads.
 
-_SAMPLERS = ("rwm", "hmc", "rhmc", "lmc")
-_TARGETS = ("banana", "bbd", "gaussian", "elliptic")
-_TOP_KEYS = ("target", "sampler", "geometry", "seed", "iters", "burnin",
-             "output_dir", "timing", "init")
-_SAMPLER_KEYS = {
-    "rwm": ("name", "proposal_sd", "tune", "target_accept"),
-    "gradient": ("name", "step_size", "n_steps", "fixed_point_iters",
-                 "fixed_point_tol", "tune", "target_accept"),
+def _dataclass_defaults(cls, *names) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name in names}
+
+
+def _dataclass_args(cls, section: dict) -> dict:
+    """The section's values for the fields of ``cls`` it holds."""
+    return {f.name: section[f.name] for f in fields(cls) if f.name in section}
+
+
+_TARGETS = {
+    "banana": {"n_data": 100, "mu_true": 1.0, "sigma_y": 2.0, "sigma_theta": 1.0},
+    "bbd": {"n_data": 3000, "mu_true": 0.0, "sigma_y": 1.0, "sigma_theta": 1.0,
+            "dim": 4},
+    "gaussian": {"mean": [0.0, 0.0], "cov": list},
+    "elliptic": {"dim": 6, "mesh_size": 20, "kl_lengthscale": 0.5,
+                 "kl_variance": 1.0, "theta_true": list, "noise_sd": 0.1},
 }
-_TARGET_KEYS = {
-    "banana": ("name", "n_data", "mu_true", "sigma_y", "sigma_theta"),
-    "bbd": ("name", "n_data", "mu_true", "sigma_y", "sigma_theta", "dim"),
-    "gaussian": ("name", "mean", "cov"),
-    "elliptic": ("name", "dim", "mesh_size", "kl_lengthscale", "kl_variance",
-                 "theta_true", "noise_sd"),
-}
-_GEOMETRY_KEYS = ("mode", "design_file", "design", "adaptation")
-_DESIGN_KEYS = ("source", "count", "path", "maxmin_radius", "target_size",
-                "with_gradients")
-_ADAPTATION_KEYS = ("test_interval", "stop_mspe_rel", "max_adaptations",
-                    "init_keep", "maxmin_radius", "max_size", "init_design",
-                    "init_size")
-# target dimensions when the config gives none
-_DEFAULT_DIM = {"bbd": 4, "elliptic": 6}
-_DEFAULT_GAUSSIAN_MEAN = [0.0, 0.0]
+_GRADIENT_SAMPLER = {
+    "step_size": 0.1, "n_steps": 10,
+    **_dataclass_defaults(IntegratorConfig, "fixed_point_iters", "fixed_point_tol"),
+    "tune": False, "target_accept": 0.7}
+_SAMPLERS = {"rwm": {"proposal_sd": 0.5},
+             **dict.fromkeys(("hmc", "rhmc", "lmc"), _GRADIENT_SAMPLER)}
+_TOP = {"target": dict, "sampler": dict, "geometry": {}, "seed": int,
+        "iters": int, "burnin": 0, "output_dir": "out",
+        "timing": ("real", "none"), "init": list}
+_GEOMETRY = {"mode": ("exact", "emulated"), "design_file": str, "design": {},
+             "adaptation": dict}
+_DESIGN = {"source": ("prior", "chain"), "count": 100, "path": str,
+           **_dataclass_defaults(MICEConfig, "maxmin_radius"),
+           "target_size": 20, "with_gradients": False}
+_ADAPTATION = {
+    **_dataclass_defaults(RegenSchedule, "test_interval", "stop_mspe_rel",
+                          "max_adaptations"),
+    **_dataclass_defaults(MICEConfig, "init_keep", "maxmin_radius", "max_size"),
+    "init_design": "prior", "init_size": int}
+_POSITIVE = {"iters", "n_data", "sigma_y", "sigma_theta", "dim", "mesh_size",
+             "kl_lengthscale", "kl_variance", "noise_sd", "proposal_sd",
+             "step_size", "n_steps", "fixed_point_iters", "count",
+             "maxmin_radius", "target_size", "test_interval", "init_keep",
+             "max_size", "init_size"}
+_NON_NEGATIVE = {"seed", "burnin", "fixed_point_tol", "stop_mspe_rel",
+                 "max_adaptations"}
 
 
-def _need(cfg: dict, key: str, typ, path: str, default=None, required=False):
+def _need(cfg: dict, key: str, typ, path: str):
     if key not in cfg:
-        if required:
-            raise ConfigError(f"{path}/{key}", "missing required key")
-        return default
+        raise ConfigError(f"{path}/{key}", "missing required key")
     val = cfg[key]
     # bool is a subclass of int, but true/false is no count or step size
     if typ in (int, float) and isinstance(val, bool):
@@ -90,133 +108,151 @@ def _need(cfg: dict, key: str, typ, path: str, default=None, required=False):
     return val
 
 
-def _reject_unknown(cfg: dict, known, path: str, what: str):
+def _section(cfg: dict, keys: dict, path: str, what: str, required=()) -> dict:
+    """Normalize one config section through its table ``keys``.
+
+    An entry maps a key to its default, and the default's type is the key's
+    type.  A type in place of a default marks a key with no static default,
+    read only when given; a tuple lists the allowed values, the first being
+    the default.  Rejects unknown keys, checks the type and range of each
+    given value, and fills every static default.
+    """
     for key in cfg:
-        if key not in known:
+        if key not in keys:
             raise ConfigError(f"{path}/{key}", f"unknown key for {what}")
+    out = {}
+    for key, spec in keys.items():
+        choices = spec if isinstance(spec, tuple) else ()
+        default = choices[0] if choices else spec
+        if key not in cfg and key not in required:
+            if not isinstance(spec, type):
+                out[key] = default
+            continue
+        typ = spec if isinstance(spec, type) else type(default)
+        val = out[key] = _need(cfg, key, typ, path)
+        if choices and val not in choices:
+            raise ConfigError(f"{path}/{key}", f"must be one of {choices}")
+        if key in _POSITIVE and not val > 0:
+            raise ConfigError(f"{path}/{key}", "must be positive")
+        if key in _NON_NEGATIVE and not val >= 0:
+            raise ConfigError(f"{path}/{key}", "must be >= 0")
+    return out
+
+
+def _named_section(cfg: dict, path: str, tables: dict, what: str) -> dict:
+    """A section whose ``name`` picks its table."""
+    name = _need(cfg, "name", str, path)
+    if name not in tables:
+        raise ConfigError(f"{path}/name", f"must be one of {tuple(tables)}")
+    return _section(cfg, {"name": str, **tables[name]}, path, f"{what} {name!r}")
+
+
+def _finite(val, shape: tuple, path: str) -> list:
+    """Nested lists of finite numbers of the given shape, as floats."""
+    if not isinstance(val, list):
+        raise ConfigError(path, f"expected a list, got {type(val).__name__}")
+    if len(val) != shape[0]:
+        raise ConfigError(path, f"expected {shape[0]} entries, got {len(val)}")
+    if len(shape) > 1:
+        return [_finite(row, shape[1:], f"{path}/{i}") for i, row in enumerate(val)]
+    for v in val:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise ConfigError(path, f"entries must be finite numbers, got {v!r}")
+    return [float(v) for v in val]
 
 
 def _target_dim(tcfg: dict) -> int:
-    name = tcfg["name"]
-    if name == "banana":
+    if tcfg["name"] == "banana":
         return 2
-    if name == "gaussian":
-        return int(np.size(tcfg.get("mean", _DEFAULT_GAUSSIAN_MEAN)))
-    return tcfg.get("dim", _DEFAULT_DIM[name])
+    return len(tcfg["mean"]) if tcfg["name"] == "gaussian" else tcfg["dim"]
 
 
-def _init_point(cfg: dict, dim: int) -> list:
-    init = cfg["init"]
-    if not isinstance(init, list):
-        raise ConfigError("/init", f"expected a list, got {type(init).__name__}")
-    if len(init) != dim:
-        raise ConfigError("/init", f"expected {dim} coordinates, got {len(init)}")
-    for val in init:
-        if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                or not np.isfinite(val):
-            raise ConfigError("/init", f"coordinates must be finite numbers, got {val!r}")
-    return [float(v) for v in init]
+def _target_section(tgt: dict) -> dict:
+    """The normalized target section, the only one ``build_target`` reads."""
+    out = _named_section(tgt, "/target", _TARGETS, "target")
+    if out["name"] == "bbd" and out["dim"] < 2:
+        raise ConfigError("/target/dim", "bbd needs dim >= 2")
+    if out["name"] == "elliptic" and out["mesh_size"] % 10:
+        raise ConfigError("/target/mesh_size", "must be a multiple of 10")
+    dim = _target_dim(out)
+    if dim < 1:
+        raise ConfigError("/target/mean", "needs at least one coordinate")
+    for key, shape in (("mean", (dim,)), ("theta_true", (dim,)), ("cov", (dim, dim))):
+        if key in out:
+            out[key] = _finite(out[key], shape, f"/target/{key}")
+    return out
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate and normalize a run config; raises ConfigError with a path."""
+    """Validate and normalize a run config; raises ConfigError with a path.
+
+    Every section gets its defaults filled in but ``geometry.adaptation``,
+    whose presence selects the adaptive sampler."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be an object")
-    _reject_unknown(cfg, _TOP_KEYS, "", "the config")
-    out = {}
-    tgt = _need(cfg, "target", dict, "", required=True)
-    name = _need(tgt, "name", str, "/target", required=True)
-    if name not in _TARGETS:
-        raise ConfigError("/target/name", f"must be one of {_TARGETS}")
-    _reject_unknown(tgt, _TARGET_KEYS[name], "/target", f"target {name!r}")
-    out["target"] = dict(tgt)
+    out = _section(cfg, _TOP, "", "the config",
+                   required=("target", "sampler", "seed", "iters"))
+    out["target"] = _target_section(out["target"])
+    dim = _target_dim(out["target"])
+    smp = out["sampler"] = _named_section(out["sampler"], "/sampler", _SAMPLERS,
+                                          "sampler")
+    if "target_accept" in smp and not 0 < smp["target_accept"] < 1:
+        raise ConfigError("/sampler/target_accept", "must lie strictly between 0 and 1")
 
-    smp = _need(cfg, "sampler", dict, "", required=True)
-    sname = _need(smp, "name", str, "/sampler", required=True)
-    if sname not in _SAMPLERS:
-        raise ConfigError("/sampler/name", f"must be one of {_SAMPLERS}")
-    _reject_unknown(smp, _SAMPLER_KEYS["rwm" if sname == "rwm" else "gradient"],
-                    "/sampler", f"sampler {sname!r}")
-    norm = {"name": sname}
-    if sname == "rwm":
-        norm["proposal_sd"] = _need(smp, "proposal_sd", float, "/sampler", 0.5)
-        if norm["proposal_sd"] <= 0:
-            raise ConfigError("/sampler/proposal_sd", "must be positive")
-    else:
-        norm["step_size"] = _need(smp, "step_size", float, "/sampler", 0.1)
-        norm["n_steps"] = _need(smp, "n_steps", int, "/sampler", 10)
-        norm["fixed_point_iters"] = _need(smp, "fixed_point_iters", int, "/sampler", 6)
-        norm["fixed_point_tol"] = _need(smp, "fixed_point_tol", float, "/sampler", 1e-8)
-        if norm["step_size"] <= 0:
-            raise ConfigError("/sampler/step_size", "must be positive")
-        if norm["n_steps"] < 1:
-            raise ConfigError("/sampler/n_steps", "must be >= 1")
-    norm["tune"] = _need(smp, "tune", bool, "/sampler", False)
-    norm["target_accept"] = _need(smp, "target_accept", float, "/sampler", 0.7)
-    out["sampler"] = norm
-
-    geo = _need(cfg, "geometry", dict, "", default={"mode": "exact"})
-    _reject_unknown(geo, _GEOMETRY_KEYS, "/geometry", "geometry")
-    for key, known in (("design", _DESIGN_KEYS), ("adaptation", _ADAPTATION_KEYS)):
-        sub = _need(geo, key, dict, "/geometry", {})
-        _reject_unknown(sub, known, f"/geometry/{key}", key)
-    mode = _need(geo, "mode", str, "/geometry", "exact")
-    if mode not in ("exact", "emulated"):
-        raise ConfigError("/geometry/mode", "must be 'exact' or 'emulated'")
-    if mode == "emulated" and "design_file" not in geo and "adaptation" not in geo:
+    geo = out["geometry"] = _section(out["geometry"], _GEOMETRY, "/geometry",
+                                     "geometry")
+    dcfg = geo["design"] = _section(geo["design"], _DESIGN, "/geometry/design",
+                                    "design")
+    if dcfg["source"] == "chain" and "path" not in dcfg:
+        raise ConfigError("/geometry/design/path", "source 'chain' needs a chain CSV")
+    if "adaptation" in geo:
+        acfg = geo["adaptation"] = _section(
+            geo["adaptation"], _ADAPTATION, "/geometry/adaptation", "adaptation")
+        acfg.setdefault("init_size", max(4 + 2 * dim, 10))
+        if smp["name"] == "rwm":
+            raise ConfigError("/geometry/adaptation", "needs a gradient-based sampler")
+        if geo["mode"] != "emulated":
+            raise ConfigError("/geometry/adaptation", "needs mode 'emulated'")
+        if "design_file" in geo:
+            raise ConfigError("/geometry/design_file", "unused with adaptation; "
+                              "give adaptation.init_design instead")
+        if acfg["init_design"] != "prior" and not acfg["init_design"].endswith(".json"):
+            raise ConfigError("/geometry/adaptation/init_design",
+                              "must be 'prior' or a path ending in .json")
+    elif geo["mode"] == "emulated" and "design_file" not in geo:
         raise ConfigError("/geometry", "emulated mode needs design_file or adaptation")
-    if "adaptation" in geo and sname == "rwm":
-        raise ConfigError("/geometry/adaptation", "adaptation needs a gradient-based sampler")
-    out["geometry"] = dict(geo)
 
-    out["seed"] = _need(cfg, "seed", int, "", required=True)
-    out["iters"] = _need(cfg, "iters", int, "", required=True)
-    out["burnin"] = _need(cfg, "burnin", int, "", 0)
     if out["burnin"] >= out["iters"]:
         raise ConfigError("/burnin", "burnin must be < iters")
-    out["output_dir"] = _need(cfg, "output_dir", str, "", "out")
-    timing = _need(cfg, "timing", str, "", "real")
-    if timing not in ("real", "none"):
-        raise ConfigError("/timing", "must be 'real' or 'none'")
-    out["timing"] = timing
-    if "init" in cfg:
-        out["init"] = _init_point(cfg, _target_dim(tgt))
+    if "init" in out:
+        out["init"] = _finite(out["init"], (dim,), "/init")
     return out
 
 
 def build_target(cfg: dict, seed: int):
-    """Instantiate the target, generating synthetic data deterministically."""
-    tcfg = cfg["target"]
+    """Instantiate the target, generating synthetic data deterministically.
+
+    A raw target dict is normalized here and builds the same target."""
+    tcfg = _target_section(cfg["target"])
     rng = _rng(seed, STREAM_DATA)
     name = tcfg["name"]
     if name == "banana":
-        return banana_target(rng=rng,
-                             n_data=tcfg.get("n_data", 100),
-                             mu_true=tcfg.get("mu_true", 1.0),
-                             sigma_y=tcfg.get("sigma_y", 2.0),
-                             sigma_theta=tcfg.get("sigma_theta", 1.0))
+        return banana_target(rng=rng, n_data=tcfg["n_data"], mu_true=tcfg["mu_true"],
+                             sigma_y=tcfg["sigma_y"], sigma_theta=tcfg["sigma_theta"])
     if name == "bbd":
-        return BBDTarget.simulate(rng,
-                                  n_data=tcfg.get("n_data", 3000),
-                                  mu_true=tcfg.get("mu_true", 0.0),
-                                  sigma_y=tcfg.get("sigma_y", 1.0),
-                                  sigma_theta=tcfg.get("sigma_theta", 1.0),
-                                  dim=_target_dim(tcfg))
+        return BBDTarget.simulate(rng, n_data=tcfg["n_data"], mu_true=tcfg["mu_true"],
+                                  sigma_y=tcfg["sigma_y"],
+                                  sigma_theta=tcfg["sigma_theta"], dim=tcfg["dim"])
     if name == "gaussian":
-        mean = np.asarray(tcfg.get("mean", _DEFAULT_GAUSSIAN_MEAN), dtype=float)
-        cov = np.asarray(tcfg.get("cov", np.eye(mean.size).tolist()), dtype=float)
-        return GaussianTarget(mean, cov)
-    if name == "elliptic":
-        dim = _target_dim(tcfg)
-        kl = KLExpansion(n_modes=dim, mesh_size=tcfg.get("mesh_size", 20),
-                         lengthscale=tcfg.get("kl_lengthscale", 0.5),
-                         variance=tcfg.get("kl_variance", 1.0))
-        theta_true = np.asarray(
-            tcfg.get("theta_true", rng.standard_normal(dim).tolist()), dtype=float)
-        return EllipticTarget.simulate(rng, theta_true, kl=kl,
-                                       noise_sd=tcfg.get("noise_sd", 0.1),
-                                       mesh_size=tcfg.get("mesh_size", 20))
-    raise ConfigError("/target/name", f"unknown target {name}")
+        mean = np.asarray(tcfg["mean"])
+        return GaussianTarget(mean, np.asarray(tcfg.get("cov", np.eye(mean.size))))
+    # drawn even when theta_true is given, so the noise draws stay in place
+    drawn = rng.standard_normal(tcfg["dim"])
+    kl = KLExpansion(n_modes=tcfg["dim"], mesh_size=tcfg["mesh_size"],
+                     lengthscale=tcfg["kl_lengthscale"], variance=tcfg["kl_variance"])
+    return EllipticTarget.simulate(rng, np.asarray(tcfg.get("theta_true", drawn)),
+                                   kl=kl, noise_sd=tcfg["noise_sd"],
+                                   mesh_size=tcfg["mesh_size"])
 
 
 def _write_data_csv(path: Path, target):
@@ -284,42 +320,31 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
     timing = cfg["timing"] == "real"
     rng = _rng(seed, STREAM_CHAIN_BASE + chain_idx)
 
-    adaptive = None
-    geometry = None
+    adaptive = geometry = integ = None
     kernel_tag = scfg["name"]
-    integ = None
     if scfg["name"] != "rwm":
-        integ = IntegratorConfig(step_size=scfg["step_size"], n_steps=scfg["n_steps"],
-                                 fixed_point_iters=scfg["fixed_point_iters"],
-                                 fixed_point_tol=scfg["fixed_point_tol"])
-    if gcfg.get("mode", "exact") == "exact":
+        integ = IntegratorConfig(**_dataclass_args(IntegratorConfig, scfg))
+    acfg = gcfg.get("adaptation")
+    if gcfg["mode"] == "exact":
         geometry = ExactGeometry(target)
+    elif acfg is None:
+        design, hyper = load_design(gcfg["design_file"])
+        geometry = EmulatedGeometry(build_emulator(design, hyper))
     else:
-        acfg = gcfg.get("adaptation")
-        if acfg is None:
-            design, hyper = load_design(gcfg["design_file"])
-            geometry = EmulatedGeometry(build_emulator(design, hyper))
-        else:
-            design = _init_adaptive_design(cfg, target, acfg)
-            adaptive = AdaptiveGPeSampler(
-                target, design, integ, kernel=scfg["name"],
-                schedule=RegenSchedule(
-                    test_interval=acfg.get("test_interval", 20),
-                    stop_mspe_rel=acfg.get("stop_mspe_rel", 1e-2),
-                    max_adaptations=acfg.get("max_adaptations", 10)),
-                mice_cfg=MICEConfig(
-                    init_keep=acfg.get("init_keep", 5),
-                    maxmin_radius=acfg.get("maxmin_radius", 0.2),
-                    max_size=acfg.get("max_size", 40)),
-                rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
-            kernel_tag = f"adp-gpe-{scfg['name']}"
+        design = _init_adaptive_design(cfg, target, acfg)
+        adaptive = AdaptiveGPeSampler(
+            target, design, integ, kernel=scfg["name"],
+            schedule=RegenSchedule(**_dataclass_args(RegenSchedule, acfg)),
+            mice_cfg=MICEConfig(**_dataclass_args(MICEConfig, acfg)),
+            rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
+        kernel_tag = f"adp-gpe-{scfg['name']}"
 
     theta0 = np.asarray(cfg["init"], dtype=float) if "init" in cfg else np.zeros(dim)
     chain_target = adaptive.target if adaptive is not None else target
     state = init_state(chain_target, theta0, rng)
 
     tuner = None
-    if scfg["tune"] and scfg["name"] != "rwm" and adaptive is None:
+    if integ is not None and scfg["tune"] and adaptive is None:
         tuner = DualAveraging(integ.step_size, target=scfg["target_accept"])
 
     chain_path = out_dir / f"chain{suffix}.csv"
@@ -382,14 +407,12 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
 
 
 def _init_adaptive_design(cfg, target, acfg):
-    src = acfg.get("init_design", "prior")
-    if isinstance(src, str) and src.endswith(".json"):
-        design, _ = load_design(src)
-        return design
-    size = acfg.get("init_size", max(4 + 2 * target.dim, 10))
+    if acfg["init_design"] != "prior":
+        return load_design(acfg["init_design"])[0]
+    size = acfg["init_size"]
     rng = _rng(cfg["seed"], STREAM_DESIGN)
     pts = _prior_sample(target, rng, size * 5)
-    keep = maxmin_filter(pts, acfg.get("maxmin_radius", 0.2))[:size]
+    keep = maxmin_filter(pts, acfg["maxmin_radius"])[:size]
     if keep.size < size:
         keep = np.arange(size)
     return _evaluated_design(target, pts[keep])
@@ -431,13 +454,12 @@ def design_cmd(cfg: dict):
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     target = build_target(cfg, cfg["seed"])
-    dcfg = cfg["geometry"].get("design", {})
+    dcfg = cfg["geometry"]["design"]
     rng = _rng(cfg["seed"], STREAM_DESIGN)
 
-    source = dcfg.get("source", "prior")
-    with_gradients = dcfg.get("with_gradients", False)
-    if source == "prior":
-        points = _prior_sample(target, rng, dcfg.get("count", 100))
+    with_gradients = dcfg["with_gradients"]
+    if dcfg["source"] == "prior":
+        points = _prior_sample(target, rng, dcfg["count"])
         pots, pds = [], []
         for th in points:
             # the candidates' potentials, and so the fit and the picks, come
@@ -449,13 +471,11 @@ def design_cmd(cfg: dict):
                 pds.append(vals)
         pots = np.array(pots)
         pds = None if with_gradients else np.array(pds)
-    elif source == "chain":
+    else:
         points, pots = _read_chain_csv(dcfg["path"], target.dim)
         pds = None
-    else:
-        raise ConfigError("/geometry/design/source", "must be 'prior' or 'chain'")
 
-    radius = dcfg.get("maxmin_radius", 0.2)
+    radius = dcfg["maxmin_radius"]
     kept = maxmin_filter(points, radius)
     points, pots = points[kept], pots[kept]
     pds = pds[kept] if pds is not None else None
@@ -470,7 +490,7 @@ def design_cmd(cfg: dict):
     # candidate set; per-step fits on tiny growing designs are unstable
     pool_hyper, _ = fit_hyperparameters(
         DesignSet(points=points, potentials=pots), rng=rng)
-    mcfg = MICEConfig(init_keep=n_init, max_size=dcfg.get("target_size", 20),
+    mcfg = MICEConfig(init_keep=n_init, max_size=dcfg["target_size"],
                       maxmin_radius=radius, refit_at_start=False)
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
 
@@ -486,45 +506,34 @@ def design_cmd(cfg: dict):
     return out_dir / "design.json", info
 
 
-def _read_chain_csv(path, dim):
-    rows = []
+def _read_chain_csv(path, dim=None, extra=()):
+    """Theta rows (the header's ``theta_*`` columns) and potentials of a
+    chain CSV, then its ``extra`` columns.  A ``dim`` other than the chain's
+    is a config error: the design's chain does not fit its target."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        ti = [header.index(f"theta_{i+1}") for i in range(dim)]
-        li = header.index("logpost")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append(([float(parts[i]) for i in ti], -float(parts[li])))
-    points = np.array([r[0] for r in rows])
-    pots = np.array([r[1] for r in rows])
-    return points, pots
+        rows = [line.strip().split(",") for line in fh]
+    ncols = sum(1 for h in header if h.startswith("theta_"))
+    if dim is not None and ncols != dim:
+        raise ConfigError("/geometry/design/path",
+                          f"chain has {ncols} theta columns, target has {dim}")
+    ti = [header.index(f"theta_{i+1}") for i in range(ncols)]
+    theta = np.array([[float(r[i]) for i in ti] for r in rows])
+    logpost, *cols = (np.array([float(r[i]) for r in rows])
+                      for i in map(header.index, ("logpost", *extra)))
+    return (theta, -logpost, *cols)
 
 
 # -- diagnose ----------------------------------------------------------------
 
 def diagnose(chain_path, baseline_path=None):
     """Summarize a chain CSV; optionally report speedup vs a baseline chain."""
-    def load(path):
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            dim = sum(1 for h in header if h.startswith("theta_"))
-            ti = [header.index(f"theta_{i+1}") for i in range(dim)]
-            ai = header.index("accepted")
-            wi = header.index("wall_ns")
-            thetas, acc, wall = [], [], 0
-            for line in fh:
-                parts = line.strip().split(",")
-                thetas.append([float(parts[i]) for i in ti])
-                acc.append(int(parts[ai]))
-                wall += int(parts[wi])
-        return np.array(thetas), np.mean(acc), wall / 1e9
+    def load(path, baseline=None):
+        theta, _, acc, wall_ns = _read_chain_csv(path, extra=("accepted", "wall_ns"))
+        return summarize(theta, wall_ns.sum() / 1e9, acc.mean(), baseline=baseline)
 
-    base_summary = None
-    if baseline_path is not None:
-        bt, ba, bw = load(baseline_path)
-        base_summary = summarize(bt, bw, ba)
-    chain, ap, wall = load(chain_path)
-    summary = summarize(chain, wall, ap, baseline=base_summary)
+    base = load(baseline_path) if baseline_path is not None else None
+    summary = load(chain_path, base)
     row = summary.row()
     widths = [max(len(k), 10) for k in row]
     print("  ".join(k.rjust(w) for k, w in zip(row, widths)))

@@ -360,9 +360,7 @@ class TestNarrowedFailures:
             raise exc
         return fit
 
-    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True},
-                                        {"refit_at_start": False,
-                                         "refit_each_step": True}])
+    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True}])
     def test_fit_failure_keeps_rho(self, banana, spread_banana_design,
                                    monkeypatch, cfg_kw):
         monkeypatch.setattr(ad, "fit_hyperparameters",
@@ -371,9 +369,7 @@ class TestNarrowedFailures:
         assert info["added"] > 0
         np.testing.assert_array_equal(hyper.rho, [0.7, 0.4])
 
-    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True},
-                                        {"refit_at_start": False,
-                                         "refit_each_step": True}])
+    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True}])
     @pytest.mark.parametrize("exc", [ShapeMismatch("bad shape"), TypeError("bug")])
     def test_unrelated_fit_error_propagates(self, banana, spread_banana_design,
                                             monkeypatch, cfg_kw, exc):
@@ -393,6 +389,31 @@ class TestNarrowedFailures:
 
 
 class TestAdaptiveSampler:
+    def test_collect_pool_gathers_rows_once(self):
+        """A 240-point tour at N = 30 000 yields its pool with one row copy."""
+        n_tour, n_data = 240, 30_000
+        points = np.random.default_rng(5).standard_normal((n_tour, 2))
+        sampler = ad.AdaptiveGPeSampler.__new__(ad.AdaptiveGPeSampler)
+        sampler.schedule = ad.RegenSchedule()
+        sampler.mice_cfg = ad.MICEConfig(maxmin_radius=1e-3)
+        sampler._tour_points = list(points)
+        sampler._tour_potentials = [float(i) for i in range(n_tour)]
+        # each tour row holds its own tour index
+        sampler._tour_pd = [np.full(n_data, float(i)) for i in range(n_tour)]
+        tracemalloc.start()
+        try:
+            pool, holdout = sampler._collect_pool()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool.per_datum.shape == (pool.points.shape[0], n_data)
+        assert pool.points.shape[0] > 150 and holdout[0].shape[0] == ad.HOLDOUT_SIZE
+        idx = pool.per_datum[:, 0].astype(int)
+        assert np.array_equal(pool.per_datum, np.repeat(idx[:, None], n_data, axis=1))
+        assert np.array_equal(pool.points, points[idx])
+        assert np.array_equal(pool.potentials, idx.astype(float))
+        assert peak <= 1.25 * pool.per_datum.nbytes
+
     def make_sampler(self, banana, design, rng, **schedule_kw):
         cfg = IntegratorConfig(step_size=0.05, n_steps=10)
         schedule = ad.RegenSchedule(test_interval=5, min_pool=12, **schedule_kw)

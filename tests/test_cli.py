@@ -129,6 +129,165 @@ class TestValidation:
                 tmp_path, target={"name": "bbd", "n_data": 50}, init=[1, 0.5, -0.5]))
 
 
+def adaptive_config(tmp_path, **adaptation):
+    return banana_config(
+        tmp_path, sampler={"name": "hmc", "step_size": 0.1, "n_steps": 4},
+        geometry={"mode": "emulated", "adaptation": adaptation}, iters=4, burnin=0)
+
+
+def design_config(tmp_path, **design):
+    return banana_config(tmp_path, geometry={"mode": "exact", "design": design})
+
+
+# configs shaped like the README example, the three benchmark workloads and
+# an adaptive run
+SHAPED_CONFIGS = [
+    {"target": {"name": "banana", "n_data": 100},
+     "sampler": {"name": "hmc", "step_size": 0.1, "n_steps": 10, "tune": True},
+     "geometry": {"mode": "exact"}, "seed": 42, "iters": 20000, "burnin": 2000,
+     "output_dir": "out"},
+    {"target": {"name": "bbd", "dim": 4, "n_data": 30_000},
+     "sampler": {"name": "rhmc", "step_size": 0.0015, "n_steps": 10,
+                 "fixed_point_iters": 4, "fixed_point_tol": 0.0},
+     "geometry": {"mode": "exact"}, "seed": 11, "iters": 660, "burnin": 60,
+     "output_dir": "out"},
+    {"target": {"name": "bbd", "dim": 4, "n_data": 30_000},
+     "sampler": {"name": "rhmc", "step_size": 0.0015, "n_steps": 10,
+                 "fixed_point_iters": 4, "fixed_point_tol": 0.0},
+     "geometry": {"mode": "emulated", "design_file": "out/design.json",
+                  "design": {"source": "prior", "count": 100, "maxmin_radius": 0.2,
+                             "target_size": 20, "with_gradients": True}},
+     "seed": 1507, "iters": 260, "burnin": 60, "output_dir": "out"},
+    {"target": {"name": "elliptic", "dim": 6, "mesh_size": 20},
+     "sampler": {"name": "hmc", "step_size": 0.1, "n_steps": 10},
+     "geometry": {"mode": "emulated", "design_file": "out/design.json",
+                  "design": {"source": "prior", "count": 100, "maxmin_radius": 0.3,
+                             "target_size": 30, "with_gradients": True}},
+     "seed": 1507, "iters": 1800, "burnin": 200, "output_dir": "out"},
+    {"target": {"name": "bbd", "dim": 2, "n_data": 300},
+     "sampler": {"name": "hmc"},
+     "geometry": {"mode": "emulated", "adaptation": {"test_interval": 5}},
+     "seed": 1, "iters": 10},
+]
+
+
+# each fault a config error at its path
+FAULTS = [
+    (lambda t: banana_config(t, target={"name": "banana", "n_data": "100"}),
+     "/target/n_data"),
+    (lambda t: banana_config(t, target={"name": "banana", "n_data": 30.5}),
+     "/target/n_data"),
+    (lambda t: adaptive_config(t, test_interval=0),
+     "/geometry/adaptation/test_interval"),
+    (lambda t: adaptive_config(t, maxmin_radius="0.2"),
+     "/geometry/adaptation/maxmin_radius"),
+    (lambda t: design_config(t, source="chain"), "/geometry/design/path"),
+    (lambda t: {**adaptive_config(t),
+                "geometry": {"mode": "exact", "adaptation": {}}},
+     "/geometry/adaptation"),
+    (lambda t: {**adaptive_config(t),
+                "geometry": {"mode": "emulated", "design_file": "d.json",
+                             "adaptation": {}}},
+     "/geometry/design_file"),
+    (lambda t: adaptive_config(t, init_design="prirr"),
+     "/geometry/adaptation/init_design"),
+    (lambda t: banana_config(t, sampler={"name": "rwm", "tune": True}),
+     "/sampler/tune"),
+    (lambda t: banana_config(t, sampler={"name": "rwm", "target_accept": 0.5}),
+     "/sampler/target_accept"),
+    # range rules
+    (lambda t: banana_config(t, burnin=-1), "/burnin"),
+    (lambda t: banana_config(t, sampler={"name": "hmc", "target_accept": 1.0}),
+     "/sampler/target_accept"),
+    (lambda t: banana_config(t, sampler={"name": "hmc", "fixed_point_tol": -1e-8}),
+     "/sampler/fixed_point_tol"),
+    (lambda t: banana_config(t, target={"name": "bbd", "dim": 1}), "/target/dim"),
+    (lambda t: banana_config(t, target={"name": "elliptic", "mesh_size": 15}),
+     "/target/mesh_size"),
+    (lambda t: banana_config(t, target={"name": "elliptic", "dim": 3,
+                                        "theta_true": [0.1, 0.2]}),
+     "/target/theta_true"),
+    (lambda t: banana_config(t, target={"name": "gaussian", "mean": [0.0, "x"]}),
+     "/target/mean"),
+    (lambda t: banana_config(t, target={"name": "gaussian", "mean": []}),
+     "/target/mean"),
+    (lambda t: banana_config(t, target={"name": "gaussian", "mean": [0.0, 1.0],
+                                        "cov": [[1.0, 0.0], [0.0]]}),
+     "/target/cov/1"),
+    (lambda t: design_config(t, count=0), "/geometry/design/count"),
+    (lambda t: adaptive_config(t, stop_mspe_rel=-0.1),
+     "/geometry/adaptation/stop_mspe_rel"),
+    (lambda t: banana_config(t, seed=-1), "/seed"),
+]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("make, path", FAULTS, ids=[path for _, path in FAULTS])
+    def test_fault_reports_path_and_exits_2(self, tmp_path, capsys, make, path):
+        cfg = make(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(cfg)
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", SHAPED_CONFIGS)
+    def test_validation_is_idempotent_and_fills_defaults(self, cfg):
+        norm = cli.validate_config(cfg)
+        assert cli.validate_config(norm) == norm
+
+        def static_keys(table):
+            return {k for k, v in table.items() if not isinstance(v, type)}
+        geo = norm["geometry"]
+        for section, table in [
+                (norm, cli._TOP), (norm["target"], cli._TARGETS[cfg["target"]["name"]]),
+                (norm["sampler"], cli._SAMPLERS[cfg["sampler"]["name"]]),
+                (geo, cli._GEOMETRY), (geo["design"], cli._DESIGN)]:
+            assert set(section) >= static_keys(table)
+        if "adaptation" in geo:  # init_size is filled from the target dimension
+            assert set(geo["adaptation"]) == set(cli._ADAPTATION)
+
+    def test_meta_records_the_config_that_ran(self, tmp_path):
+        cfg = cli.validate_config(banana_config(tmp_path))
+        meta = json.loads((cli.run(cfg) / "meta.json").read_text())
+        assert meta["config"] == cfg
+        assert meta["config"]["target"]["sigma_y"] == 2.0
+        assert cli.validate_config(meta["config"]) == meta["config"]
+
+    @pytest.mark.parametrize("target", [
+        {"name": "banana", "n_data": 40, "mu_true": 1},
+        {"name": "bbd", "dim": 3, "n_data": 50},
+        {"name": "gaussian", "mean": [1, 2, 3]},
+        {"name": "elliptic", "dim": 2, "mesh_size": 10},
+        {"name": "elliptic", "dim": 2, "mesh_size": 10, "theta_true": [0.5, -1]},
+    ])
+    def test_raw_target_builds_the_validated_target(self, tmp_path, target):
+        raw = cli.build_target({"target": dict(target)}, 5)
+        cfg = cli.validate_config(banana_config(tmp_path, target=dict(target)))
+        norm = cli.build_target(cfg, 5)
+        for attr in ("data", "obs", "mean", "cov"):
+            if hasattr(raw, attr):
+                assert np.array_equal(getattr(raw, attr), getattr(norm, attr))
+        theta = np.linspace(-0.3, 0.4, raw.dim)
+        assert raw.potential(theta) == norm.potential(theta)
+
+    def test_design_from_chain_of_another_dimension(self, tmp_path):
+        out = cli.run(cli.validate_config(banana_config(tmp_path / "run")))
+        cfg = banana_config(tmp_path / "design",
+                            target={"name": "bbd", "dim": 4, "n_data": 50},
+                            geometry={"mode": "exact",
+                                      "design": {"source": "chain",
+                                                 "path": str(out / "chain.csv")}})
+        with pytest.raises(ConfigError) as err:
+            cli.design_cmd(cli.validate_config(cfg))
+        assert err.value.path == "/geometry/design/path"
+        cfg_path = tmp_path / "design_cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["design", str(cfg_path)]) == 2
+
+
 class TestRun:
     def test_outputs_and_header(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path))

@@ -1,11 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import SmoothTestFunction, spread_points
+from gpgmc import adaptation as ad
 from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
-from gpgmc.errors import NonFiniteGradient
+from gpgmc.errors import NonFiniteGradient, RejectionBudgetExhausted
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.mle import fit_hyperparameters
 from gpgmc.samplers import (ChainState, DualAveraging, IntegratorConfig,
@@ -378,3 +381,64 @@ class TestEmulatedModeContract:
                 state, info = step(state, counter, geometry, cfg)
                 div += info.divergent
             assert counter.n_potential - before == n - div
+
+
+class TestExactCallContract:
+    """Exact potential calls = transitions - divergent + independence probes
+    + sample_Q tries, for RWM and for the adaptive sampler."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sd=st.floats(0.05, 3.0))
+    def test_rwm(self, banana, seed, sd):
+        counter = CountingTarget(banana)
+        state = init_state(counter, np.zeros(2), np.random.default_rng(seed))
+        before = counter.n_potential
+        for _ in range(50):
+            state, _ = rwm_step(state, counter, sd)
+        assert counter.n_potential - before == 50
+
+    @pytest.fixture(scope="class")
+    def banana_design(self, banana):
+        pts = spread_points(np.random.default_rng(21), 14, 2, spread=2.2, min_sep=0.35)
+        evals = [banana.potential_per_datum(p) for p in pts]
+        return DesignSet(points=pts, potentials=np.array([u for u, _ in evals]),
+                         per_datum=np.array([v for _, v in evals]))
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_adaptive_sampler(self, banana, banana_design, seed):
+        divergent, tries = [], []
+        real_step, real_sample_Q = ad.samplers.hmc_step, ad.sample_Q
+        budget = inspect.signature(real_sample_Q).parameters["max_tries"].default
+
+        def step(*args):
+            state, info = real_step(*args)
+            divergent.append(info.divergent)
+            return state, info
+
+        def sample_Q(*args, **kwargs):
+            try:
+                out = real_sample_Q(*args, **kwargs)
+            except RejectionBudgetExhausted:
+                tries.append(kwargs.get("max_tries", budget))
+                raise
+            tries.append(out[2])
+            return out
+
+        counter = CountingTarget(banana)
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad.samplers, "hmc_step", step)
+            mp.setattr(ad, "sample_Q", sample_Q)
+            sampler = ad.AdaptiveGPeSampler(
+                counter, banana_design, IntegratorConfig(step_size=0.1, n_steps=4),
+                schedule=ad.RegenSchedule(test_interval=2, max_adaptations=2),
+                rng=rng, hyper=Hyperparameters(rho=np.array([0.7, 0.4])))
+            state = init_state(sampler.target, np.zeros(2), rng)
+            before = counter.n_potential
+            n, probes = 80, 0
+            for _ in range(n):
+                state, info = sampler.step(state)
+                probes += info["indep_accepted"] is not None
+        assert len(divergent) == n and probes == n // 2
+        assert counter.n_potential - before == n - sum(divergent) + probes + sum(tries)
