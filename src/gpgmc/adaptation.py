@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular, LinAlgError
+from scipy.linalg import (cho_factor, cho_solve, cholesky, qr, solve_triangular,
+                          LinAlgError)
 from scipy.special import logsumexp
 
 from . import kernels, samplers
@@ -157,16 +158,27 @@ def maxmin_filter(candidates: np.ndarray, radius: float,
 
     A candidate survives iff it is farther than ``radius`` from every point
     kept so far and from every existing design point.  Deterministic in the
-    input order.
+    input order.  Each kept point strikes out, in one vectorized pass, the
+    later candidates within ``radius`` of it.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    free = np.ones(candidates.shape[0], dtype=bool)
+    if existing is not None:
+        for p in np.atleast_2d(existing):
+            free &= _row_norms(candidates - p) > radius
     kept: list[int] = []
-    base = [] if existing is None else list(np.atleast_2d(existing))
-    for j, cand in enumerate(candidates):
-        pts = base + [candidates[i] for i in kept]
-        if all(np.linalg.norm(cand - p) > radius for p in pts):
+    for j in range(candidates.shape[0]):
+        if free[j]:
             kept.append(j)
+            free[j + 1:] &= _row_norms(candidates[j + 1:] - candidates[j]) > radius
     return np.array(kept, dtype=int)
+
+
+def _row_norms(diff):
+    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of that row:
+    one dot product per row through matmul, as ``norm`` takes for a vector
+    (``norm(..., axis=1)`` sums the squares in another order)."""
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
 # -- MICE ------------------------------------------------------------------
@@ -215,32 +227,79 @@ def _kriging_variance(eval_points, cond_points, rho, nugget, cond_grads=False):
     return np.maximum(var, 0.0)
 
 
+def _first_copies(points):
+    """Index of each row's first exact copy, and the number of distinct rows."""
+    _, first, inverse = np.unique(points, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first[inverse.reshape(-1)], first.size
+
+
+def _loo_variance(points, rho, nugget):
+    """Leave-one-out variances: entry j is ``_kriging_variance`` at point j
+    given all the others, from one factorization of the whole set.
+
+    With K = L L' the correlation of the set plus ``nugget`` on its
+    diagonal, the predictive variance of point j given the others, plus the
+    nugget, is 1/Q_jj (Rasmussen & Williams 2006, sec. 5.4.2).  Under simple
+    kriging Q = K^-1 and Q_jj is the squared norm of column j of L^-1.  Under
+    universal kriging Q = K^-1 - K^-1 H (H' K^-1 H)^-1 H' K^-1 = L^-T P L^-1,
+    with P the projector onto the orthogonal complement of W = L^-1 H; with
+    Z an orthonormal basis of that complement (from a QR of W), Q_jj is the
+    squared norm of column j of Z' L^-1.  Sums of squares keep Q_jj accurate
+    where the subtraction would cancel.
+
+    Universal kriging applies, as in ``_kriging_variance``, when the m - 1
+    others number at least q + 1 and can carry the basis: the basis Gram
+    H' K^-1 H of the whole set factorizes and the others hold at least q
+    distinct points.  Raises LinAlgError when K does not factorize, which
+    needs a zero nugget.
+    """
+    m, dim = points.shape
+    if m == 1:
+        return np.array([1.0 + nugget])  # nothing to condition on
+    K = kernels.tilde_corr(points, rho, False)
+    K[np.diag_indices_from(K)] += nugget
+    Linv = solve_triangular(cholesky(K, lower=True), np.eye(m), lower=True)
+    prec = np.einsum("ij,ij->j", Linv, Linv)
+    q = 1 + 2 * dim
+    if m - 1 >= q + 1:
+        W = Linv @ kernels.basis(points, 0)
+        rep, n_distinct = _first_copies(points)
+        alone = np.bincount(rep, minlength=m)[rep] == 1
+        try:
+            cholesky(W.T @ W, lower=True)
+            Z = qr(W)[0][:, q:].T @ Linv
+            prec = np.where(n_distinct - alone >= q,
+                            np.einsum("ij,ij->j", Z, Z), prec)
+        except LinAlgError:
+            pass  # keep the simple-kriging variance
+    with np.errstate(divide="ignore"):
+        return np.maximum(1.0 / prec - nugget, 0.0)
+
+
 def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray,
                 cfg: MICEConfig):
     """Greedy mutual-information pick from a candidate set.
 
     Maximizes the ratio of the predictive variance given the design (design
     nugget) to the predictive variance given the remaining candidates
-    (smoothing nugget).  Ties break to the lowest candidate index.  Returns
-    ``(index, ratios)``.
+    (smoothing nugget), the latter for every candidate from one
+    factorization (:func:`_loo_variance`; Beck & Guillas 2016).  Exact
+    duplicate candidates share the score of their first copy, and ties break
+    to the lowest candidate index.  A candidate correlation that does not
+    factorize (coincident candidates with a zero smoothing nugget) leaves
+    every denominator degenerate.  Returns ``(index, ratios)``.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    ncand = candidates.shape[0]
     num = _kriging_variance(candidates, design.points, rho, cfg.nugget,
                             design.has_gradients)
-    ratios = np.full(ncand, -np.inf)
-    for j in range(ncand):
-        others = np.delete(candidates, j, axis=0)
-        try:
-            if others.shape[0] == 0:
-                den = 1.0 + cfg.cand_nugget
-            else:
-                den = float(_kriging_variance(candidates[j:j + 1], others, rho,
-                                              cfg.cand_nugget)[0])
-        except (LinAlgError, ValueError):
-            continue
-        if den > 1e-14 and np.isfinite(num[j]) and np.isfinite(den):
-            ratios[j] = num[j] / den
+    try:
+        den = _loo_variance(candidates, rho, cfg.cand_nugget)
+    except (LinAlgError, ValueError):  # ValueError: non-finite candidates
+        raise AllDegenerate("candidate correlation does not factorize") from None
+    ok = (den > 1e-14) & np.isfinite(num) & np.isfinite(den)
+    ratios = np.divide(num, den, out=np.full(num.shape, -np.inf), where=ok)
+    ratios = ratios[_first_copies(candidates)[0]]
     if not np.any(np.isfinite(ratios)):
         raise AllDegenerate("all candidate denominators degenerate")
     return int(np.argmax(ratios)), ratios

@@ -29,7 +29,7 @@ from .adaptation import (AdaptiveGPeSampler, CandidatePool, MICEConfig,
 from .diagnostics import summarize
 from .elliptic import EllipticTarget, KLExpansion
 from .emulator import DesignSet, build_emulator, load_design, save_design
-from .errors import ConfigError, GpgmcError
+from .errors import ChainFileError, ConfigError, GpgmcError
 from .geometry import EmulatedGeometry, ExactGeometry
 from .mle import fit_hyperparameters
 from .samplers import (DualAveraging, IntegratorConfig, hmc_step, init_state,
@@ -509,18 +509,25 @@ def design_cmd(cfg: dict):
 def _read_chain_csv(path, dim=None, extra=()):
     """Theta rows (the header's ``theta_*`` columns) and potentials of a
     chain CSV, then its ``extra`` columns.  A ``dim`` other than the chain's
-    is a config error: the design's chain does not fit its target."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh]
+    is a config error: the design's chain does not fit its target.  A file
+    that cannot be opened or parsed raises ChainFileError naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ChainFileError(f"{path}: cannot read chain CSV: {exc}") from exc
     ncols = sum(1 for h in header if h.startswith("theta_"))
     if dim is not None and ncols != dim:
         raise ConfigError("/geometry/design/path",
                           f"chain has {ncols} theta columns, target has {dim}")
-    ti = [header.index(f"theta_{i+1}") for i in range(ncols)]
-    theta = np.array([[float(r[i]) for i in ti] for r in rows])
-    logpost, *cols = (np.array([float(r[i]) for r in rows])
-                      for i in map(header.index, ("logpost", *extra)))
+    try:
+        ti = [header.index(f"theta_{i+1}") for i in range(ncols)]
+        theta = np.array([[float(r[i]) for i in ti] for r in rows])
+        logpost, *cols = (np.array([float(r[i]) for r in rows])
+                          for i in map(header.index, ("logpost", *extra)))
+    except (ValueError, IndexError) as exc:
+        raise ChainFileError(f"{path}: not a chain CSV: {exc}") from exc
     return (theta, -logpost, *cols)
 
 
@@ -564,12 +571,16 @@ def main(argv=None) -> int:
         if args.command == "diagnose":
             diagnose(args.chain, args.baseline)
             return 0
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.output_dir is not None:
-            raw["output_dir"] = args.output_dir
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
+            raise ConfigError(str(args.config), f"cannot read config: {exc}") from exc
+        if isinstance(raw, dict):  # validate_config rejects anything else
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.output_dir is not None:
+                raw["output_dir"] = args.output_dir
         cfg = validate_config(raw)
         if args.command == "run":
             run(cfg, n_chains=args.chains)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ class Hyperparameters:
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
-        if np.any(self.rho <= 0):
-            raise ValueError("rho must be positive componentwise")
+        if not np.all((self.rho > 0) & np.isfinite(self.rho)):
+            raise ValueError("rho must be positive and finite componentwise")
         if self.nugget < 0:
             raise ValueError("nugget must be non-negative")
 
@@ -57,7 +58,9 @@ class DesignSet:
     holds per-point, per-datum potential contributions (n, N) and, when
     gradients are present, ``per_datum_grads`` their per-datum gradients
     (n, D, N); both are required together so that the stacked per-datum matrix
-    conforms to the derivative-augmented linear maps.
+    conforms to the derivative-augmented linear maps.  A design is not
+    modified after construction: it caches the pairwise differences of its
+    points.
     """
 
     points: np.ndarray
@@ -70,6 +73,8 @@ class DesignSet:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.potentials = np.asarray(self.potentials, dtype=float)
         n, dim = self.points.shape
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("design points must be finite")
         if self.potentials.shape != (n,):
             raise ShapeMismatch(f"potentials shape {self.potentials.shape}, expected ({n},)")
         if self.gradients is not None:
@@ -88,10 +93,16 @@ class DesignSet:
                 if self.per_datum_grads.shape != (n, dim, self.per_datum.shape[1]):
                     raise ShapeMismatch("per_datum_grads must be (n, D, N)")
         if n > 1:
-            d2 = np.sum((self.points[:, None, :] - self.points[None, :, :])**2, axis=-1)
+            d2 = np.sum(self.pair_diffs.sq, axis=-1)
             np.fill_diagonal(d2, np.inf)
             if d2.min() <= 0.0:
                 raise ValueError("design points must be pairwise distinct")
+
+    @cached_property
+    def pair_diffs(self) -> kernels.PairDiffs:
+        """Pairwise differences of the points: every correlation matrix of
+        the design, at any rho, and its rho-derivatives are built from them."""
+        return kernels.PairDiffs(self.points)
 
     @property
     def n(self) -> int:
@@ -172,22 +183,26 @@ class Emulator:
             raise TooFewPoints(
                 f"need n~ > q+2 = {q + 2} stacked observations, have {n_tilde}")
 
-        C = kernels.tilde_corr(design.points, hyper.rho, design.has_gradients)
+        # C is built from points and rho that DesignSet and Hyperparameters
+        # check are finite, so the factorizations and solves skip scipy's
+        # finiteness scans of the n~ x n~ matrices
+        C = kernels.tilde_corr(design.pair_diffs, hyper.rho, design.has_gradients)
         C[np.diag_indices_from(C)] += hyper.nugget
         try:
-            self._chol = cho_factor(C, lower=True)
+            self._chol = cho_factor(C, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise IllConditioned(f"design correlation factorization failed: {exc}") from exc
 
         self.H = kernels.tilde_basis(design.points, design.has_gradients)
-        Ci_H = cho_solve(self._chol, self.H)
+        Ci_H = cho_solve(self._chol, self.H, check_finite=False)
         self.B = self.H.T @ Ci_H
         try:
-            self._chol_B = cho_factor(self.B, lower=True)
+            self._chol_B = cho_factor(self.B, lower=True, check_finite=False)
         except LinAlgError as exc:
             raise IllConditioned(f"basis Gram factorization failed: {exc}") from exc
-        self.P = cho_solve(self._chol_B, Ci_H.T)
-        self.Q = cho_solve(self._chol, np.eye(n_tilde)) - Ci_H @ self.P
+        self.P = cho_solve(self._chol_B, Ci_H.T, check_finite=False)
+        self.Q = cho_solve(self._chol, np.eye(n_tilde), check_finite=False) \
+            - Ci_H @ self.P
         self.Q = 0.5 * (self.Q + self.Q.T)
 
         u = design.data_vector()

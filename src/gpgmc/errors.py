@@ -25,6 +25,10 @@ class DesignFileError(GpgmcError):
     """A design file or its per-datum sidecar cannot be read."""
 
 
+class ChainFileError(GpgmcError):
+    """A chain CSV cannot be opened or parsed."""
+
+
 class DegenerateKernel(GpgmcError):
     """Requested more eigenpairs than the numerically nonzero spectrum."""
 

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ShapeMismatch
 
 __all__ = ["basis", "corr_block", "corr_block_rho_grad", "corr_block_rho_hess",
-           "tilde_basis", "tilde_corr", "tilde_corr_rho_grad", "tilde_corr_rho_hess",
-           "cross_corr"]
+           "PairDiffs", "tilde_basis", "tilde_corr", "iter_tilde_corr_rho_grad",
+           "tilde_corr_rho_grad", "tilde_corr_rho_hess", "cross_corr"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -64,17 +64,47 @@ def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
     raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
+class PairDiffs:
+    """Pairwise differences ``diff[i, j] = x_i - x_j`` of one point set, and
+    their squares ``sq``.
+
+    Neither depends on rho, so one instance serves every correlation matrix
+    of the set and its rho-derivatives: the ``tilde_*`` functions take one in
+    place of the points.
+    """
+
+    def __init__(self, points):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.diff = self.points[:, None, :] - self.points[None, :, :]
+        self.sq = self.diff**2
+
+
+def _checked_rho(rho, dim):
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (dim,):
+        raise ShapeMismatch(f"rho has shape {rho.shape}, expected ({dim},)")
+    return rho
+
+
+def _corr(sq, rho):
+    return np.exp(-np.einsum("ijk,k->ij", sq, rho))
+
+
 def _diff_and_corr(A, B, rho):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    rho = np.asarray(rho, dtype=float)
     if A.shape[1] != B.shape[1]:
         raise ShapeMismatch(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    if rho.shape != (A.shape[1],):
-        raise ShapeMismatch(f"rho has shape {rho.shape}, expected ({A.shape[1]},)")
+    rho = _checked_rho(rho, A.shape[1])
     diff = A[:, None, :] - B[None, :, :]
-    corr = np.exp(-np.einsum("ijk,k->ij", diff**2, rho))
-    return diff, corr
+    return diff, rho, _corr(diff**2, rho)
+
+
+def _pairs_and_corr(points, rho):
+    """A design's PairDiffs (given, or built from its points) and correlation."""
+    pairs = points if isinstance(points, PairDiffs) else PairDiffs(points)
+    rho = _checked_rho(rho, pairs.points.shape[1])
+    return pairs, rho, _corr(pairs.sq, rho)
 
 
 def _prefactor_table(diff, rho, orders, with_gradients):
@@ -149,9 +179,8 @@ def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
     """
     if order_b not in (0, 1):
         raise ValueError(f"unsupported block orders ({order_a}, {order_b})")
-    diff, corr = _diff_and_corr(A, B, rho)
-    rows = _block_rows(diff, corr, np.asarray(rho, dtype=float), (order_a,),
-                       with_gradients=order_b == 1)[0]
+    diff, rho, corr = _diff_and_corr(A, B, rho)
+    rows = _block_rows(diff, corr, rho, (order_a,), with_gradients=order_b == 1)[0]
     return rows[:, diff.shape[1]:] if order_b == 1 else rows
 
 
@@ -175,7 +204,7 @@ def _rho_poly(diff, coords):
     return g, g1, g2
 
 
-def _rho_rows(A, B, rho, with_gradients, coords):
+def _rho_rows(diff, corr, rho, with_gradients, coords):
     """Row blocks ``[(0, .); (1, .)]`` of the rho-derivative over ``coords``.
 
     The derivative is ``g k`` with ``g`` from :func:`_rho_poly`; the product
@@ -183,9 +212,7 @@ def _rho_rows(A, B, rho, with_gradients, coords):
     order-1 prefactor tables of ``k``, where K00 = 1, K01_l = a_l and
     K10_k = -a_k.
     """
-    diff, corr = _diff_and_corr(A, B, rho)
-    T0, T1 = _prefactor_table(diff, np.asarray(rho, dtype=float), (0, 1),
-                              with_gradients)
+    T0, T1 = _prefactor_table(diff, rho, (0, 1), with_gradients)
     g, g1, g2 = _rho_poly(diff, coords)
     G0 = g * T0
     G1 = g * T1
@@ -200,8 +227,9 @@ def _rho_rows(A, B, rho, with_gradients, coords):
 def _rho_block(A, B, order_a, order_b, rho, coords):
     if order_a not in (0, 1) or order_b not in (0, 1):
         raise ValueError(f"rho derivatives unsupported for orders ({order_a}, {order_b})")
-    rows = _rho_rows(A, B, rho, order_b == 1, coords)[order_a]
-    return rows[:, np.atleast_2d(B).shape[0]:] if order_b == 1 else rows
+    diff, rho, corr = _diff_and_corr(A, B, rho)
+    rows = _rho_rows(diff, corr, rho, order_b == 1, coords)[order_a]
+    return rows[:, diff.shape[1]:] if order_b == 1 else rows
 
 
 def corr_block_rho_grad(A, B, order_a, order_b, rho):
@@ -223,29 +251,40 @@ def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:
     return np.vstack([H, basis(points, 1)])
 
 
-def tilde_corr(points: np.ndarray, rho: np.ndarray, with_gradients: bool):
-    """Design auto-correlation matrix ``C`` of size (n~, n~), n~ = n or n(1+D)."""
-    diff, corr = _diff_and_corr(points, points, rho)
+def tilde_corr(points, rho: np.ndarray, with_gradients: bool):
+    """Design auto-correlation matrix ``C`` of size (n~, n~), n~ = n or n(1+D).
+
+    ``points`` is the (n, D) design or its :class:`PairDiffs`.
+    """
+    pairs, rho, corr = _pairs_and_corr(points, rho)
     if not with_gradients:
         return corr
-    return np.vstack(_block_rows(diff, corr, np.asarray(rho, dtype=float), (0, 1), True))
+    return np.vstack(_block_rows(pairs.diff, corr, rho, (0, 1), True))
+
+
+def iter_tilde_corr_rho_grad(points, rho, with_gradients):
+    """dC~ / d rho_d for d = 0, 1, ..., one (n~, n~) matrix at a time.
+
+    ``points`` is the (n, D) design or its :class:`PairDiffs`.  A caller that
+    uses each derivative once never holds all D of them.
+    """
+    pairs, rho, corr = _pairs_and_corr(points, rho)
+    for d in range(rho.size):
+        if with_gradients:
+            yield np.vstack(_rho_rows(pairs.diff, corr, rho, True, (d,)))
+        else:
+            yield -pairs.sq[:, :, d] * corr  # dC_d = -diff_d^2 * corr
 
 
 def tilde_corr_rho_grad(points, rho, with_gradients):
     """dC~ / d rho_d for every d, stacked as (D, n~, n~)."""
-    dim = np.size(rho)
-    if not with_gradients:
-        # dC_d = -diff_d^2 * corr; one contiguous array per coordinate
-        diff, corr = _diff_and_corr(points, points, rho)
-        sq = diff**2
-        return np.stack([-sq[:, :, d] * corr for d in range(dim)])
-    return np.stack([np.vstack(_rho_rows(points, points, rho, True, (d,)))
-                     for d in range(dim)])
+    return np.stack(list(iter_tilde_corr_rho_grad(points, rho, with_gradients)))
 
 
 def tilde_corr_rho_hess(points, rho, with_gradients, d, e):
-    """d^2 C~ / d rho_d d rho_e."""
-    rows = _rho_rows(points, points, rho, with_gradients, (d, e))
+    """d^2 C~ / d rho_d d rho_e; ``points`` as for :func:`tilde_corr`."""
+    pairs, rho, corr = _pairs_and_corr(points, rho)
+    rows = _rho_rows(pairs.diff, corr, rho, with_gradients, (d, e))
     return np.vstack(rows) if with_gradients else rows[0]
 
 
@@ -259,7 +298,7 @@ def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,
     from one pass over the design and returned as a tuple.
     """
     single = np.ndim(order) == 0
-    diff, corr = _diff_and_corr(eval_points, design_points, rho)
-    out = _block_rows(diff, corr, np.asarray(rho, dtype=float),
-                      (order,) if single else order, with_gradients)
+    diff, rho, corr = _diff_and_corr(eval_points, design_points, rho)
+    out = _block_rows(diff, corr, rho, (order,) if single else order,
+                      with_gradients)
     return out[0] if single else tuple(out)

@@ -48,10 +48,10 @@ def profile_loglik_grad(design: DesignSet, rho, nugget: float = 1e-8):
     em = Emulator(design, Hyperparameters(rho, nugget))
     if em.sigma2_hat <= 0.0:
         return -np.inf, np.full(rho.shape, np.nan)
-    dC = kernels.tilde_corr_rho_grad(design.points, rho, design.has_gradients)
     coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
-    grad = np.array([coef * (em.w @ dC[d] @ em.w) - 0.5 * np.sum(em.Q * dC[d].T)
-                     for d in range(rho.size)])
+    grad = np.array([coef * (em.w @ dC @ em.w) - 0.5 * np.sum(em.Q * dC.T)
+                     for dC in kernels.iter_tilde_corr_rho_grad(
+                         design.pair_diffs, rho, design.has_gradients)])
     return _loglik(em), grad
 
 
@@ -62,7 +62,7 @@ def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
     sigma2, Q, Qu = em.sigma2_hat, em.Q, em.w
     if sigma2 <= 0.0:
         raise OptimFailed("sigma2_hat non-positive; likelihood degenerate")
-    dC = kernels.tilde_corr_rho_grad(design.points, rho, design.has_gradients)
+    dC = kernels.tilde_corr_rho_grad(design.pair_diffs, rho, design.has_gradients)
     nq = em.dof
     nq2 = em.dof - 2
     quad = np.array([Qu @ dC[d] @ Qu for d in range(rho.size)])
@@ -73,7 +73,7 @@ def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
     QdC = [Q @ dC[d] for d in range(dim)]
     for d in range(dim):
         for e in range(d, dim):
-            d2C = kernels.tilde_corr_rho_hess(design.points, rho,
+            d2C = kernels.tilde_corr_rho_hess(design.pair_diffs, rho,
                                               design.has_gradients, d, e)
             term1 = nq / (2.0 * nq2**2 * sigma2**2) * quad[d] * quad[e]
             mid = dC[d] @ Q @ dC[e] + dC[e] @ Q @ dC[d] - d2C

@@ -534,3 +534,37 @@ def test_main_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(banana_config(tmp_path)))
     assert cli.main(["run", str(good)]) == 0
+
+
+class TestUnreadableInput:
+    """Input files that cannot be read fail with a message and an exit code."""
+
+    def test_malformed_json_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"target": {"name": "banana"},')
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert f"config error: {cfg_path}:" in capsys.readouterr().err
+
+    def test_missing_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "absent.json"
+        assert cli.main(["design", str(cfg_path)]) == 2
+        assert f"config error: {cfg_path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"),
+                                             ("--output-dir", "elsewhere")])
+    def test_non_object_config_with_override(self, tmp_path, capsys, flag, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([banana_config(tmp_path)]))
+        assert cli.main(["run", str(cfg_path), flag, value]) == 2
+        assert "config error: /: config must be an object" in capsys.readouterr().err
+
+    def test_diagnose_missing_chain(self, tmp_path, capsys):
+        chain = tmp_path / "chain.csv"
+        assert cli.main(["diagnose", str(chain)]) == 1
+        assert f"error: {chain}: cannot read chain CSV" in capsys.readouterr().err
+
+    def test_diagnose_unreadable_chain(self, tmp_path, capsys):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,theta_1,logpost\n0,0.5\n")
+        assert cli.main(["diagnose", str(chain)]) == 1
+        assert f"error: {chain}: not a chain CSV" in capsys.readouterr().err

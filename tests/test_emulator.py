@@ -222,6 +222,15 @@ def test_too_few_points():
         Emulator(design, Hyperparameters(rho=np.ones(2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlation_inputs_must_be_finite(bad):
+    """The emulator factorizes without scanning C, so C's inputs are checked."""
+    with pytest.raises(ValueError, match="finite"):
+        DesignSet(points=np.array([[0.0, bad], [1.0, 1.0]]), potentials=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        Hyperparameters(rho=np.array([1.0, bad]))
+
+
 def test_nugget_escalation_on_near_duplicate_points():
     rng = np.random.default_rng(17)
     base = spread_points(rng, 10, 2)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import SmoothTestFunction, spread_points
 from gpgmc import kernels, mle
-from gpgmc.emulator import DesignSet
+from gpgmc.emulator import DesignSet, Emulator, Hyperparameters
 from gpgmc.errors import IllConditioned, TooFewPoints
 
 
@@ -50,6 +50,54 @@ def test_hessian_matches_gradient_differences(gradients):
                         - mle.profile_loglik_grad(design, rm)[1]) / (2 * h)
         scale = max(1.0, np.abs(fd).max())
         assert np.abs(hess - fd).max() / scale < 1e-3
+
+
+def loglik_grad_from_scratch(design, rho, nugget=1e-8):
+    """profile_loglik_grad on a fresh copy of the design, with the stacked
+    rho-derivatives built from its points."""
+    fresh = DesignSet(points=design.points.copy(),
+                      potentials=design.potentials.copy(),
+                      gradients=None if design.gradients is None
+                      else design.gradients.copy())
+    em = Emulator(fresh, Hyperparameters(rho, nugget))
+    dC = kernels.tilde_corr_rho_grad(fresh.points, rho, fresh.has_gradients)
+    coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
+    grad = np.array([coef * (em.w @ dC[d] @ em.w) - 0.5 * np.sum(em.Q * dC[d].T)
+                     for d in range(rho.size)])
+    return mle._loglik(em), grad
+
+
+@pytest.mark.parametrize("gradients", [False, True])
+def test_cached_differences_give_bitwise_the_fresh_likelihood(gradients):
+    design = make_design(6, dim=3, n=12, gradients=gradients)
+    pairs = design.pair_diffs
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        rho = np.exp(rng.uniform(-1.5, 0.5, 3))
+        l, grad = mle.profile_loglik_grad(design, rho)
+        l0, grad0 = loglik_grad_from_scratch(design, rho)
+        assert l == l0 and np.array_equal(grad, grad0)
+        assert mle.profile_loglik(design, rho) == l0
+    assert design.pair_diffs is pairs
+
+
+def test_fit_builds_the_pairwise_differences_once(monkeypatch):
+    """One pass over the design for the whole fit, not two per evaluation."""
+    builds, self_pairs, evals = [], [], []
+    init = kernels.PairDiffs.__init__
+    monkeypatch.setattr(kernels.PairDiffs, "__init__",
+                        lambda pd, points: builds.append(1) or init(pd, points))
+    diff_and_corr = kernels._diff_and_corr
+    monkeypatch.setattr(kernels, "_diff_and_corr", lambda A, B, rho:
+                        self_pairs.append(A is B) or diff_and_corr(A, B, rho))
+    loglik_grad = mle.profile_loglik_grad
+    monkeypatch.setattr(mle, "profile_loglik_grad",
+                        lambda *a: evals.append(1) or loglik_grad(*a))
+    design = make_design(5)
+    mle.fit_hyperparameters(design, rng=np.random.default_rng(0))
+    assert len(evals) > 10
+    assert builds == [1]
+    assert not any(self_pairs)
 
 
 def test_fit_reaches_first_order_optimum():
