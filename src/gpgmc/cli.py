@@ -510,7 +510,8 @@ def _read_chain_csv(path, dim=None, extra=()):
     """Theta rows (the header's ``theta_*`` columns) and potentials of a
     chain CSV, then its ``extra`` columns.  A ``dim`` other than the chain's
     is a config error: the design's chain does not fit its target.  A file
-    that cannot be opened or parsed raises ChainFileError naming it."""
+    that cannot be opened or parsed, or holds no draws, raises
+    ChainFileError naming it."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -528,6 +529,8 @@ def _read_chain_csv(path, dim=None, extra=()):
                           for i in map(header.index, ("logpost", *extra)))
     except (ValueError, IndexError) as exc:
         raise ChainFileError(f"{path}: not a chain CSV: {exc}") from exc
+    if not rows:
+        raise ChainFileError(f"{path}: chain has no draws")
     return (theta, -logpost, *cols)
 
 

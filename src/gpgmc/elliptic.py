@@ -6,15 +6,20 @@ log-diffusivity is a truncated Karhunen-Loeve expansion of a Gaussian-kernel
 random field, so the unknowns are the D expansion coefficients.
 
 Discretization is vertex-centred finite volumes on a regular mesh with
-harmonic averaging of the diffusivity at cell faces; parameter sensitivities
-reuse the factorized stiffness matrix (one extra solve per coefficient).
+harmonic averaging of the diffusivity at cell faces.  The Dirichlet rows are
+eliminated, and the remaining free-node system, a symmetric M-matrix of
+half-bandwidth m + 1 in natural ordering, is factorized once by banded LU with
+partial pivoting (LAPACK ``dgbtrf``).  That one factorization serves the
+solution and all D parameter sensitivities, which are solved together.  At a
+conductance contrast where the LU's pivots have cancelled away the row sums,
+the same band is factorized by GTH elimination instead, which keeps them and
+with them the discrete maximum principle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
 
 from .errors import DegenerateKernel, SolverFailure
 
@@ -88,23 +93,79 @@ class _Grid:
         idx = np.arange(self.n_nodes).reshape(m + 1, m + 1)  # [row j][col i]
         self.idx = idx
         self.dirichlet = np.concatenate([idx[0, :], idx[-1, :]])
-        free = np.ones(self.n_nodes, dtype=bool)
-        free[self.dirichlet] = False
-        self.free = free
-        # horizontal faces (i,j)-(i+1,j) and vertical faces (i,j)-(i,j+1)
+        # the free nodes are the contiguous range between the first and last
+        # mesh rows; in natural ordering their neighbours lie within w of them
+        w = m + 1
+        self.w = w
+        self.free = slice(w, self.n_nodes - w)
+        self.n_free = self.n_nodes - 2 * w
+        # horizontal faces (i,j)-(i+1,j), then vertical faces (i,j)-(i,j+1)
         jj, ii = np.meshgrid(np.arange(m + 1), np.arange(m), indexing="ij")
-        self.h_lo = idx[jj, ii].ravel()
-        self.h_hi = idx[jj, ii + 1].ravel()
-        self.h_w = np.ones(self.h_lo.size)
+        h_lo, h_hi = idx[jj, ii].ravel(), idx[jj, ii + 1].ravel()
         jj, ii = np.meshgrid(np.arange(m), np.arange(m + 1), indexing="ij")
-        self.v_lo = idx[jj, ii].ravel()
-        self.v_hi = idx[jj + 1, ii].ravel()
+        v_lo, v_hi = idx[jj, ii].ravel(), idx[jj + 1, ii].ravel()
+        self.n_h = h_lo.size
+        self.f_lo = np.concatenate([h_lo, v_lo])
+        self.f_hi = np.concatenate([h_hi, v_hi])
         # vertical faces in the boundary columns carry half a control volume
-        self.v_w = np.where((ii.ravel() == 0) | (ii.ravel() == m), 0.5, 1.0)
+        self.f_w = np.concatenate([np.ones(self.n_h),
+                                   np.where((ii.ravel() == 0) | (ii.ravel() == m), 0.5, 1.0)])
+        self.f_ends = np.concatenate([self.f_lo, self.f_hi])
+        # LAPACK general band storage with kl = ku = w, held transposed as
+        # ab[j, 2w + i - j] = K[i, j] so that ab.T is Fortran-ordered; a face
+        # joining free nodes p < q fills K[p, q] and K[q, p]
+        self.band_rows = 3 * w + 1
+        inner = np.flatnonzero((self.f_lo >= w) & (self.f_hi < self.n_nodes - w))
+        p, q = self.f_lo[inner] - w, self.f_hi[inner] - w
+        self.band_off = np.concatenate([q * self.band_rows + 2 * w + p - q,
+                                        p * self.band_rows + 2 * w + q - p])
+        self.band_face = np.concatenate([inner, inner])
+        self.no_swaps = np.arange(self.n_free, dtype=np.int32)
 
 
 def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
+
+
+# share of a row's diagonal below which its Schur-complement row sum, as
+# dgbtrf leaves it in U, is taken to have lost its digits to cancellation
+_MIN_ROW_SUM_SHARE = 1e-6
+
+
+def _gth_factor(c_f, grid):
+    """LU of the free-node matrix K by GTH elimination (Grassmann, Taksar &
+    Heyman 1985), in ``dgbtrf``'s band layout with no row interchanges.
+
+    Each pivot is its row's sum plus the magnitudes of its off-diagonals,
+    and the row sums are carried along (s_i += |l_i| s_k); every quantity
+    is thus a sum of terms of one sign and keeps its relative accuracy
+    whatever the conductance contrast.  One Python step per free node, so
+    it is the fallback, not the rule."""
+    g = grid
+    w, n, R = g.w, g.n_free, g.band_rows
+    lu_t = np.zeros((n + w, R))
+    flat = lu_t.reshape(-1)
+    flat[g.band_off] = -c_f[g.band_face]
+    # the row sums of K: each free node's couplings to the Dirichlet rows
+    c_v = c_f[g.n_h:]
+    s = np.zeros(n + w)
+    s[:w] += c_v[:w]
+    s[n - w:n] += c_v[-w:]
+    i, j = np.triu_indices(w + 1, 1)
+    i, j = i[i > 0], j[i > 0]
+    # the Schur update K[k+i, k+j] -= l_i a_j, i < j, kept in U's slots:
+    # flat index k R + 2w + j (R - 1) + i
+    upd = 2 * w + j * (R - 1) + i
+    a_at = 2 * w + np.arange(1, w + 1) * (R - 1)
+    for k in range(n):
+        a = flat[k * R + a_at]          # K_k,k+1..k+w of the Schur complement
+        d = s[k] - a.sum()
+        l = a / d
+        lu_t[k, 2 * w] = d
+        lu_t[k, 2 * w + 1:] = l
+        flat[k * R + upd] -= l[i - 1] * a[j - 1]
+        s[k + 1:k + w + 1] -= l * s[k]
+    return lu_t[:n].T
 
 
 class EllipticTarget:
@@ -126,6 +187,7 @@ class EllipticTarget:
         self.mesh_size = mesh_size
         self.dim = kl.n_modes
         self.name = name
+        self.n_gth_factorizations = 0
         self.grid = _Grid(mesh_size)
         step = mesh_size // 10
         self.obs_idx = self.grid.idx[::step, ::step].ravel()
@@ -166,25 +228,31 @@ class EllipticTarget:
         # prior term already makes such points all but certain rejections
         return np.exp(np.clip(logc, -150.0, 150.0))
 
-    def _assemble(self, c, grid, bc_bottom, bc_top):
+    def _factor(self, c, grid):
+        """Banded LU of the free-node stiffness matrix K and the face
+        conductances; K is positive on the diagonal, -c_face off it.
+
+        LAPACK forms each pivot by subtraction, which at high conductance
+        contrast can cancel the small row sums that tie a strongly coupled
+        patch to the boundary.  K is symmetric, so with no row interchanges
+        U = diag(d) L' and row k of U sums to d_k (1 + sum_j L_jk), the
+        k-th Schur complement's row sum.  Where one of these has lost its
+        digits, or a pivot was swapped or zero, K is factorized again by
+        ``_gth_factor``, which forms every pivot from row sums."""
         g = grid
-        c_h = _harmonic(c[g.h_lo], c[g.h_hi]) * g.h_w
-        c_v = _harmonic(c[g.v_lo], c[g.v_hi]) * g.v_w
-        rows = np.concatenate([g.h_lo, g.h_lo, g.h_hi, g.h_hi,
-                               g.v_lo, g.v_lo, g.v_hi, g.v_hi])
-        cols = np.concatenate([g.h_lo, g.h_hi, g.h_hi, g.h_lo,
-                               g.v_lo, g.v_hi, g.v_hi, g.v_lo])
-        vals = np.concatenate([-c_h, c_h, -c_h, c_h, -c_v, c_v, -c_v, c_v])
-        keep = g.free[rows]
-        A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                          shape=(g.n_nodes, g.n_nodes)).tocsr()
-        d = g.dirichlet
-        A += sp.coo_matrix((np.ones(d.size), (d, d)),
-                           shape=(g.n_nodes, g.n_nodes)).tocsr()
-        b = np.zeros(g.n_nodes)
-        b[g.idx[0, :]] = bc_bottom
-        b[g.idx[-1, :]] = bc_top
-        return A, b, c_h, c_v
+        w = g.w
+        c_f = _harmonic(c[g.f_lo], c[g.f_hi]) * g.f_w
+        ab = np.zeros((g.n_free, g.band_rows))
+        diag = np.bincount(g.f_ends, np.concatenate([c_f, c_f]), g.n_nodes)[g.free]
+        ab[:, 2 * w] = diag
+        ab.reshape(-1)[g.band_off] = -c_f[g.band_face]
+        lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
+        d, mult = lu.T[:, 2 * w], lu.T[:, 2 * w + 1:]
+        if (info != 0 or np.any(piv != g.no_swaps)
+                or np.any(d * (1.0 + mult.sum(axis=1)) < _MIN_ROW_SUM_SHARE * diag)):
+            self.n_gth_factorizations += 1
+            return _gth_factor(c_f, g), g.no_swaps, c_f
+        return lu, piv, c_f
 
     def solve(self, theta, mesh_size: int | None = None, want_sens: bool = True,
               bc_bottom=None, bc_top=None):
@@ -195,16 +263,21 @@ class EllipticTarget:
         as arrays over the edge nodes.
         """
         grid = self.grid if mesh_size in (None, self.mesh_size) else _Grid(mesh_size)
+        w = grid.w
         xs = grid.x1[grid.idx[0, :]]
         bb = xs if bc_bottom is None else np.asarray(bc_bottom, dtype=float)
         bt = 1.0 - xs if bc_top is None else np.asarray(bc_top, dtype=float)
         c = self.diffusivity(theta, grid)
-        A, b, c_h, c_v = self._assemble(c, grid, bb, bt)
-        try:
-            lu = splu(A.tocsc())
-            u = lu.solve(b)
-        except (RuntimeError, ValueError) as exc:
-            raise SolverFailure(f"stiffness solve failed: {exc}") from exc
+        lu, piv, c_f = self._factor(c, grid)
+        # the faces into the Dirichlet rows move c_v * u_D to the right side;
+        # they are the first and last w vertical faces
+        c_v = c_f[grid.n_h:]
+        rhs = np.zeros((grid.n_free, 1))
+        rhs[:w, 0] += c_v[:w] * bb
+        rhs[-w:, 0] += c_v[-w:] * bt
+        u_free, _ = lapack.dgbtrs(lu, w, w, rhs, piv, overwrite_b=1)
+        u = np.empty(grid.n_nodes)
+        u[:w], u[grid.free], u[-w:] = bb, u_free[:, 0], bt
         if not np.all(np.isfinite(u)):
             raise SolverFailure("solution contains non-finite values")
         step = grid.m // 10
@@ -212,36 +285,41 @@ class EllipticTarget:
         pred = u[obs_idx]
         if not want_sens:
             return u, pred, None
-        sens = np.empty((self.dim, 121))
         if grid is self.grid:
             dlogc = self._modes
         else:
             dlogc = (np.sqrt(self.kl.eigenvalues)[:, None]
                      * self.kl.eigenfunction_values(grid.nodes))
-        du_h = u[grid.h_hi] - u[grid.h_lo]
-        du_v = u[grid.v_hi] - u[grid.v_lo]
-        for d in range(self.dim):
-            dc = dlogc[d] * c
-            r = self._dA_u(dc, c, grid, du_h, du_v)
-            s = lu.solve(-r)
-            sens[d] = s[obs_idx]
-        return u, pred, sens
+        r = self._dA_u(dlogc, c, c_f, grid, u)
+        # the sensitivities vanish on the Dirichlet rows, and A = -K on the
+        # free rows, so A s = -r there reads K s = r: one solve, D columns
+        s_free, _ = lapack.dgbtrs(lu, w, w, r[:, 1:-1, :].reshape(self.dim, -1).T,
+                                  piv, overwrite_b=1)
+        s = np.zeros((self.dim, grid.n_nodes))
+        s[:, grid.free] = s_free.T
+        return u, pred, s[:, obs_idx]
 
-    def _dA_u(self, dc, c, grid, du_h, du_v):
-        """(dA/dtheta_d) u assembled facewise without forming dA."""
+    def _dA_u(self, dlogc, c, c_f, grid, u):
+        """(dA/dtheta_d) u for every mode d at once, (D, m+1, m+1), assembled
+        facewise without forming dA; A = -K is the discrete div(c grad .)."""
         g = grid
-        a, bq = c[g.h_lo], c[g.h_hi]
-        dch = 2.0 * (dc[g.h_lo] * bq**2 + dc[g.h_hi] * a**2) / (a + bq)**2 * g.h_w
-        a, bq = c[g.v_lo], c[g.v_hi]
-        dcv = 2.0 * (dc[g.v_lo] * bq**2 + dc[g.v_hi] * a**2) / (a + bq)**2 * g.v_w
-        r = np.zeros(g.n_nodes)
+        m = g.m
+        a, b = c[g.f_lo], c[g.f_hi]
+        # d c_face = c_face (b dlogc_lo + a dlogc_hi) / (a + b) for the
+        # harmonic mean c_face = 2ab/(a + b) times the face weight
+        t = c_f * (u[g.f_hi] - u[g.f_lo]) / (a + b)
+        flux = dlogc[:, g.f_lo] * (t * b) + dlogc[:, g.f_hi] * (t * a)
+        # faces in mesh layout: horizontal [j, i] joins (j, i)-(j, i+1),
+        # vertical [j, i] joins (j, i)-(j+1, i)
+        fh = flux[:, :g.n_h].reshape(-1, m + 1, m)
+        fv = flux[:, g.n_h:].reshape(-1, m, m + 1)
+        r = np.zeros((dlogc.shape[0], m + 1, m + 1))
         # row P of A@u gets +c_face*(u_Q - u_P), so its theta-derivative is
         # +dc_face*(u_Q - u_P); row Q the negative
-        np.add.at(r, g.h_lo, dch * du_h)
-        np.add.at(r, g.h_hi, -dch * du_h)
-        np.add.at(r, g.v_lo, dcv * du_v)
-        np.add.at(r, g.v_hi, -dcv * du_v)
-        r[g.dirichlet] = 0.0
+        r[:, :, :-1] += fh
+        r[:, :, 1:] -= fh
+        r[:, :-1, :] += fv
+        r[:, 1:, :] -= fv
         return r
 
     # -- potential interface ------------------------------------------------

@@ -568,3 +568,9 @@ class TestUnreadableInput:
         chain.write_text("iter,theta_1,logpost\n0,0.5\n")
         assert cli.main(["diagnose", str(chain)]) == 1
         assert f"error: {chain}: not a chain CSV" in capsys.readouterr().err
+
+    def test_diagnose_empty_chain(self, tmp_path, capsys):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,theta_1,logpost,accepted,kernel,regen,wall_ns\n")
+        assert cli.main(["diagnose", str(chain)]) == 1
+        assert f"error: {chain}: chain has no draws" in capsys.readouterr().err

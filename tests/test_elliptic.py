@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpgmc import elliptic
 from gpgmc.elliptic import EllipticTarget, KLExpansion
-from gpgmc.errors import DegenerateKernel
+from gpgmc.errors import DegenerateKernel, SolverFailure
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +112,122 @@ class TestPotential:
         fi = target.fisher(0.3 * np.random.default_rng(8).standard_normal(6))
         assert np.abs(fi - fi.T).max() < 1e-10
         assert np.linalg.eigvalsh(fi).min() >= 1.0 - 1e-9  # prior floor
+
+
+def dense_reference(target, theta, m, bb, bt):
+    """Solution and sensitivities at every node from the full
+    (nodes x nodes) system with Dirichlet identity rows, assembled face by
+    face and solved by ``np.linalg.solve``."""
+    n = (m + 1) ** 2
+    idx = np.arange(n).reshape(m + 1, m + 1)
+    faces = [(idx[j, i], idx[j, i + 1], 1.0)
+             for j in range(m + 1) for i in range(m)]
+    faces += [(idx[j, i], idx[j + 1, i], 0.5 if i in (0, m) else 1.0)
+              for j in range(m) for i in range(m + 1)]
+    lo, hi, wt = (np.array(col) for col in zip(*faces))
+    xs = np.linspace(0.0, 1.0, m + 1)
+    X1, X2 = np.meshgrid(xs, xs)
+    nodes = np.column_stack([X1.ravel(), X2.ravel()])
+    kl = target.kl
+    modes = np.sqrt(kl.eigenvalues)[:, None] * kl.eigenfunction_values(nodes)
+    c = np.exp(theta @ modes)
+    a, b = c[lo], c[hi]
+    c_face = 2.0 * a * b / (a + b) * wt
+    dc = modes * c
+    dc_face = 2.0 * (dc[:, lo] * b**2 + dc[:, hi] * a**2) / (a + b)**2 * wt
+
+    def stiffness(cf):
+        K = np.zeros((n, n))
+        np.add.at(K, (lo, lo), cf)
+        np.add.at(K, (hi, hi), cf)
+        np.add.at(K, (lo, hi), -cf)
+        np.add.at(K, (hi, lo), -cf)
+        return K
+
+    dirichlet = np.concatenate([idx[0], idx[-1]])
+    A = stiffness(c_face)
+    A[dirichlet] = 0.0
+    A[dirichlet, dirichlet] = 1.0
+    rhs = np.zeros(n)
+    rhs[idx[0]] = bb
+    rhs[idx[-1]] = bt
+    u = np.linalg.solve(A, rhs)
+    dAu = np.array([stiffness(d) @ u for d in dc_face])
+    dAu[:, dirichlet] = 0.0
+    sens = np.linalg.solve(A, -dAu.T).T
+    return u, sens
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("m", [10, 20])
+    @pytest.mark.parametrize("custom_bc", [False, True])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("gth", [False, True])
+    def test_matches_dense_reference(self, target, monkeypatch, m, custom_bc,
+                                     scale, gth):
+        if gth:
+            # a gate no factorization passes sends every solve to GTH
+            monkeypatch.setattr(elliptic, "_MIN_ROW_SUM_SHARE", np.inf)
+        theta = scale * np.random.default_rng(9).standard_normal(6)
+        xs = np.linspace(0.0, 1.0, m + 1)
+        bb, bt = (np.sin(3 * xs), 0.5 + xs**2) if custom_bc else (xs, 1 - xs)
+        kwargs = {"bc_bottom": bb, "bc_top": bt} if custom_bc else {}
+        before = target.n_gth_factorizations
+        u, pred, sens = target.solve(theta, mesh_size=m, **kwargs)
+        assert target.n_gth_factorizations - before == int(gth)
+        u_ref, sens_ref = dense_reference(target, theta, m, bb, bt)
+        obs = np.arange(u.size).reshape(m + 1, m + 1)[::m // 10, ::m // 10].ravel()
+        assert np.abs(u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
+        np.testing.assert_array_equal(pred, u[obs])
+        assert (np.abs(sens - sens_ref[:, obs]).max()
+                <= 1e-11 * np.abs(sens_ref[:, obs]).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(scale=st.floats(5.0, 50.0), seed=st.integers(0, 2**32 - 1),
+           m=st.sampled_from([10, 20, 30]), mirrored=st.booleans())
+    def test_maximum_principle_at_high_contrast(self, target, scale, seed, m,
+                                                mirrored):
+        theta = scale * np.random.default_rng(seed).standard_normal(6)
+        xs = np.linspace(0.0, 1.0, m + 1)
+        bb, bt = (1 - xs, xs) if mirrored else (xs, 1 - xs)
+        u = target.solve(theta, mesh_size=m, want_sens=False,
+                         bc_bottom=bb, bc_top=bt)[0]
+        bc = np.concatenate([bb, bt])
+        assert u.min() >= bc.min() - 1e-8
+        assert u.max() <= bc.max() + 1e-8
+
+    def test_lost_row_sums_fall_back_to_gth(self, target):
+        # a draw whose LU solution left [0, 1] by 7e-5 before the gate
+        theta = 43.0 * np.random.default_rng(2598).standard_normal(6)
+        before = target.n_gth_factorizations
+        u = target.solve(theta, mesh_size=10, want_sens=False)[0]
+        assert target.n_gth_factorizations - before == 1
+        assert 0.0 <= u.min() and u.max() <= 1.0
+
+    @pytest.mark.parametrize("call", ["solve", "solve_no_sens", "potential",
+                                      "potential_grad"])
+    def test_one_factorization_per_call(self, target, monkeypatch, call):
+        calls = []
+        dgbtrf = elliptic.lapack.dgbtrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic.lapack, "dgbtrf", counting)
+        theta = 0.3 * np.random.default_rng(10).standard_normal(6)
+        before = target.n_gth_factorizations
+        {"solve": lambda: target.solve(theta),
+         "solve_no_sens": lambda: target.solve(theta, want_sens=False),
+         "potential": lambda: target.potential(theta),
+         "potential_grad": lambda: target.potential_grad(theta)}[call]()
+        assert len(calls) == 1
+        assert target.n_gth_factorizations == before
+
+    def test_non_finite_solution_raises(self, target):
+        with pytest.raises(SolverFailure):
+            target.solve(np.full(6, np.nan), want_sens=False)
+
+    def test_no_sparse_lu(self):
+        assert not hasattr(elliptic, "splu")
+        assert "splu" not in inspect.getsource(elliptic)
