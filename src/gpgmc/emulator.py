@@ -306,17 +306,27 @@ class Emulator:
             var *= self.sigma2_hat
         return var
 
+    def _fisher(self, A1, m, dim):
+        """Empirical Fisher matrices from the order-1 map of ``m`` points.
+
+        Returns the (m, D, D) matrices and ``gfi @ A1.T``, which the metric
+        bundle reuses for the connection.
+        """
+        gA1 = self.gfi @ A1.T
+        M = A1 @ gA1
+        M = 0.5 * (M + M.T)
+        return np.einsum("kili->ikl", M.reshape(dim, m, dim, m)), gA1
+
     def predict_efi(self, points: np.ndarray) -> np.ndarray:
-        """Emulated empirical Fisher matrices, (m, D, D), symmetric PSD."""
+        """Emulated empirical Fisher matrices, (m, D, D), symmetric PSD.
+
+        Builds the order-1 map alone; the matrices are bitwise those of
+        :meth:`predict_metric_bundle`.
+        """
         if self.gfi is None:
             raise MissingPerDatum("design carries no per-datum potentials")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        m, dim = points.shape
-        A1 = self.linear_map(points, 1)
-        M = A1 @ self.gfi @ A1.T
-        M = 0.5 * (M + M.T)
-        M4 = M.reshape(dim, m, dim, m)
-        return np.einsum("kili->ikl", M4)
+        return self._fisher(self.linear_map(points, 1), *points.shape)[0]
 
     def predict_christoffel(self, points: np.ndarray) -> np.ndarray:
         """Emulated first-kind connection tensors Gamma[i][a,b,c], (m, D, D, D)."""
@@ -341,10 +351,7 @@ class Emulator:
         C1, C2 = self._cross_corr(points, (1, 2))
         A1 = self.linear_map(points, 1, C1)
         A2 = self.linear_map(points, 2, C2)
-        gA1 = self.gfi @ A1.T
-        M = A1 @ gA1
-        M = 0.5 * (M + M.T)
-        G = np.einsum("kili->ikl", M.reshape(dim, m, dim, m))
+        G, gA1 = self._fisher(A1, m, dim)
         T = A2 @ gA1
         T5 = T.reshape(dim, dim, m, dim, m)
         T3 = np.einsum("abici->iabc", T5)

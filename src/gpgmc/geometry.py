@@ -1,14 +1,16 @@
 """Uniform geometry interface consumed by the transition kernels.
 
-A provider answers two queries at a point.  ``grad(theta)`` is the
-potential gradient, all that HMC needs.  ``metric_and_derivs(theta)`` returns
-``(G, dG, grad)``: the metric, its derivatives ``dG[k] = dG/dtheta_k`` and the
-potential gradient, everything a Riemannian or Lagrangian integrator point
-needs, in one call.  Exact providers delegate to a target model's analytic
-formulas; the emulated provider reads everything off a Gaussian-process
-emulator, so a sampler runs identically in "full" and "emulated" mode.
-Acceptance tests never go through a provider: they always use the exact
-target potential.
+A provider answers three queries at a point.  ``grad(theta)`` is the
+potential gradient, all that HMC needs.  ``metric(theta)`` is the metric ``G``
+alone, all that an implicit position sweep of the generalized leapfrog needs.
+``metric_and_derivs(theta)`` returns ``(G, dG, grad)``: the metric, its
+derivatives ``dG[k] = dG/dtheta_k`` and the potential gradient, everything a
+Riemannian or Lagrangian integrator point needs, in one call; its ``G`` is
+bitwise the one ``metric`` returns.  Exact providers delegate to a target
+model's analytic formulas; the emulated provider reads everything off a
+Gaussian-process emulator, so a sampler runs identically in "full" and
+"emulated" mode.  Acceptance tests never go through a provider: they always
+use the exact target potential.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ class ExactGeometry:
     def grad(self, theta) -> np.ndarray:
         return self.target.potential_grad(theta)[1]
 
+    def metric(self, theta) -> np.ndarray:
+        return self.target.fisher(theta)
+
     def metric_and_derivs(self, theta):
         G, dG = self.target.fisher_derivs(theta)
         return G, dG, self.target.potential_grad(theta)[1]
@@ -65,6 +70,11 @@ class EmulatedGeometry:
         dim = G.shape[0]
         lam = max(self.reg_scale * float(np.trace(G)) / dim, 1e-12)
         return G + lam * np.eye(dim), lam
+
+    def metric(self, theta) -> np.ndarray:
+        """Regularized metric from the order-1 map alone."""
+        return self._regularize(
+            self.emulator.predict_efi(np.atleast_2d(theta))[0])[0]
 
     def metric_and_derivs(self, theta):
         if self.emulator.gfi is None:

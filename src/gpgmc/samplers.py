@@ -13,6 +13,7 @@ must survive them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import (cholesky, cho_factor, cho_solve, solve,
@@ -161,6 +162,20 @@ def hmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
 
 # -- RHMC --------------------------------------------------------------------
 
+def _cholesky_inverse(G):
+    """Lower Cholesky factor and inverse of a metric already checked finite."""
+    chol = cholesky(G, lower=True, check_finite=False)
+    return chol, cho_solve((chol, True), np.eye(G.shape[0]), check_finite=False)
+
+
+def _metric_inverse(geometry, theta):
+    """Inverse metric at ``theta`` from the provider's metric-only query."""
+    G = geometry.metric(theta)
+    if not _finite(G):
+        raise NonFiniteGradient("metric non-finite")
+    return _cholesky_inverse(G)[1]
+
+
 class _ManifoldPoint:
     """Metric-dependent quantities reused across integrator substeps."""
 
@@ -171,13 +186,18 @@ class _ManifoldPoint:
             raise NonFiniteGradient("metric non-finite")
         self.G = G
         self.dG = dG
-        self.chol = cholesky(G, lower=True)
-        self.Ginv = cho_solve((self.chol, True), np.eye(G.shape[0]))
+        self.chol, self.Ginv = _cholesky_inverse(G)
         self.logdet = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
         # grad of phi = U + log det(G)/2
         self.gphi = grad_u + 0.5 * np.einsum("ij,kji->k", self.Ginv, dG)
         if not _finite(self.gphi):
             raise NonFiniteGradient("phi gradient non-finite")
+
+    @cached_property
+    def gamma2(self):
+        """Second-kind connection gamma2[i, j, k] = Gamma^k_{ij}."""
+        return np.einsum("km,ijm->ijk", self.Ginv,
+                         christoffel_first_kind(self.dG))
 
     def nu(self, p):
         """nu_i(p) = p' Ginv dG_i Ginv p (= -p' d_i(Ginv) p)."""
@@ -206,6 +226,16 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
     Returns (theta, p, point) at the endpoint.  Both implicit equations are
     solved by fixed-point iteration (at most ``fixed_point_iters`` sweeps,
     stopping early on a ``fixed_point_tol`` sup-norm increment).
+
+    The momentum equations need the gradient and the metric derivatives; the
+    position equation needs only the inverse metric at its iterate.  So each
+    position sweep but the last asks the provider for ``metric`` at the new
+    iterate, and one full point (``metric_and_derivs``) is built per step, at
+    the converged position, for the explicit momentum half-step.  A
+    non-finite metric or a failed Cholesky factorization at any iterate
+    rejects the proposal; a non-finite gradient or metric derivative rejects
+    it only at the converged position, since no intermediate iterate uses
+    them.
     """
     eps = cfg.step_size
     point = start if start is not None else _ManifoldPoint(geometry, state_theta)
@@ -224,19 +254,17 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
                 break
         # implicit position full step
         theta_new = theta.copy()
-        end = point
-        for _ in range(cfg.fixed_point_iters):
-            ginv_end = end.Ginv
+        ginv_end = point.Ginv
+        for sweep in range(cfg.fixed_point_iters):
             theta_next = theta + 0.5 * eps * (point.Ginv + ginv_end) @ p_half
             if not _finite(theta_next):
                 raise FixedPointDivergence("position iterate non-finite")
             delta = np.max(np.abs(theta_next - theta_new))
             theta_new = theta_next
-            if delta < cfg.fixed_point_tol:
+            if delta < cfg.fixed_point_tol or sweep == cfg.fixed_point_iters - 1:
                 break
-            end = _ManifoldPoint(geometry, theta_new)
-        if np.max(np.abs(end.theta - theta_new)) > 0:
-            end = _ManifoldPoint(geometry, theta_new)
+            ginv_end = _metric_inverse(geometry, theta_new)
+        end = _ManifoldPoint(geometry, theta_new)
         theta = theta_new
         # explicit momentum half-step
         p = p_half - 0.5 * eps * (end.gphi - 0.5 * end.nu(p_half))
@@ -272,10 +300,8 @@ def rhmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
 # -- LMC ---------------------------------------------------------------------
 
 def _omega(point: _ManifoldPoint, v):
-    """Omega_kj = v^i Gamma^k_{ij} built from the first-kind connection."""
-    gamma1 = christoffel_first_kind(point.dG)
-    gamma2 = np.einsum("km,ijm->ijk", point.Ginv, gamma1)
-    return np.einsum("i,ijk->kj", v, gamma2)
+    """Omega_kj = v^i Gamma^k_{ij} from the point's second-kind connection."""
+    return np.einsum("i,ijk->kj", v, point.gamma2)
 
 
 def _logabsdet(M):

@@ -81,6 +81,13 @@ class TestRegeneration:
             log_T_over_q = min(0.0, lw_t1 - lw_t)
             assert log_S + log_Q_over_q - log_T_over_q <= 1e-12
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_log_probability_nonpositive(self, log_w_t, log_w_t1, log_c):
+        assert ad.regen_log_prob(log_w_t, log_w_t1, log_c) <= 0.0
+
     def test_invariant_to_joint_rescaling(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -86,3 +86,18 @@ def test_exact_provider_queries_metric_then_gradient():
     np.testing.assert_array_equal(G, G_ref)
     np.testing.assert_array_equal(dG, dG_ref)
     np.testing.assert_array_equal(grad, target.potential_grad(theta)[1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(emulated_points(), st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_emulated_metric_query_equals_fused_metric(case, reg_scale):
+    em, x = case
+    geo = EmulatedGeometry(em, reg_scale=reg_scale)
+    np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])
+
+
+def test_exact_metric_query_equals_fused_metric():
+    target = banana_target(rng=np.random.default_rng(2))
+    geo = ExactGeometry(target)
+    for x in np.random.default_rng(4).uniform(-2.0, 2.0, (10, 2)):
+        np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])

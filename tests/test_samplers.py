@@ -10,11 +10,13 @@ from gpgmc import adaptation as ad
 from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
 from gpgmc.errors import NonFiniteGradient, RejectionBudgetExhausted
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
+from gpgmc.geometry import christoffel_first_kind
 from gpgmc.mle import fit_hyperparameters
 from gpgmc.samplers import (ChainState, DualAveraging, IntegratorConfig,
                             _ManifoldPoint, generalized_leapfrog, hmc_step,
                             init_state, leapfrog, lmc_integrator, lmc_step,
                             rhmc_step, rwm_step)
+from gpgmc.samplers import _omega
 from gpgmc.targets import CountingTarget, GaussianTarget, banana_target
 
 
@@ -229,6 +231,119 @@ class TestGeneralizedLeapfrog:
                    for i in range(len(residuals) - 1))
 
 
+def full_point_leapfrog(theta, p, geometry, cfg, point):
+    """Oracle: the generalized leapfrog with a full point at every sweep."""
+    eps = cfg.step_size
+    theta, p = np.array(theta, dtype=float), np.array(p, dtype=float)
+    for _ in range(cfg.n_steps):
+        p_half = p.copy()
+        for _ in range(cfg.fixed_point_iters):
+            p_new = p - 0.5 * eps * (point.gphi - 0.5 * point.nu(p_half))
+            delta = np.max(np.abs(p_new - p_half))
+            p_half = p_new
+            if delta < cfg.fixed_point_tol:
+                break
+        theta_new, end = theta.copy(), point
+        for _ in range(cfg.fixed_point_iters):
+            theta_next = theta + 0.5 * eps * (point.Ginv + end.Ginv) @ p_half
+            delta = np.max(np.abs(theta_next - theta_new))
+            theta_new = theta_next
+            if delta < cfg.fixed_point_tol:
+                break
+            end = _ManifoldPoint(geometry, theta_new)
+        if not np.array_equal(end.theta, theta_new):
+            end = _ManifoldPoint(geometry, theta_new)
+        theta = theta_new
+        p = p_half - 0.5 * eps * (end.gphi - 0.5 * end.nu(p_half))
+        point = end
+    return theta, p
+
+
+class CountingGeometry:
+    """Provider wrapper that counts each query."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"grad": 0, "metric": 0, "metric_and_derivs": 0}
+
+    def grad(self, theta):
+        self.calls["grad"] += 1
+        return self.inner.grad(theta)
+
+    def metric(self, theta):
+        self.calls["metric"] += 1
+        return self.inner.metric(theta)
+
+    def metric_and_derivs(self, theta):
+        self.calls["metric_and_derivs"] += 1
+        return self.inner.metric_and_derivs(theta)
+
+
+class TestPositionSweeps:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(emulated=st.booleans(),
+           start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1),
+           step_size=st.floats(0.005, 0.1),
+           n_steps=st.integers(1, 6),
+           iters=st.integers(1, 8),
+           tol=st.sampled_from([0.0, 1e-10]))
+    def test_matches_full_point_oracle_bitwise(self, banana, smooth_emulated,
+                                               emulated, start, seed,
+                                               step_size, n_steps, iters, tol):
+        """Metric-only sweeps reproduce the full-point loop bit for bit."""
+        geo = smooth_emulated if emulated else ExactGeometry(banana)
+        cfg = IntegratorConfig(step_size=step_size, n_steps=n_steps,
+                               fixed_point_iters=iters, fixed_point_tol=tol)
+        theta0 = np.array(start)
+        point = _ManifoldPoint(geo, theta0)
+        p0 = point.sample_momentum(np.random.default_rng(seed))
+        t1, p1, end = generalized_leapfrog(theta0, p0, geo, cfg, start=point)
+        t_ref, p_ref = full_point_leapfrog(theta0, p0, geo, cfg, point)
+        np.testing.assert_array_equal(t1, t_ref)
+        np.testing.assert_array_equal(p1, p_ref)
+        np.testing.assert_array_equal(end.theta, t1)
+
+    @pytest.mark.parametrize("iters", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_one_full_point_per_step(self, banana, smooth_emulated, iters,
+                                     n_steps):
+        for inner in (ExactGeometry(banana), smooth_emulated):
+            geo = CountingGeometry(inner)
+            theta0 = np.array([0.3, -0.4])
+            point = _ManifoldPoint(inner, theta0)
+            p0 = point.sample_momentum(np.random.default_rng(3))
+            cfg = IntegratorConfig(step_size=0.05, n_steps=n_steps,
+                                   fixed_point_iters=iters, fixed_point_tol=0.0)
+            generalized_leapfrog(theta0, p0, geo, cfg, start=point)
+            assert geo.calls == {"grad": 0, "metric": n_steps * (iters - 1),
+                                 "metric_and_derivs": n_steps}
+
+    def test_converged_sweeps_stop_asking_for_the_metric(self, banana):
+        geo = CountingGeometry(ExactGeometry(banana))
+        theta0 = np.array([0.3, -0.4])
+        point = _ManifoldPoint(geo.inner, theta0)
+        p0 = point.sample_momentum(np.random.default_rng(4))
+        cfg = IntegratorConfig(step_size=0.02, n_steps=4,
+                               fixed_point_iters=50, fixed_point_tol=1e-10)
+        generalized_leapfrog(theta0, p0, geo, cfg, start=point)
+        assert 0 < geo.calls["metric"] < 4 * 49
+        assert geo.calls["metric_and_derivs"] == 4
+
+    def test_non_finite_intermediate_metric_rejects(self, gauss2d):
+        class NaNMetric(CountingGeometry):
+            def metric(self, theta):
+                return np.full((2, 2), np.nan)
+
+        geo = NaNMetric(ExactGeometry(gauss2d))
+        state = init_state(gauss2d, gauss2d.mean, np.random.default_rng(5))
+        cfg = IntegratorConfig(step_size=0.1, n_steps=2, fixed_point_iters=3,
+                               fixed_point_tol=0.0)
+        new_state, info = rhmc_step(state, gauss2d, geo, cfg)
+        assert new_state is state
+        assert info.divergent and not info.accepted and info.exact_calls == 0
+
+
 class TestRHMC:
     def test_constant_metric_matches_mass_hmc_exactly(self, gauss2d):
         """Same seed, mass = metric: identical chains draw by draw."""
@@ -348,6 +463,18 @@ class TestLMC:
             bm_ref = ref[:, d].reshape(nb, -1).mean(axis=1)
             se = np.sqrt(bm.var(ddof=1) / nb + bm_ref.var(ddof=1) / nb)
             assert abs(draws[:, d].mean() - ref[:, d].mean()) < 3 * se
+
+
+def test_cached_connection_matches_direct_omega(banana, smooth_emulated):
+    """The cached second-kind connection gives LMC's Omega bit for bit."""
+    rng = np.random.default_rng(16)
+    for geo in (ExactGeometry(banana), smooth_emulated):
+        point = _ManifoldPoint(geo, rng.uniform(-1.0, 1.0, 2))
+        gamma2 = np.einsum("km,ijm->ijk", point.Ginv,
+                           christoffel_first_kind(point.dG))
+        for v in rng.standard_normal((3, 2)):
+            np.testing.assert_array_equal(
+                _omega(point, v), np.einsum("i,ijk->kj", v, gamma2))
 
 
 class TestEmulatedModeContract:
