@@ -66,6 +66,9 @@ _TARGETS = {
     "elliptic": {"dim": 6, "mesh_size": 20, "kl_lengthscale": 0.5,
                  "kl_variance": 1.0, "theta_true": list, "noise_sd": 0.1},
 }
+# the class each target name builds; exact rhmc and lmc need its fisher_derivs
+_TARGET_CLASSES = {"banana": BBDTarget, "bbd": BBDTarget,
+                   "gaussian": GaussianTarget, "elliptic": EllipticTarget}
 _GRADIENT_SAMPLER = {
     "step_size": 0.1, "n_steps": 10,
     **_dataclass_defaults(IntegratorConfig, "fixed_point_iters", "fixed_point_tol"),
@@ -221,6 +224,13 @@ def validate_config(cfg: dict) -> dict:
                               "must be 'prior' or a path ending in .json")
     elif geo["mode"] == "emulated" and "design_file" not in geo:
         raise ConfigError("/geometry", "emulated mode needs design_file or adaptation")
+    tname = out["target"]["name"]
+    if smp["name"] in ("rhmc", "lmc") and geo["mode"] == "exact" \
+            and not hasattr(_TARGET_CLASSES[tname], "fisher_derivs"):
+        raise ConfigError("/sampler/name",
+                          f"exact {smp['name']} needs metric derivatives, which "
+                          f"target {tname!r} does not provide; use hmc or "
+                          f"geometry mode 'emulated'")
 
     if out["burnin"] >= out["iters"]:
         raise ConfigError("/burnin", "burnin must be < iters")

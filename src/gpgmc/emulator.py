@@ -5,7 +5,12 @@ optional per-datum potential decompositions.  Every prediction (value,
 gradient, Hessian, empirical Fisher matrix, metric-derivative tensor) is a
 linear map of the stacked design data, so the heavy factorizations are done
 once per design.  Posterior means need no map at all: they read the weights
-``beta_hat = P u`` and ``w = Q u`` stored at build time.
+``beta_hat = P u`` and ``w = Q u`` stored at build time, and the kernel term
+is a direct contraction of the kernel-derivative polynomials with ``w``
+(:func:`kernels.cross_corr_dot`), costing O(m n D) for m points of an
+n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
+Cross blocks are built only for covariances and for the linear maps behind
+the Fisher matrices and connections.
 """
 
 from __future__ import annotations
@@ -251,15 +256,22 @@ class Emulator:
             L = L4.reshape(dim * dim * m, -1)
         return L
 
-    def _mean(self, points, order, cross):
-        """Posterior mean H_e beta_hat + C_ed w in natural shape."""
-        m, dim = points.shape
-        flat = kernels.basis(points, order) @ self.beta_hat + cross @ self.w
+    def _mean(self, points, order):
+        """Posterior mean H_e beta_hat + C_ed w in natural shape.
+
+        The cross term is a kernel contraction with ``w``; no cross block is
+        formed.
+        """
+        dim = self.design.dim
+        b = self.beta_hat
+        cw = kernels.cross_corr_dot(points, order, self.design.points,
+                                    self.hyper.rho, self.design.has_gradients,
+                                    self.w)
         if order == 0:
-            return flat
+            return kernels.basis(points, 0) @ b + cw
         if order == 1:
-            return flat.reshape(dim, m).T
-        hess = flat.reshape(dim, dim, m).transpose(2, 0, 1)
+            return b[1:1 + dim] + 2.0 * points * b[1 + dim:] + cw
+        hess = cw + np.diag(2.0 * b[1 + dim:])
         return 0.5 * (hess + hess.transpose(0, 2, 1))
 
     # -- predictions -----------------------------------------------------
@@ -272,7 +284,7 @@ class Emulator:
         would need fourth kernel derivatives which are never formed.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        mean = self._mean(points, order, self._cross_corr(points, order))
+        mean = self._mean(points, order)
         cov = None
         if with_cov:
             if order not in (0, 1):
@@ -328,21 +340,16 @@ class Emulator:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self._fisher(self.linear_map(points, 1), *points.shape)[0]
 
-    def predict_christoffel(self, points: np.ndarray) -> np.ndarray:
-        """Emulated first-kind connection tensors Gamma[i][a,b,c], (m, D, D, D)."""
-        return self.predict_metric_bundle(points)[1]
-
     def predict_metric_bundle(self, points: np.ndarray):
         """Emulated metric, its raw derivative tensor and the gradient.
 
-        Everything comes from one pass over the design: the order-1 and
-        order-2 cross-correlation blocks are built once and give the maps
-        A1 and A2 and the gradient mean.  Returns ``(G, T3, grad)`` with
-        ``G`` the (m, D, D) empirical Fisher matrices, ``T3`` the
-        (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the first-kind
-        connection Gamma_{ab,c} (the metric derivative follows as
+        The order-1 and order-2 cross-correlation blocks are built in one
+        pass over the design and give the maps A1 and A2.  Returns
+        ``(G, T3, grad)`` with ``G`` the (m, D, D) empirical Fisher matrices,
+        ``T3`` the (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the
+        first-kind connection Gamma_{ab,c} (the metric derivative follows as
         dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and ``grad`` the (m, D)
-        potential gradients, equal to ``predict(points, 1).mean``.
+        potential gradients, bitwise ``predict(points, 1).mean``.
         """
         if self.gfi is None:
             raise MissingPerDatum("design carries no per-datum potentials")
@@ -355,7 +362,7 @@ class Emulator:
         T = A2 @ gA1
         T5 = T.reshape(dim, dim, m, dim, m)
         T3 = np.einsum("abici->iabc", T5)
-        return G, T3, self._mean(points, 1, C1)
+        return G, T3, self._mean(points, 1)
 
 
 def build_emulator(design: DesignSet, hyper: Hyperparameters,

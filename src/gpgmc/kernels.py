@@ -32,7 +32,8 @@ from .errors import ShapeMismatch
 
 __all__ = ["basis", "corr_block", "corr_block_rho_grad", "corr_block_rho_hess",
            "PairDiffs", "tilde_basis", "tilde_corr", "iter_tilde_corr_rho_grad",
-           "tilde_corr_rho_grad", "tilde_corr_rho_hess", "cross_corr"]
+           "tilde_corr_rho_grad", "tilde_corr_rho_hess", "cross_corr",
+           "cross_corr_dot"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -146,6 +147,55 @@ def _prefactor_table(diff, rho, orders, with_gradients):
         else:
             raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
         out.append(pref)
+    return out
+
+
+def cross_corr_dot(eval_points: np.ndarray, order: int,
+                   design_points: np.ndarray, rho: np.ndarray,
+                   with_gradients: bool, w: np.ndarray) -> np.ndarray:
+    """``cross_corr(eval_points, order, design_points, rho, with_gradients) @ w``
+    without forming the block.
+
+    The result is in natural shape: (m,), (m, D) or (m, D, D) by order, i.e.
+    the coordinate-major vector ``cross_corr(...) @ w`` with its points axis
+    moved first.  With ``a_j = 2 rho * (x - x_j)``, ``k_j`` the correlation,
+    ``w`` split as ``w0 = w[:n]`` and ``W1[j] = w[n:].reshape(D, n)[:, j]``
+    (``W1 = 0`` without gradients), ``V_j = 2 rho * W1[j]`` and
+    ``s_j = w0_j + a_j . W1[j]``, the prefactors of :func:`_prefactor_table`
+    summed against ``w`` give
+
+    * order 0: ``sum_j k_j s_j``;
+    * order 1: ``sum_j k_j (V_j - a_j s_j)``;
+    * order 2: ``sum_j k_j ((a_j a_j' - diag(2 rho)) s_j - V_j a_j' - a_j V_j')``.
+
+    Cost is O(m n D), or O(m n D^2) at order 2, against the block's
+    O(m n~ D^order).
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
+    diff, rho, corr = _diff_and_corr(eval_points, design_points, rho)
+    if order == 0 and not with_gradients:
+        return corr @ w  # plain values, as for the block itself
+    n, dim = diff.shape[1:]
+    two_rho = 2.0 * rho
+    if with_gradients:  # a_j . W1[j] = diff_j . V_j
+        V = w[n:].reshape(dim, n).T * two_rho
+        ks = corr * (w[:n] + np.einsum("ijp,jp->ij", diff, V))
+    else:
+        ks = corr * w
+    if order == 0:
+        return ks.sum(axis=1)
+    if order == 1:  # sum_j k_j s_j a_j = 2 rho * sum_j k_j s_j diff_j
+        out = np.einsum("ij,ijp->ip", ks, diff) * -two_rho
+        if with_gradients:
+            out += corr @ V
+        return out
+    a = diff * two_rho
+    out = np.einsum("ij,ijk,ijl->ikl", ks, a, a)
+    out[:, np.arange(dim), np.arange(dim)] -= ks.sum(axis=1)[:, None] * two_rho
+    if with_gradients:
+        Va = np.einsum("ij,jk,ijl->ikl", corr, V, a)
+        out -= Va + Va.transpose(0, 2, 1)
     return out
 
 

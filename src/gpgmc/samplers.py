@@ -69,7 +69,7 @@ def init_state(target, theta0, rng: np.random.Generator) -> ChainState:
 
 
 def _finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _quiet_overflow(fn):

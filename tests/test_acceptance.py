@@ -316,22 +316,35 @@ def test_c09_emulated_gradient_cost_is_data_size_free():
     t0 = time.perf_counter()
     eval_pts = np.random.default_rng(900).standard_normal((300, 4)) * 0.5
 
-    def best_time(fn, reps=11):
-        fn()  # warm up allocator and BLAS paths
-        best = np.inf
+    def best_times(fns, reps=11, min_sample_s=0.02):
+        """Best of ``reps`` samples per function, each sample the mean time
+        of enough calls to fill ``min_sample_s``.  The samples of the
+        functions alternate, so a slow phase of the host, which can outlast
+        a whole run of samples, slows every function alike."""
+        calls = {}
+        for key, fn in fns.items():
+            fn()  # warm up allocator and BLAS paths
+            calls[key] = 1
+            while True:
+                s = time.perf_counter()
+                for _ in range(calls[key]):
+                    fn()
+                if time.perf_counter() - s >= min_sample_s:
+                    break
+                calls[key] *= 2
+        best = dict.fromkeys(fns, np.inf)
         for _ in range(reps):
-            s = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - s)
+            for key, fn in fns.items():
+                s = time.perf_counter()
+                for _ in range(calls[key]):
+                    fn()
+                best[key] = min(best[key], (time.perf_counter() - s) / calls[key])
         return best
 
-    exact_cost, gpe_cost = {}, {}
-    emulators = {}
+    targets, emulators = {}, {}
     for n_data in (3000, 30_000):
-        target = BBDTarget.simulate(np.random.default_rng(42), n_data=n_data,
-                                    dim=4)
-        exact_cost[n_data] = best_time(
-            lambda: target.potential_grad_batch(eval_pts))
+        target = targets[n_data] = BBDTarget.simulate(
+            np.random.default_rng(42), n_data=n_data, dim=4)
         pts = spread_points(np.random.default_rng(7), 40, 4, spread=2.0,
                             min_sep=0.5)
         pots, grads = [], []
@@ -344,9 +357,11 @@ def test_c09_emulated_gradient_cost_is_data_size_free():
         hyper, _ = fit_hyperparameters(
             DesignSet(points=pts, potentials=np.array(pots)),
             rng=np.random.default_rng(1))
-        em = build_emulator(design, hyper)
-        emulators[n_data] = em
-        gpe_cost[n_data] = best_time(lambda: em.predict(eval_pts, 1))
+        emulators[n_data] = build_emulator(design, hyper)
+    exact_cost = best_times({n: (lambda t=t: t.potential_grad_batch(eval_pts))
+                             for n, t in targets.items()})
+    gpe_cost = best_times({n: (lambda em=em: em.predict(eval_pts, 1))
+                           for n, em in emulators.items()})
 
     assert exact_cost[30_000] / exact_cost[3000] > 5.0
     assert gpe_cost[30_000] / gpe_cost[3000] < 1.2

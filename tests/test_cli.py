@@ -51,6 +51,20 @@ class TestValidation:
                                  "geometry": {"mode": "emulated"},
                                  "seed": 1, "iters": 5})
 
+    @pytest.mark.parametrize("sampler", ["rhmc", "lmc"])
+    def test_exact_manifold_sampler_needs_metric_derivatives(self, tmp_path,
+                                                             sampler):
+        elliptic = {"name": "elliptic", "mesh_size": 10}
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(
+                tmp_path, target=elliptic, sampler={"name": sampler}))
+        assert "/sampler/name" in str(err.value)
+        assert "elliptic" in str(err.value)
+        # hmc needs no metric, and targets with fisher_derivs run exact rhmc
+        cli.validate_config(banana_config(tmp_path, target=elliptic,
+                                          sampler={"name": "hmc"}))
+        cli.validate_config(banana_config(tmp_path, sampler={"name": sampler}))
+
 
     def test_unknown_top_level_key_reports_path(self, tmp_path):
         with pytest.raises(ConfigError) as err:

@@ -144,6 +144,44 @@ def test_prediction_mean_is_linear_in_data():
                                2.0 * em.predict(th, 1).mean, rtol=1e-12)
 
 
+def _natural(flat, m, dim, order):
+    """Coordinate-major prediction rows in (m,), (m, D) or (m, D, D) shape."""
+    return flat.reshape((dim,) * order + (m,)).transpose(order, *range(order))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       extra=st.integers(0, 6), order=st.integers(0, 2),
+       gradients=st.booleans(), m=st.integers(1, 40))
+def test_mean_is_the_kernel_contraction_of_the_cross_block(seed, dim, extra, order,
+                                                           gradients, m):
+    """The contraction equals cross block @ w, and the posterior mean equals
+    basis @ beta_hat + cross block @ w, to 1e-10 of the summed term sizes."""
+    rng = np.random.default_rng(seed)
+    fn = SmoothTestFunction(rng, dim)
+    pts = spread_points(rng, 4 + 2 * dim + extra, dim, spread=3.0, min_sep=0.25)
+    em = Emulator(fn.design(pts, gradients=gradients, per_datum=False),
+                  Hyperparameters(rho=rng.uniform(0.3, 1.5, dim)))
+    x = rng.uniform(-2.5, 2.5, (m, dim))
+    C = kernels.cross_corr(x, order, pts, em.hyper.rho, gradients)
+    H = kernels.basis(x, order)
+    nat = lambda flat: _natural(flat, m, dim, order)
+
+    got = kernels.cross_corr_dot(x, order, pts, em.hyper.rho, gradients, em.w)
+    size = nat(np.abs(C) @ np.abs(em.w))
+    assert got.shape == size.shape
+    assert np.all(np.abs(got - nat(C @ em.w)) <= 1e-10 * size)
+
+    ref = nat(H @ em.beta_hat + C @ em.w)
+    if order == 2:
+        ref = 0.5 * (ref + ref.transpose(0, 2, 1))
+    mean = em._mean(x, order)
+    size = size + nat(np.abs(H) @ np.abs(em.beta_hat))
+    assert np.all(np.abs(mean - ref) <= 1e-10 * size)
+    if order == 0 and not gradients:  # the value-only path is the block's own
+        np.testing.assert_array_equal(mean, ref)
+
+
 class TestEmpiricalFisher:
     def test_matches_columnwise_oracle(self, smooth_fn):
         rng = np.random.default_rng(9)
@@ -187,7 +225,7 @@ class TestConnection:
         rng = np.random.default_rng(14)
         pts = spread_points(rng, 12, 2)
         em = Emulator(smooth_fn.design(pts), Hyperparameters(rho=np.ones(2)))
-        gamma = em.predict_christoffel(rng.normal(size=(4, 2)))
+        gamma = em.predict_metric_bundle(rng.normal(size=(4, 2)))[1]
         assert np.abs(gamma - gamma.transpose(0, 2, 1, 3)).max() == 0.0
 
     def test_matches_columnwise_oracle(self, smooth_fn):
@@ -196,7 +234,7 @@ class TestConnection:
         design = smooth_fn.design(pts)
         em = Emulator(design, Hyperparameters(rho=np.array([0.7, 1.3])))
         th = np.array([[0.2, 0.5]])
-        got = em.predict_christoffel(th)[0]
+        got = em.predict_metric_bundle(th)[1][0]
         pd = design.per_datum_matrix()
         ndata = pd.shape[1]
         DU = em.linear_map(th, 1) @ pd
@@ -211,7 +249,7 @@ class TestConnection:
         pots = np.cos(pts[:, 0] + pts[:, 1])
         design = DesignSet(points=pts, potentials=pots, per_datum=pots[:, None])
         em = Emulator(design, Hyperparameters(rho=np.ones(2)))
-        np.testing.assert_allclose(em.predict_christoffel(np.zeros((1, 2))),
+        np.testing.assert_allclose(em.predict_metric_bundle(np.zeros((1, 2)))[1],
                                    0.0, atol=1e-20)
 
 
