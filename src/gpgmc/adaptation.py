@@ -14,12 +14,12 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import (cho_factor, cho_solve, cholesky, qr, solve_triangular,
-                          LinAlgError)
+from scipy.linalg import cholesky, qr, solve_triangular, LinAlgError
 from scipy.special import logsumexp
 
 from . import kernels, samplers
-from .emulator import DesignSet, Emulator, Hyperparameters, build_emulator
+from .emulator import (DesignSet, Emulator, Hyperparameters, NUGGET_DEFAULT,
+                       build_emulator)
 from .errors import (AllDegenerate, IllConditioned, OptimFailed,
                      RejectionBudgetExhausted, TooFewPoints)
 from .geometry import EmulatedGeometry, METRIC_REG_SCALE
@@ -183,48 +183,26 @@ def _row_norms(diff):
 
 # -- MICE ------------------------------------------------------------------
 
+# the smoothing nugget of the candidate set in MICE denominators
+CAND_NUGGET = 1e-4
+
+
 @dataclass
 class MICEConfig:
-    nugget: float = 1e-8
-    cand_nugget: float = 1e-4
     init_keep: int = 5
     maxmin_radius: float = 0.2
     max_size: int = 40
     refit_at_start: bool = True
 
-    def __post_init__(self):
-        if self.cand_nugget < self.nugget:
-            raise ValueError("candidate nugget must be >= design nugget")
+    # the nuggets MICE scores with are constants, read here by callers that
+    # recompute its ratios
+    @property
+    def nugget(self) -> float:
+        return NUGGET_DEFAULT
 
-
-def _kriging_variance(eval_points, cond_points, rho, nugget, cond_grads=False):
-    """Unscaled GP predictive variance at ``eval_points``.
-
-    Uses the quadratic-basis universal-kriging variance when the conditioning
-    set can support it (n~ >= q+1); falls back to simple kriging otherwise.
-    """
-    eval_points = np.atleast_2d(eval_points)
-    cond_points = np.atleast_2d(cond_points)
-    dim = cond_points.shape[1]
-    q = 1 + 2 * dim
-    C = kernels.tilde_corr(cond_points, rho, cond_grads)
-    C[np.diag_indices_from(C)] += nugget
-    chol = cho_factor(C, lower=True)
-    c_e = kernels.cross_corr(eval_points, 0, cond_points, rho, cond_grads)
-    Ci_ce = cho_solve(chol, c_e.T)
-    var = 1.0 - np.einsum("ij,ji->i", c_e, Ci_ce)
-    if C.shape[0] >= q + 1:
-        H = kernels.tilde_basis(cond_points, cond_grads)
-        h_e = kernels.basis(eval_points, 0)
-        Ci_H = cho_solve(chol, H)
-        B = H.T @ Ci_H
-        R = h_e - c_e @ Ci_H
-        try:
-            chol_B = cho_factor(B, lower=True)
-            var = var + np.einsum("ij,ji->i", R, cho_solve(chol_B, R.T))
-        except LinAlgError:
-            pass  # keep the simple-kriging variance
-    return np.maximum(var, 0.0)
+    @property
+    def cand_nugget(self) -> float:
+        return CAND_NUGGET
 
 
 def _first_copies(points):
@@ -234,47 +212,67 @@ def _first_copies(points):
     return first[inverse.reshape(-1)], first.size
 
 
-def _loo_variance(points, rho, nugget):
-    """Leave-one-out variances: entry j is ``_kriging_variance`` at point j
-    given all the others, from one factorization of the whole set.
+def _kriging_variances(points, rho, nugget, eval_points=None):
+    """Unscaled kriging variances of value observations at ``points``, from
+    one factorization of the set.
 
-    With K = L L' the correlation of the set plus ``nugget`` on its
-    diagonal, the predictive variance of point j given the others, plus the
-    nugget, is 1/Q_jj (Rasmussen & Williams 2006, sec. 5.4.2).  Under simple
-    kriging Q = K^-1 and Q_jj is the squared norm of column j of L^-1.  Under
-    universal kriging Q = K^-1 - K^-1 H (H' K^-1 H)^-1 H' K^-1 = L^-T P L^-1,
-    with P the projector onto the orthogonal complement of W = L^-1 H; with
-    Z an orthonormal basis of that complement (from a QR of W), Q_jj is the
-    squared norm of column j of Z' L^-1.  Sums of squares keep Q_jj accurate
-    where the subtraction would cancel.
+    With ``eval_points``, the variance at each of them given the whole set;
+    without, entry j is the variance at point j given the others.  With
+    K = L L' the correlation of the set plus ``nugget`` on its diagonal,
+    W = L^-1 H its basis and v = L^-1 k(x):
 
-    Universal kriging applies, as in ``_kriging_variance``, when the m - 1
-    others number at least q + 1 and can carry the basis: the basis Gram
-    H' K^-1 H of the whole set factorizes and the others hold at least q
-    distinct points.  Raises LinAlgError when K does not factorize, which
-    needs a zero nugget.
+    * given the set, the variance is 1 - |v|^2 + |R^-T (h(x) - W'v)|^2,
+      with W = Q_W R a QR factorization (H' K^-1 H = R'R);
+    * given the others, the variance of point j plus the nugget is 1/Q_jj
+      (Rasmussen & Williams 2006, sec. 5.4.2), with Q_jj the squared norm
+      of column j of Z' L^-1 and Z an orthonormal basis of the complement
+      of W (the trailing columns of Q_W).
+
+    Sums of squares keep both accurate where the basis Gram is near
+    singular.  Simple kriging (no |R^-T ...|^2 term, Q_jj the squared norm
+    of column j of L^-1) applies when the conditioning set has fewer than
+    q + 1 points or fewer than q distinct ones, or when W'W does not
+    factorize.  Raises LinAlgError when K does not factorize, which needs a
+    zero nugget.
     """
     m, dim = points.shape
-    if m == 1:
+    q = 1 + 2 * dim
+    loo = eval_points is None
+    if loo and m == 1:
         return np.array([1.0 + nugget])  # nothing to condition on
     K = kernels.tilde_corr(points, rho, False)
     K[np.diag_indices_from(K)] += nugget
-    Linv = solve_triangular(cholesky(K, lower=True), np.eye(m), lower=True)
-    prec = np.einsum("ij,ij->j", Linv, Linv)
-    q = 1 + 2 * dim
-    if m - 1 >= q + 1:
-        W = Linv @ kernels.basis(points, 0)
-        rep, n_distinct = _first_copies(points)
-        alone = np.bincount(rep, minlength=m)[rep] == 1
+    L = cholesky(K, lower=True)
+    rep, n_distinct = _first_copies(points)
+    if loo:
+        # leaving out a point without a copy leaves one distinct point fewer
+        n_cond, n_distinct = m - 1, n_distinct - (np.bincount(rep)[rep] == 1)
+        V = solve_triangular(L, np.eye(m), lower=True)  # L^-1
+        var = np.einsum("ij,ij->j", V, V)  # Q_jj
+    else:
+        n_cond = m
+        V = solve_triangular(L, kernels.cross_corr(eval_points, 0, points, rho,
+                                                   False).T, lower=True)
+        var = 1.0 - np.einsum("ij,ij->j", V, V)
+    if n_cond >= q + 1:
+        W = solve_triangular(L, kernels.basis(points, 0), lower=True)
         try:
             cholesky(W.T @ W, lower=True)
-            Z = qr(W)[0][:, q:].T @ Linv
-            prec = np.where(n_distinct - alone >= q,
-                            np.einsum("ij,ij->j", Z, Z), prec)
+            Q_W, R = qr(W)
+            if loo:
+                Z = Q_W[:, q:].T @ V
+                universal = np.einsum("ij,ij->j", Z, Z)
+            else:
+                G = solve_triangular(R[:q], kernels.basis(eval_points, 0).T
+                                     - W.T @ V, trans="T")
+                universal = var + np.einsum("ij,ij->j", G, G)
+            var = np.where(n_distinct >= q, universal, var)
         except LinAlgError:
             pass  # keep the simple-kriging variance
-    with np.errstate(divide="ignore"):
-        return np.maximum(1.0 / prec - nugget, 0.0)
+    if loo:
+        with np.errstate(divide="ignore"):
+            var = 1.0 / var - nugget
+    return np.maximum(var, 0.0)
 
 
 def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray,
@@ -283,18 +281,19 @@ def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray,
 
     Maximizes the ratio of the predictive variance given the design (design
     nugget) to the predictive variance given the remaining candidates
-    (smoothing nugget), the latter for every candidate from one
-    factorization (:func:`_loo_variance`; Beck & Guillas 2016).  Exact
-    duplicate candidates share the score of their first copy, and ties break
-    to the lowest candidate index.  A candidate correlation that does not
-    factorize (coincident candidates with a zero smoothing nugget) leaves
-    every denominator degenerate.  Returns ``(index, ratios)``.
+    (smoothing nugget ``CAND_NUGGET``; Beck & Guillas 2016).  Each comes
+    from one factorization (:func:`_kriging_variances`): numerators of the
+    design, denominators of the candidates.  Design points count as value
+    observations, gradients or not.  Exact duplicate candidates share the
+    score of their first copy, and ties break to the lowest candidate index.
+    A candidate correlation that does not factorize (coincident candidates
+    with a zero smoothing nugget) leaves every denominator degenerate.
+    Returns ``(index, ratios)``.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    num = _kriging_variance(candidates, design.points, rho, cfg.nugget,
-                            design.has_gradients)
+    num = _kriging_variances(design.points, rho, NUGGET_DEFAULT, candidates)
     try:
-        den = _loo_variance(candidates, rho, cfg.cand_nugget)
+        den = _kriging_variances(candidates, rho, CAND_NUGGET)
     except (LinAlgError, ValueError):  # ValueError: non-finite candidates
         raise AllDegenerate("candidate correlation does not factorize") from None
     ok = (den > 1e-14) & np.isfinite(num) & np.isfinite(den)
@@ -342,8 +341,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
         fit_on = DesignSet(points=design.points, potentials=design.potentials)
         try:
             hyper, _ = fit_hyperparameters(
-                fit_on, nugget=cfg.nugget,
-                rng=rng if rng is not None else np.random.default_rng(0))
+                fit_on, rng=rng if rng is not None else np.random.default_rng(0))
         except (OptimFailed, TooFewPoints, IllConditioned):
             if hyper is None:
                 raise
@@ -351,7 +349,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
 
     if design.n >= cfg.max_size:
         info = {"added": 0, "final_size": design.n, "rho": rho}
-        return design, Hyperparameters(rho=rho, nugget=cfg.nugget), info
+        return design, Hyperparameters(rho=rho), info
 
     # rows: the kept design points, then the pool, then the recycled design
     # points; candidates are filtered in pool-then-recycled order, which
@@ -383,7 +381,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     refined = DesignSet(points=points[chosen], potentials=potentials[chosen],
                         per_datum=per_datum)
     info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho}
-    return refined, Hyperparameters(rho=rho, nugget=cfg.nugget), info
+    return refined, Hyperparameters(rho=rho), info
 
 
 def _holdout_mspe(design: DesignSet, hyper: Hyperparameters, holdout) -> float:
@@ -500,7 +498,7 @@ class AdaptiveGPeSampler:
         if hyper is None:
             hyper, _ = fit_hyperparameters(
                 DesignSet(points=design.points, potentials=design.potentials),
-                nugget=self.mice_cfg.nugget, rng=self.rng)
+                rng=self.rng)
         self.hyper = hyper
         self._rebuild()
 

@@ -487,11 +487,15 @@ def design_cmd(cfg: dict):
 
     radius = dcfg["maxmin_radius"]
     kept = maxmin_filter(points, radius)
+    q = 1 + 2 * target.dim
+    if kept.size < q + 3:  # the pool fit needs n > q + 2 points
+        raise ConfigError("/geometry/design/maxmin_radius",
+                          f"radius {radius:g} leaves {kept.size} candidates, "
+                          f"the design step needs at least {q + 3}")
     points, pots = points[kept], pots[kept]
     pds = pds[kept] if pds is not None else None
 
-    q = 1 + 2 * target.dim
-    n_init = min(q + 3, points.shape[0])
+    n_init = q + 3
     init = DesignSet(points=points[:n_init], potentials=pots[:n_init],
                      per_datum=pds[:n_init] if pds is not None else None)
     pool = CandidatePool(points[n_init:], pots[n_init:],
@@ -511,7 +515,7 @@ def design_cmd(cfg: dict):
     if design.n_tilde > q + 3:
         hyper, _ = fit_hyperparameters(
             DesignSet(points=design.points, potentials=design.potentials),
-            nugget=mcfg.nugget, rng=rng)
+            rng=rng)
     save_design(out_dir / "design.json", design, hyper)
     return out_dir / "design.json", info
 

@@ -148,16 +148,6 @@ class DesignSet:
             out[n * (1 + k):n * (2 + k)] = self.per_datum_grads[:, k]
         return out
 
-    def subset(self, idx) -> "DesignSet":
-        idx = np.asarray(idx)
-        return DesignSet(
-            points=self.points[idx],
-            potentials=self.potentials[idx],
-            gradients=None if self.gradients is None else self.gradients[idx],
-            per_datum=None if self.per_datum is None else self.per_datum[idx],
-            per_datum_grads=None if self.per_datum_grads is None else self.per_datum_grads[idx],
-        )
-
 
 @dataclass
 class Prediction:
@@ -215,7 +205,6 @@ class Emulator:
         self.w = self.Q @ u
         quad = float(u @ self.Q @ u)
         self.sigma2_hat = max(quad, 0.0) / (n_tilde - q - 2)
-        self.degenerate_sigma2 = self.sigma2_hat <= 1e-12 * max(1.0, float(u @ u))
         self.dof = n_tilde - q
         self.q = q
         self.logdet_C = 2.0 * np.sum(np.log(np.diagonal(self._chol[0])))
@@ -365,8 +354,7 @@ class Emulator:
         return G, T3, self._mean(points, 1)
 
 
-def build_emulator(design: DesignSet, hyper: Hyperparameters,
-                   auto_nugget: bool = True) -> Emulator:
+def build_emulator(design: DesignSet, hyper: Hyperparameters) -> Emulator:
     """Build the factorization, escalating the nugget on failure.
 
     The nugget is raised by decades up to 1e-4; if factorization still fails
@@ -377,8 +365,6 @@ def build_emulator(design: DesignSet, hyper: Hyperparameters,
         try:
             return Emulator(design, Hyperparameters(rho=hyper.rho, nugget=nugget))
         except IllConditioned:
-            if not auto_nugget:
-                raise
             nugget = 1e-10 if nugget == 0.0 else nugget * 10.0
             if nugget > NUGGET_MAX:
                 raise

@@ -11,12 +11,18 @@ points, the first-derivative axis is flattened as ``row = k*m + i`` (coordinate
 operand, e.g. ``(2,1)`` correlates second derivatives at the first point set
 with first derivatives at the second.
 
-Rho-derivatives come from the same prefactor table.  With ``delta = x - y``,
-``dk/drho_d = -delta_d^2 k``, and d/drho commutes with the point derivatives,
-so each rho-derivative is a block of ``g k`` for a polynomial ``g(delta)``:
-``g = -delta_d^2`` for the gradient and ``g = delta_d^2 delta_e^2`` for the
-Hessian.  The product rule (x-derivatives are d/d delta, y-derivatives
--d/d delta) gives the blocks of ``g k`` from those of ``k``::
+Each block is a table of polynomial prefactors times the correlation.
+Posterior means need no block: :func:`cross_corr_dot` contracts the
+prefactors with the weights directly.
+
+The maximum-likelihood fit differentiates a design's auto-correlation
+``C~`` (:func:`tilde_corr`) in rho, and these rho-derivatives also come from
+the prefactor table.  With ``delta = x - y``, ``dk/drho_d = -delta_d^2 k``,
+and d/drho commutes with the point derivatives, so each rho-derivative is a
+block of ``g k`` for a polynomial ``g(delta)``: ``g = -delta_d^2`` for the
+gradient and ``g = delta_d^2 delta_e^2`` for the Hessian.  The product rule
+(x-derivatives are d/d delta, y-derivatives -d/d delta) gives the blocks of
+``g k`` from those of ``k``::
 
     G00    = g K00
     G10_k  = g K10_k  + g_k K00
@@ -30,10 +36,9 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-__all__ = ["basis", "corr_block", "corr_block_rho_grad", "corr_block_rho_hess",
-           "PairDiffs", "tilde_basis", "tilde_corr", "iter_tilde_corr_rho_grad",
-           "tilde_corr_rho_grad", "tilde_corr_rho_hess", "cross_corr",
-           "cross_corr_dot"]
+__all__ = ["basis", "corr_block", "PairDiffs", "tilde_basis", "tilde_corr",
+           "iter_tilde_corr_rho_grad", "tilde_corr_rho_grad",
+           "tilde_corr_rho_hess", "cross_corr", "cross_corr_dot"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -272,25 +277,6 @@ def _rho_rows(diff, corr, rho, with_gradients, coords):
         G0[1:] -= g1
         G1[:, 1:] += g1[:, None] * a[None] + a[:, None] * g1[None] - g2
     return _flatten(G0 * corr), _flatten(G1 * corr)
-
-
-def _rho_block(A, B, order_a, order_b, rho, coords):
-    if order_a not in (0, 1) or order_b not in (0, 1):
-        raise ValueError(f"rho derivatives unsupported for orders ({order_a}, {order_b})")
-    diff, rho, corr = _diff_and_corr(A, B, rho)
-    rows = _rho_rows(diff, corr, rho, order_b == 1, coords)[order_a]
-    return rows[:, diff.shape[1]:] if order_b == 1 else rows
-
-
-def corr_block_rho_grad(A, B, order_a, order_b, rho):
-    """d(block)/d rho_d for all d, stacked as (D, rows, cols)."""
-    return np.stack([_rho_block(A, B, order_a, order_b, rho, (d,))
-                     for d in range(np.size(rho))])
-
-
-def corr_block_rho_hess(A, B, order_a, order_b, rho, d, e):
-    """d^2(block)/d rho_d d rho_e as a single matrix."""
-    return _rho_block(A, B, order_a, order_b, rho, (d, e))
 
 
 def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:

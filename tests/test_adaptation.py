@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,10 +220,9 @@ class TestMaxminProperties:
 
 
 def per_set_denominators(points, rho, nugget):
-    """_kriging_variance of each point given the others, one set at a time."""
-    return np.array([ad._kriging_variance(points[j:j + 1],
-                                          np.delete(points, j, axis=0),
-                                          rho, nugget)[0]
+    """The variance of each point given the others, one set at a time."""
+    return np.array([ad._kriging_variances(np.delete(points, j, axis=0), rho,
+                                           nugget, points[j:j + 1])[0]
                      for j in range(points.shape[0])])
 
 
@@ -239,15 +239,9 @@ class TestLeaveOneOut:
             i, j = rng.integers(0, m, size=2)
             pts[i] = pts[j]
         rho = rng.uniform(0.1, 3.0, size=dim)
-        nugget = ad.MICEConfig().cand_nugget
-        ref = per_set_denominators(pts, rho, nugget)
-        got = ad._loo_variance(pts, rho, nugget)
-        # a variance above 1e3 prior variances comes from a leave-one-out
-        # basis Gram that is (nearly) singular; there the per-set reference
-        # loses digits itself, or returns rounding noise where the Gram is
-        # singular but its factorization passes
-        defined = ref <= 1e3
-        assert np.all(np.abs(got - ref)[defined] <= 1e-9 * ref[defined])
+        ref = per_set_denominators(pts, rho, ad.CAND_NUGGET)
+        got = ad._kriging_variances(pts, rho, ad.CAND_NUGGET)
+        assert np.all(np.abs(got - ref) <= 1e-9 * ref)
 
     def test_others_without_the_basis_fall_back_to_simple_kriging(self):
         """Without point 4 the others hold two distinct points, fewer than
@@ -255,7 +249,7 @@ class TestLeaveOneOut:
         pts = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])
         rho = np.array([1.0])
         ref = per_set_denominators(pts, rho, 1e-4)
-        got = ad._loo_variance(pts, rho, 1e-4)
+        got = ad._kriging_variances(pts, rho, 1e-4)
         assert np.allclose(got, ref, rtol=1e-9, atol=0.0)
         others = pts[:4]
         K = kernels.tilde_corr(others, rho, False) + 1e-4 * np.eye(4)
@@ -263,19 +257,118 @@ class TestLeaveOneOut:
         assert got[4] == pytest.approx(1.0 - k @ np.linalg.solve(K, k), rel=1e-9)
 
     def test_one_point_has_nothing_to_condition_on(self):
-        got = ad._loo_variance(np.array([[0.3, 0.1]]), np.array([1.0, 1.0]), 1e-4)
+        got = ad._kriging_variances(np.array([[0.3, 0.1]]), np.array([1.0, 1.0]),
+                                    1e-4)
         assert got.tolist() == [1.0 + 1e-4]
+
+
+def mp_kriging_variance(cond, x, rho, nugget):
+    """Kriging variance at ``x`` given value observations at ``cond``, at 50
+    digits, by dense inverses: 1 - k'K^-1 k, plus r'(H'K^-1 H)^-1 r with
+    r = h(x) - H'K^-1 k under the same rule for universal kriging as
+    :func:`ad._kriging_variances` (at least q + 1 points, q of them
+    distinct)."""
+    with mp.workdps(50):
+        m, dim = cond.shape
+        q = 1 + 2 * dim
+
+        def k(a, b):
+            return mp.exp(-mp.fsum(mp.mpf(r) * (mp.mpf(u) - mp.mpf(v))**2
+                                   for r, u, v in zip(rho, a, b)))
+
+        def h(a):
+            return [mp.mpf(1), *map(mp.mpf, a), *(mp.mpf(v)**2 for v in a)]
+
+        Ki = (mp.matrix([[k(a, b) for b in cond] for a in cond])
+              + mp.mpf(nugget) * mp.eye(m))**-1
+        kx = mp.matrix([k(x, a) for a in cond])
+        var = 1 - (kx.T * Ki * kx)[0]
+        if m >= q + 1 and np.unique(cond, axis=0).shape[0] >= q:
+            H = mp.matrix([h(a) for a in cond])
+            r = mp.matrix(h(x)) - H.T * Ki * kx
+            var += (r.T * (H.T * Ki * H)**-1 * r)[0]
+        return float(var)
+
+
+def check_against_mpmath(points, rho, nugget, eval_points, rtol, atol=0.0):
+    """``_kriging_variances`` against 50-digit values: given the set at
+    ``eval_points``, and each point given the others, both from the
+    leave-one-out form and given each ``np.delete`` set."""
+    got = ad._kriging_variances(points, rho, nugget, eval_points)
+    ref = np.array([mp_kriging_variance(points, x, rho, nugget)
+                    for x in eval_points])
+    assert np.all(np.abs(got - ref) <= rtol * ref + atol)
+    ref = np.array([mp_kriging_variance(np.delete(points, j, axis=0), x, rho,
+                                        nugget)
+                    for j, x in enumerate(points)])
+    got = ad._kriging_variances(points, rho, nugget)
+    assert np.all(np.abs(got - ref) <= rtol * ref)
+    got = per_set_denominators(points, rho, nugget)
+    assert np.all(np.abs(got - ref) <= rtol * ref + atol)
+
+
+class TestKrigingVariances:
+    """The QR form against 50-digit dense inverses, at the candidate nugget.
+
+    At the design nugget, nearby points give correlation matrices with
+    condition numbers near 1e8, and every float evaluation, this one
+    included, can then only be held to about 1e-8 relative.
+    """
+
+    def test_singular_basis_gram_falls_back_to_simple_kriging(self):
+        """Without point 2 the others hold two distinct points; their basis
+        Gram is singular but factorizes in floating point, where a
+        Cholesky-based variance returned 2.8e14."""
+        pts = np.array([[0.0], [0.0], [0.5], [1.5], [1.5]])
+        rho = np.array([1.0])
+        check_against_mpmath(pts, rho, ad.CAND_NUGGET, pts[2:3], rtol=1e-10)
+        got = ad._kriging_variances(np.delete(pts, 2, axis=0), rho,
+                                    ad.CAND_NUGGET, pts[2:3])
+        assert got[0] == pytest.approx(0.3109, abs=1e-4)
+
+    def test_near_singular_basis_gram(self):
+        """A D = 3 set with one duplicate whose leave-one-out basis Grams
+        are near singular: a Cholesky factorization of H'K^-1 H lost 2.9e-8
+        relative here."""
+        pts = np.array([[1.72, 1.66, 0.01], [-1.06, 0.73, 1.66],
+                        [-1.19, 1.92, -0.67], [1.82, -1.64, 1.54],
+                        [0.15, 1.11, -0.45], [-1.42, -0.34, 0.88],
+                        [-0.68, -0.02, 1.15], [-0.44, -0.61, 1.38],
+                        [-0.68, -0.02, 1.15]])
+        rho = np.array([2.17, 2.08, 0.61])
+        rng = np.random.default_rng(3)
+        check_against_mpmath(pts, rho, ad.CAND_NUGGET,
+                             rng.uniform(-2.0, 2.0, size=(4, 3)), rtol=1e-10,
+                             atol=1e-13)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           extra=st.integers(-3, 3), duplicates=st.integers(0, 2))
+    def test_random_sets(self, seed, dim, extra, duplicates):
+        """Sizes on both sides of the universal-kriging switch, duplicates,
+        and an evaluation point next to a set point.  The absolute floor is
+        a few hundred rounding units of the prior variance 1, which
+        1 - |v|^2 cancels."""
+        rng = np.random.default_rng(seed)
+        m = max(2, 3 + 2 * dim + extra)
+        pts = rng.uniform(-2.0, 2.0, size=(m, dim))
+        for _ in range(duplicates):
+            i, j = rng.integers(0, m, size=2)
+            pts[i] = pts[j]
+        rho = rng.uniform(0.1, 3.0, size=dim)
+        at = rng.uniform(-2.5, 2.5, size=(3, dim))
+        at[0] = pts[0] + 1e-3 * rng.standard_normal(dim)
+        check_against_mpmath(pts, rho, ad.CAND_NUGGET, at, rtol=1e-10,
+                             atol=1e-13)
 
 
 class TestMiceSelectCost:
     def test_one_factorization_per_pick(self, spread_banana_design, monkeypatch):
         """The candidate-sized factorizations do not grow with the candidates."""
         sizes = []
-        for name in ("cho_factor", "cholesky"):
-            fn = getattr(ad, name)
-            monkeypatch.setattr(
-                ad, name, lambda a, *args, _fn=fn, **kw:
-                sizes.append(np.shape(a)[0]) or _fn(a, *args, **kw))
+        cholesky = ad.cholesky
+        monkeypatch.setattr(ad, "cholesky", lambda a, *args, **kw:
+                            sizes.append(np.shape(a)[0]) or cholesky(a, *args, **kw))
         rng = np.random.default_rng(5)
         big = {}
         for m in (20, 60):
@@ -340,10 +433,11 @@ class TestMiceSelect:
         assert idx == 1
         assert ratios[1] > ratios[0]
 
-    def test_all_degenerate(self, spread_banana_design):
+    def test_all_degenerate(self, spread_banana_design, monkeypatch):
         # zero smoothing nugget and coincident candidates: every candidate is
         # perfectly explained by its twin, so all denominators underflow
-        cfg = ad.MICEConfig(nugget=0.0, cand_nugget=0.0)
+        monkeypatch.setattr(ad, "CAND_NUGGET", 0.0)
+        cfg = ad.MICEConfig()
         cand = np.array([[0.3, 0.4], [0.3, 0.4]])
         with pytest.raises(AllDegenerate):
             ad.mice_select(spread_banana_design, cand, np.array([0.8, 0.8]), cfg)

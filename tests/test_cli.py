@@ -507,6 +507,20 @@ class TestDesignCommand:
         assert info["added"] == 0
         assert design.n >= 8  # the seeded initial design is returned as-is
 
+    def test_radius_that_leaves_too_few_candidates(self, tmp_path, capsys):
+        """The fit needs q + 3 = 8 banana candidates; the filter leaves fewer."""
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(banana_config(
+            tmp_path,
+            geometry={"mode": "exact",
+                      "design": {"source": "prior", "count": 60,
+                                 "maxmin_radius": 2.0}})))
+        assert cli.main(["design", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /geometry/design/maxmin_radius: "
+                              "radius 2 leaves ")
+        assert err.rstrip().endswith("candidates, the design step needs at least 8")
+
     def test_evaluated_design_holds_one_copy_of_its_rows(self):
         """Per-datum rows and gradients are written in place, not stacked."""
         target = cli.build_target(cli.validate_config({

@@ -185,42 +185,6 @@ def test_transpose_duality():
         np.testing.assert_allclose(left, right, atol=1e-14)
 
 
-@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 1), (1, 1)])
-def test_rho_gradient_matches_fd(orders):
-    rng = np.random.default_rng(7)
-    dim = 3
-    rho = rng.uniform(0.4, 1.4, dim)
-    A = rng.normal(size=(2, dim))
-    B = rng.normal(size=(3, dim))
-    grad = kernels.corr_block_rho_grad(A, B, *orders, rho)
-    h = 1e-6
-    for d in range(dim):
-        rp, rm = rho.copy(), rho.copy()
-        rp[d] += h
-        rm[d] -= h
-        fd = (kernels.corr_block(A, B, *orders, rp)
-              - kernels.corr_block(A, B, *orders, rm)) / (2 * h)
-        np.testing.assert_allclose(grad[d], fd, atol=1e-8)
-
-
-@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (1, 1)])
-def test_rho_hessian_matches_fd(orders):
-    rng = np.random.default_rng(8)
-    dim = 2
-    rho = rng.uniform(0.4, 1.4, dim)
-    A = rng.normal(size=(3, dim))
-    h = 1e-5
-    for d in range(dim):
-        for e in range(dim):
-            hess = kernels.corr_block_rho_hess(A, A, *orders, rho, d, e)
-            rp, rm = rho.copy(), rho.copy()
-            rp[e] += h
-            rm[e] -= h
-            fd = (kernels.corr_block_rho_grad(A, A, *orders, rp)[d]
-                  - kernels.corr_block_rho_grad(A, A, *orders, rm)[d]) / (2 * h)
-            np.testing.assert_allclose(hess, fd, atol=1e-7)
-
-
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         kernels.corr_block(np.zeros((2, 2)), np.zeros((2, 3)), 0, 0, np.ones(2))
