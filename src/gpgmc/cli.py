@@ -69,12 +69,11 @@ _TARGETS = {
 # the class each target name builds; exact rhmc and lmc need its fisher_derivs
 _TARGET_CLASSES = {"banana": BBDTarget, "bbd": BBDTarget,
                    "gaussian": GaussianTarget, "elliptic": EllipticTarget}
-_GRADIENT_SAMPLER = {
-    "step_size": 0.1, "n_steps": 10,
-    **_dataclass_defaults(IntegratorConfig, "fixed_point_iters", "fixed_point_tol"),
-    "tune": False, "target_accept": 0.7}
-_SAMPLERS = {"rwm": {"proposal_sd": 0.5},
-             **dict.fromkeys(("hmc", "rhmc", "lmc"), _GRADIENT_SAMPLER)}
+_HMC = {"step_size": 0.1, "n_steps": 10, "tune": False, "target_accept": 0.7}
+_SAMPLERS = {"rwm": {"proposal_sd": 0.5}, "hmc": _HMC, "lmc": _HMC,
+             # the fixed points of rhmc's implicit generalized leapfrog
+             "rhmc": {**_HMC, **_dataclass_defaults(
+                 IntegratorConfig, "fixed_point_iters", "fixed_point_tol")}}
 _TOP = {"target": dict, "sampler": dict, "geometry": {}, "seed": int,
         "iters": int, "burnin": 0, "output_dir": "out",
         "timing": ("real", "none"), "init": list}
@@ -422,10 +421,13 @@ def _init_adaptive_design(cfg, target, acfg):
     size = acfg["init_size"]
     rng = _rng(cfg["seed"], STREAM_DESIGN)
     pts = _prior_sample(target, rng, size * 5)
-    keep = maxmin_filter(pts, acfg["maxmin_radius"])[:size]
+    radius = acfg["maxmin_radius"]
+    keep = maxmin_filter(pts, radius)
     if keep.size < size:
-        keep = np.arange(size)
-    return _evaluated_design(target, pts[keep])
+        raise ConfigError("/geometry/adaptation/maxmin_radius",
+                          f"radius {radius:g} keeps {keep.size} of {pts.shape[0]} "
+                          f"prior draws, fewer than init_size {size}")
+    return _evaluated_design(target, pts[keep[:size]])
 
 
 def run(cfg: dict, n_chains: int = 1):
@@ -505,7 +507,7 @@ def design_cmd(cfg: dict):
     pool_hyper, _ = fit_hyperparameters(
         DesignSet(points=points, potentials=pots), rng=rng)
     mcfg = MICEConfig(init_keep=n_init, max_size=dcfg["target_size"],
-                      maxmin_radius=radius, refit_at_start=False)
+                      refit_at_start=False)
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
 
     if with_gradients:

@@ -61,7 +61,6 @@ class KLExpansion:
         self.eigenvalues = vals[:n_modes]
         # phi = W^(-1/2) psi has unit discrete L2 norm: phi' W phi = 1
         self.eigenfunctions = (vecs[:, :n_modes] / sw[:, None]).T  # (D, nodes)
-        self._all_eigenvalues = vals
 
     def _kernel(self, A, B):
         d2 = ((A[:, None, :] - B[None, :, :])**2).sum(-1)

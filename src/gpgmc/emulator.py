@@ -49,11 +49,6 @@ class Hyperparameters:
         if self.nugget < 0:
             raise ValueError("nugget must be non-negative")
 
-    @property
-    def tau(self) -> np.ndarray:
-        """Unconstrained parameterization rho = exp(-tau)."""
-        return -np.log(self.rho)
-
 
 @dataclass
 class DesignSet:
@@ -124,10 +119,6 @@ class DesignSet:
     @property
     def n_tilde(self) -> int:
         return self.n * (1 + self.dim) if self.has_gradients else self.n
-
-    @property
-    def data_count(self) -> int | None:
-        return None if self.per_datum is None else self.per_datum.shape[1]
 
     def data_vector(self) -> np.ndarray:
         """Stacked observation vector [u; grad rows], coordinate-major."""
@@ -212,12 +203,10 @@ class Emulator:
 
         self.gfi = None
         if design.per_datum is not None:
-            ndata = design.per_datum.shape[1]
             U = design.per_datum_matrix()  # a fresh copy, centred in place
             U -= U.mean(axis=1, keepdims=True)
             gfi = U @ U.T  # U J_N U' with J_N = I - 11'/N
             self.gfi = 0.5 * (gfi + gfi.T)
-            self._ndata = ndata
 
     # -- linear maps -----------------------------------------------------
 

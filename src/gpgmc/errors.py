@@ -62,8 +62,12 @@ class AllDegenerate(GpgmcError):
 
 
 class ConfigError(GpgmcError):
-    """Run configuration violates the schema."""
+    """Run configuration violates the schema; the args ``(path, message)``
+    let it pickle, so it crosses from a ``--chains`` worker."""
 
     def __init__(self, path: str, message: str):
+        super().__init__(path, message)
         self.path = path
-        super().__init__(f"{path}: {message}")
+
+    def __str__(self):
+        return f"{self.path}: {self.args[1]}"

@@ -16,13 +16,15 @@ Posterior means need no block: :func:`cross_corr_dot` contracts the
 prefactors with the weights directly.
 
 The maximum-likelihood fit differentiates a design's auto-correlation
-``C~`` (:func:`tilde_corr`) in rho, and these rho-derivatives also come from
-the prefactor table.  With ``delta = x - y``, ``dk/drho_d = -delta_d^2 k``,
-and d/drho commutes with the point derivatives, so each rho-derivative is a
-block of ``g k`` for a polynomial ``g(delta)``: ``g = -delta_d^2`` for the
-gradient and ``g = delta_d^2 delta_e^2`` for the Hessian.  The product rule
-(x-derivatives are d/d delta, y-derivatives -d/d delta) gives the blocks of
-``g k`` from those of ``k``::
+``C~`` (:func:`tilde_corr`) in rho; :func:`tilde_corr_rho_derivs` gives its
+first and second rho-derivatives from one pass over the design.  With
+``delta = x - y``, ``dk/drho_d = -delta_d^2 k``, and d/drho commutes with
+the point derivatives, so each rho-derivative is a block of ``g k`` for a
+polynomial ``g(delta)``: ``g = -delta_d^2`` for the gradient and
+``g = delta_d^2 delta_e^2`` for the Hessian.  A value-only design needs
+``g k`` alone.  With gradients, the product rule (x-derivatives are
+d/d delta, y-derivatives -d/d delta) gives the blocks of ``g k`` from those
+of ``k``::
 
     G00    = g K00
     G10_k  = g K10_k  + g_k K00
@@ -32,13 +34,14 @@ gradient and ``g = delta_d^2 delta_e^2`` for the Hessian.  The product rule
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import ShapeMismatch
 
 __all__ = ["basis", "corr_block", "PairDiffs", "tilde_basis", "tilde_corr",
-           "iter_tilde_corr_rho_grad", "tilde_corr_rho_grad",
-           "tilde_corr_rho_hess", "cross_corr", "cross_corr_dot"]
+           "tilde_corr_rho_derivs", "cross_corr", "cross_corr_dot"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -259,26 +262,6 @@ def _rho_poly(diff, coords):
     return g, g1, g2
 
 
-def _rho_rows(diff, corr, rho, with_gradients, coords):
-    """Row blocks ``[(0, .); (1, .)]`` of the rho-derivative over ``coords``.
-
-    The derivative is ``g k`` with ``g`` from :func:`_rho_poly`; the product
-    rule of the module docstring builds its blocks from the order-0 and
-    order-1 prefactor tables of ``k``, where K00 = 1, K01_l = a_l and
-    K10_k = -a_k.
-    """
-    T0, T1 = _prefactor_table(diff, rho, (0, 1), with_gradients)
-    g, g1, g2 = _rho_poly(diff, coords)
-    G0 = g * T0
-    G1 = g * T1
-    G1[:, 0] += g1
-    if with_gradients:  # the (., 1) blocks
-        a = T0[1:]
-        G0[1:] -= g1
-        G1[:, 1:] += g1[:, None] * a[None] + a[:, None] * g1[None] - g2
-    return _flatten(G0 * corr), _flatten(G1 * corr)
-
-
 def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:
     """Stacked basis [H; dH] for a design, or plain H without gradients."""
     H = basis(points, 0)
@@ -298,30 +281,31 @@ def tilde_corr(points, rho: np.ndarray, with_gradients: bool):
     return np.vstack(_block_rows(pairs.diff, corr, rho, (0, 1), True))
 
 
-def iter_tilde_corr_rho_grad(points, rho, with_gradients):
-    """dC~ / d rho_d for d = 0, 1, ..., one (n~, n~) matrix at a time.
+def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
+    """Rho-derivatives of C~, one (n~, n~) matrix per tuple in ``coords``:
+    dC~/drho_d for ``(d,)``, d^2 C~/drho_d drho_e for ``(d, e)``.
 
-    ``points`` is the (n, D) design or its :class:`PairDiffs`.  A caller that
-    uses each derivative once never holds all D of them.
+    ``points`` is as for :func:`tilde_corr`.  All come from one correlation
+    pass and, with gradients, one prefactor table, and are yielded in turn.
+    Without gradients each is ``g k``; with them, the product rule of the
+    module docstring builds its blocks, where K00 = 1, K01_l = a_l and
+    K10_k = -a_k.
     """
     pairs, rho, corr = _pairs_and_corr(points, rho)
-    for d in range(rho.size):
-        if with_gradients:
-            yield np.vstack(_rho_rows(pairs.diff, corr, rho, True, (d,)))
-        else:
-            yield -pairs.sq[:, :, d] * corr  # dC_d = -diff_d^2 * corr
-
-
-def tilde_corr_rho_grad(points, rho, with_gradients):
-    """dC~ / d rho_d for every d, stacked as (D, n~, n~)."""
-    return np.stack(list(iter_tilde_corr_rho_grad(points, rho, with_gradients)))
-
-
-def tilde_corr_rho_hess(points, rho, with_gradients, d, e):
-    """d^2 C~ / d rho_d d rho_e; ``points`` as for :func:`tilde_corr`."""
-    pairs, rho, corr = _pairs_and_corr(points, rho)
-    rows = _rho_rows(pairs.diff, corr, rho, with_gradients, (d, e))
-    return np.vstack(rows) if with_gradients else rows[0]
+    if with_gradients:
+        T0, T1 = _prefactor_table(pairs.diff, rho, (0, 1), True)
+        a = T0[1:]
+    for cs in coords:
+        if not with_gradients:
+            yield reduce(np.multiply, (-pairs.sq[:, :, c] for c in cs)) * corr
+            continue
+        g, g1, g2 = _rho_poly(pairs.diff, cs)
+        G0 = g * T0
+        G1 = g * T1
+        G1[:, 0] += g1
+        G0[1:] -= g1  # the (., 1) blocks
+        G1[:, 1:] += g1[:, None] * a[None] + a[:, None] * g1[None] - g2
+        yield np.vstack([_flatten(G0 * corr), _flatten(G1 * corr)])
 
 
 def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,

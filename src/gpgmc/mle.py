@@ -16,11 +16,13 @@ random restarts.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 from scipy.optimize import minimize
 
 from . import kernels
-from .emulator import DesignSet, Emulator, Hyperparameters
+from .emulator import NUGGET_DEFAULT, DesignSet, Emulator, Hyperparameters
 from .errors import IllConditioned, OptimFailed, TooFewPoints
 
 __all__ = ["profile_loglik", "profile_loglik_grad", "profile_loglik_hess",
@@ -36,54 +38,68 @@ def _loglik(em: Emulator) -> float:
         - 0.5 * em.logdet_B
 
 
-def profile_loglik(design: DesignSet, rho, nugget: float = 1e-8) -> float:
+def profile_loglik(design: DesignSet, rho, nugget: float = NUGGET_DEFAULT) -> float:
     """Profile log-likelihood l(rho) up to an additive constant."""
     em = Emulator(design, Hyperparameters(rho, nugget))
     return _loglik(em) if em.sigma2_hat > 0.0 else -np.inf
 
 
-def profile_loglik_grad(design: DesignSet, rho, nugget: float = 1e-8):
+def _coef(em: Emulator) -> float:
+    """c = dof / (2 (dof - 2) sigma2_hat)."""
+    return em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
+
+
+def _linear_term(em: Emulator, coef: float, M) -> float:
+    """``c w'M w - tr(Q M) / 2``, the part of a derivative of l linear in a
+    derivative M of C~: all of dl/drho_d for M = dC~/drho_d."""
+    return coef * (em.w @ M @ em.w) - 0.5 * np.sum(em.Q * M.T)
+
+
+def profile_loglik_grad(design: DesignSet, rho, nugget: float = NUGGET_DEFAULT):
     """Return (l, dl/drho) with the analytic gradient."""
     rho = np.asarray(rho, dtype=float)
     em = Emulator(design, Hyperparameters(rho, nugget))
     if em.sigma2_hat <= 0.0:
         return -np.inf, np.full(rho.shape, np.nan)
-    coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
-    grad = np.array([coef * (em.w @ dC @ em.w) - 0.5 * np.sum(em.Q * dC.T)
-                     for dC in kernels.iter_tilde_corr_rho_grad(
-                         design.pair_diffs, rho, design.has_gradients)])
+    coef = _coef(em)
+    grad = np.array([_linear_term(em, coef, dC)
+                     for dC in kernels.tilde_corr_rho_derivs(
+                         design.pair_diffs, rho, design.has_gradients,
+                         [(d,) for d in range(rho.size)])])
     return _loglik(em), grad
 
 
-def profile_loglik_hess(design: DesignSet, rho, nugget: float = 1e-8):
-    """Return (l, grad, hess) with the analytic Hessian in rho."""
+def profile_loglik_hess(design: DesignSet, rho, nugget: float = NUGGET_DEFAULT):
+    """Return (l, grad, hess) with the analytic Hessian in rho.
+
+    With c from :func:`_coef`, ``v_d = dC_d w`` and ``A_d = Q dC_d``,
+    entry (d, e) is ``c (w'v_d)(w'v_e) / ((dof - 2) sigma2_hat)
+    - 2c v_d'Q v_e + tr(A_d A_e) / 2`` plus the linear term of d2C_de.
+    After the factorization it costs O(D n~^3 + D^2 n~^2)."""
     rho = np.asarray(rho, dtype=float)
     em = Emulator(design, Hyperparameters(rho, nugget))
-    sigma2, Q, Qu = em.sigma2_hat, em.Q, em.w
-    if sigma2 <= 0.0:
+    if em.sigma2_hat <= 0.0:
         raise OptimFailed("sigma2_hat non-positive; likelihood degenerate")
-    dC = kernels.tilde_corr_rho_grad(design.pair_diffs, rho, design.has_gradients)
-    nq = em.dof
-    nq2 = em.dof - 2
-    quad = np.array([Qu @ dC[d] @ Qu for d in range(rho.size)])
-    grad = nq / (2.0 * nq2 * sigma2) * quad \
-        - 0.5 * np.array([np.sum(Q * dC[d].T) for d in range(rho.size)])
     dim = rho.size
-    hess = np.empty((dim, dim))
-    QdC = [Q @ dC[d] for d in range(dim)]
-    for d in range(dim):
-        for e in range(d, dim):
-            d2C = kernels.tilde_corr_rho_hess(design.pair_diffs, rho,
-                                              design.has_gradients, d, e)
-            term1 = nq / (2.0 * nq2**2 * sigma2**2) * quad[d] * quad[e]
-            mid = dC[d] @ Q @ dC[e] + dC[e] @ Q @ dC[d] - d2C
-            term2 = -nq / (2.0 * nq2 * sigma2) * (Qu @ mid @ Qu)
-            term3 = 0.5 * (np.sum(QdC[d] * QdC[e].T) - np.sum(Q * d2C.T))
-            hess[d, e] = hess[e, d] = term1 + term2 + term3
+    pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
+    derivs = kernels.tilde_corr_rho_derivs(
+        design.pair_diffs, rho, design.has_gradients,
+        [(d,) for d in range(dim)] + pairs)
+    coef = _coef(em)
+    first = [(_linear_term(em, coef, dC), dC @ em.w, em.Q @ dC)
+             for dC in islice(derivs, dim)]
+    grad, V, A = (np.array(x) for x in zip(*first))
+    quad = V @ em.w
+    At = A.transpose(0, 2, 1).reshape(dim, -1)  # tr(A_d A_e) = vec(A_d).vec(A_e')
+    hess = coef / ((em.dof - 2) * em.sigma2_hat) * np.outer(quad, quad) \
+        - 2.0 * coef * (V @ em.Q @ V.T) + 0.5 * (A.reshape(dim, -1) @ At.T)
+    for (d, e), d2C in zip(pairs, derivs):
+        hess[d, e] += _linear_term(em, coef, d2C)
+    hess = np.triu(hess) + np.triu(hess, 1).T
     return _loglik(em), grad, hess
 
 
-def fit_hyperparameters(design: DesignSet, nugget: float = 1e-8,
+def fit_hyperparameters(design: DesignSet, nugget: float = NUGGET_DEFAULT,
                         rng: np.random.Generator | None = None):
     """Fit rho by maximizing the profile likelihood over tau = -log rho.
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestValidation:
                 tmp_path, sampler={"name": "rwm", "step_size": 0.1}))
         assert "/sampler/step_size" in str(err.value)
 
+    @pytest.mark.parametrize("sampler", ["hmc", "lmc"])
+    @pytest.mark.parametrize("key", ["fixed_point_iters", "fixed_point_tol"])
+    def test_fixed_point_keys_are_rhmc_only(self, tmp_path, sampler, key):
+        """Only rhmc's implicit leapfrog reads them."""
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(banana_config(tmp_path, sampler={"name": sampler,
+                                                                 key: 4}))
+        assert err.value.path == f"/sampler/{key}"
+        cli.validate_config(banana_config(tmp_path, sampler={"name": "rhmc", key: 4}))
+
     @pytest.mark.parametrize("target, key", [
         ({"name": "banana", "n_dta": 60}, "n_dta"),
         # a key of another target is unknown too
@@ -141,6 +152,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cli.validate_config(banana_config(
                 tmp_path, target={"name": "bbd", "n_data": 50}, init=[1, 0.5, -0.5]))
+
+    def test_config_error_pickles(self):
+        """Workers of a --chains run hand their errors back by pickling."""
+        err = pickle.loads(pickle.dumps(ConfigError("/a", "b")))
+        assert isinstance(err, ConfigError)
+        assert err.path == "/a" and str(err) == "/a: b"
 
 
 def adaptive_config(tmp_path, **adaptation):
@@ -213,7 +230,7 @@ FAULTS = [
     (lambda t: banana_config(t, burnin=-1), "/burnin"),
     (lambda t: banana_config(t, sampler={"name": "hmc", "target_accept": 1.0}),
      "/sampler/target_accept"),
-    (lambda t: banana_config(t, sampler={"name": "hmc", "fixed_point_tol": -1e-8}),
+    (lambda t: banana_config(t, sampler={"name": "rhmc", "fixed_point_tol": -1e-8}),
      "/sampler/fixed_point_tol"),
     (lambda t: banana_config(t, target={"name": "bbd", "dim": 1}), "/target/dim"),
     (lambda t: banana_config(t, target={"name": "elliptic", "mesh_size": 15}),
@@ -388,6 +405,18 @@ class TestRun:
         assert (out / "chain_0.csv").exists()
         assert (out / "chain_1.csv").exists()
         assert (out / "chain_0.csv").read_bytes() != (out / "chain_1.csv").read_bytes()
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_adaptive_start_radius_that_keeps_too_few_draws(self, tmp_path,
+                                                            capsys, chains):
+        """A radius of 10 keeps one of the 50 prior draws; init_size is 10."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(adaptive_config(
+            tmp_path, maxmin_radius=10.0, init_size=10)))
+        assert cli.main(["run", str(path), "--chains", str(chains)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: /geometry/adaptation/maxmin_radius: radius 10 keeps "
+            "1 of 50 prior draws, fewer than init_size 10\n")
 
     def test_run_builds_the_target_once(self, tmp_path, monkeypatch):
         calls = []

@@ -199,7 +199,12 @@ def test_tilde_rho_derivatives_match_central_differences(dim, with_gradients):
     rng = np.random.default_rng(30 + dim)
     rho = rng.uniform(0.4, 1.4, dim)
     pts = rng.normal(size=(4, dim))
-    grad = kernels.tilde_corr_rho_grad(pts, rho, with_gradients)
+    first = [(d,) for d in range(dim)]
+
+    def rho_grad(r):
+        return np.stack(list(kernels.tilde_corr_rho_derivs(pts, r, with_gradients,
+                                                           first)))
+    grad = rho_grad(rho)
     n_tilde = 4 * (1 + dim) if with_gradients else 4
     assert grad.shape == (dim, n_tilde, n_tilde)
     h = 1e-6
@@ -210,8 +215,8 @@ def test_tilde_rho_derivatives_match_central_differences(dim, with_gradients):
         fd = (kernels.tilde_corr(pts, rp, with_gradients)
               - kernels.tilde_corr(pts, rm, with_gradients)) / (2 * h)
         np.testing.assert_allclose(grad[e], fd, atol=1e-8)
-        fd_grad = (kernels.tilde_corr_rho_grad(pts, rp, with_gradients)
-                   - kernels.tilde_corr_rho_grad(pts, rm, with_gradients)) / (2 * h)
-        for d in range(dim):
-            hess = kernels.tilde_corr_rho_hess(pts, rho, with_gradients, d, e)
-            np.testing.assert_allclose(hess, fd_grad[d], atol=1e-7)
+        fd_grad = (rho_grad(rp) - rho_grad(rm)) / (2 * h)
+        hess = kernels.tilde_corr_rho_derivs(pts, rho, with_gradients,
+                                             [(d, e) for d in range(dim)])
+        for d, hess_de in enumerate(hess):
+            np.testing.assert_allclose(hess_de, fd_grad[d], atol=1e-7)

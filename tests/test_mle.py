@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -52,6 +53,101 @@ def test_hessian_matches_gradient_differences(gradients):
         assert np.abs(hess - fd).max() / scale < 1e-3
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("gradients", [False, True])
+def test_hessian_makes_one_derivative_pass(monkeypatch, dim, gradients):
+    """The emulator's correlation and one pass for every rho-derivative,
+    whatever D; a prefactor table for each only with gradients."""
+    design = make_design(11, dim=dim, n=2 * dim + 6, gradients=gradients)
+    calls = []
+    pairs_and_corr, prefactor_table = kernels._pairs_and_corr, kernels._prefactor_table
+    monkeypatch.setattr(kernels, "_pairs_and_corr", lambda *a: calls.append(
+        "corr") or pairs_and_corr(*a))
+    monkeypatch.setattr(kernels, "_prefactor_table", lambda *a: calls.append(
+        "table") or prefactor_table(*a))
+    mle.profile_loglik_hess(design, np.full(dim, 0.7))
+    assert calls.count("corr") == 2
+    assert calls.count("table") == (2 if gradients else 0)
+
+
+def mp_loglik_hess(C, H, u, dC, d2C):
+    """The Hessian of l(rho) at 50 digits by dense inverses, from the float
+    C~ (nugget included), H~, u, the matrices dC[d] = dC~/drho_d and
+    d2C[d, e] = d^2 C~/drho_d drho_e (d <= e).  With
+    Q = C^-1 - C^-1 H (H'C^-1 H)^-1 H'C^-1, w = Q u, s2 = u'w / (dof - 2)
+    and c = dof / (2 (dof - 2) s2), entry (d, e) is
+    c (w'dC_d w)(w'dC_e w) / ((dof - 2) s2)
+    - c w'(dC_d Q dC_e + dC_e Q dC_d - d2C_de) w
+    + (tr(Q dC_d Q dC_e) - tr(Q d2C_de)) / 2."""
+    with mp.workdps(50):
+        C, H, u = (mp.matrix(a.tolist()) for a in (C, H, u))
+        Ci = C**-1
+        CiH = Ci * H
+        Q = Ci - CiH * (H.T * CiH)**-1 * CiH.T
+        w = Q * u
+        dof = H.rows - H.cols
+        s2 = (u.T * w)[0] / (dof - 2)
+        c = dof / (2 * (dof - 2) * s2)
+        dC = [mp.matrix(a.tolist()) for a in dC]
+        quad = [(w.T * a * w)[0] for a in dC]
+        QdC = [Q * a for a in dC]
+
+        def tr(A):
+            return mp.fsum(A[i, i] for i in range(A.rows))
+        out = np.empty((len(dC), len(dC)))
+        for (d, e), b in d2C.items():
+            b = mp.matrix(b.tolist())
+            mid = dC[d] * Q * dC[e] + dC[e] * Q * dC[d] - b
+            out[d, e] = out[e, d] = float(
+                c * quad[d] * quad[e] / ((dof - 2) * s2) - c * (w.T * mid * w)[0]
+                + (tr(QdC[d] * QdC[e]) - tr(Q * b)) / 2)
+        return out
+
+
+def grid_design(pts, gradients):
+    fn = SmoothTestFunction(np.random.default_rng(60), pts.shape[1])
+    return fn.design(pts, gradients=gradients, per_datum=False)
+
+
+def hessian_cases():
+    """(design, rho) pairs: spread designs for D = 1-3 with and without
+    gradients, then dense sets whose C~ has condition numbers up to 1e9 at
+    the nugget."""
+    for i, (gradients, dim) in enumerate((g, dim) for g in (False, True)
+                                         for dim in (1, 2, 3)):
+        design = make_design(40 + i, dim=dim, n=6 if gradients else 8 + 2 * dim,
+                             gradients=gradients)
+        for rho in np.exp(np.random.default_rng(50 + i).uniform(-1.5, 0.5, (2, dim))):
+            yield design, rho
+    for n, gradients in ((12, False), (7, True)):
+        design = grid_design(np.linspace(-1, 1, n)[:, None], gradients)
+        for r in (0.5, 0.2):
+            yield design, np.array([r])
+    grid = np.stack(np.meshgrid(*[np.linspace(-1, 1, 4)] * 2), -1).reshape(-1, 2)
+    yield grid_design(grid, False), np.array([0.1, 0.1])
+
+
+@pytest.mark.parametrize("design, rho", hessian_cases())
+def test_hessian_matches_50_digit_evaluation(design, rho):
+    """profile_loglik_hess against the same formula at 50 digits on the same
+    float inputs, within 2e-6 of the largest entry.  On the dense sets the
+    form through the products dC_d Q dC_e is off by up to 2e-5.  Near
+    condition number 1e9 the emulator's own sigma2_hat can be off by 1e-5
+    relative, and the Hessian with it."""
+    gradients, dim = design.has_gradients, design.dim
+    nugget = 1e-8
+    C = kernels.tilde_corr(design.points, rho, gradients) \
+        + nugget * np.eye(design.n_tilde)
+    pairs = [(d, e) for d in range(dim) for e in range(d, dim)]
+    derivs = list(kernels.tilde_corr_rho_derivs(
+        design.points, rho, gradients, [(d,) for d in range(dim)] + pairs))
+    ref = mp_loglik_hess(C, kernels.tilde_basis(design.points, gradients),
+                         design.data_vector(), derivs[:dim],
+                         dict(zip(pairs, derivs[dim:])))
+    got = mle.profile_loglik_hess(design, rho, nugget)[2]
+    assert np.abs(got - ref).max() <= 2e-6 * np.abs(ref).max()
+
+
 def loglik_grad_from_scratch(design, rho, nugget=1e-8):
     """profile_loglik_grad on a fresh copy of the design, with the stacked
     rho-derivatives built from its points."""
@@ -60,10 +156,11 @@ def loglik_grad_from_scratch(design, rho, nugget=1e-8):
                       gradients=None if design.gradients is None
                       else design.gradients.copy())
     em = Emulator(fresh, Hyperparameters(rho, nugget))
-    dC = kernels.tilde_corr_rho_grad(fresh.points, rho, fresh.has_gradients)
+    dC = kernels.tilde_corr_rho_derivs(fresh.points, rho, fresh.has_gradients,
+                                       [(d,) for d in range(rho.size)])
     coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
-    grad = np.array([coef * (em.w @ dC[d] @ em.w) - 0.5 * np.sum(em.Q * dC[d].T)
-                     for d in range(rho.size)])
+    grad = np.array([coef * (em.w @ dC_d @ em.w) - 0.5 * np.sum(em.Q * dC_d.T)
+                     for dC_d in dC])
     return mle._loglik(em), grad
 
 
