@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 
 from . import kernels, samplers
 from .emulator import (DesignSet, Emulator, Hyperparameters, NUGGET_DEFAULT,
-                       build_emulator)
+                       build_emulator, per_datum_gram)
 from .errors import (AllDegenerate, IllConditioned, OptimFailed,
                      RejectionBudgetExhausted, TooFewPoints)
 from .geometry import EmulatedGeometry, METRIC_REG_SCALE
@@ -95,12 +95,12 @@ def build_mixture_proposal(emulator: Emulator,
     design = emulator.design
     dim = design.dim
     n = design.n
-    if emulator.gfi is not None and design.has_gradients:
+    if design.gfi is not None and design.has_gradients:
         efis = np.empty((n, dim, dim))
         for i in range(n):
             rows = n + np.arange(dim) * n + i
-            efis[i] = emulator.gfi[np.ix_(rows, rows)]
-    elif emulator.gfi is not None:
+            efis[i] = design.gfi[np.ix_(rows, rows)]
+    elif design.gfi is not None:
         efis = emulator.predict_efi(design.points)
     else:
         raise AllDegenerate("design carries no per-datum information for precisions")
@@ -306,11 +306,12 @@ def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray,
 
 @dataclass
 class CandidatePool:
-    """Scored candidates: previous samples with recycled evaluations."""
+    """Scored candidates: previous samples with recycled evaluations, and
+    optionally each one's per-datum value row, an (N,) array, in a sequence."""
 
     points: np.ndarray
     potentials: np.ndarray
-    per_datum: np.ndarray | None = None
+    per_datum: list[np.ndarray] | np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -319,22 +320,21 @@ class CandidatePool:
 
 def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
                 hyper: Hyperparameters | None = None,
-                rng: np.random.Generator | None = None):
+                rng: np.random.Generator | None = None, rows=None):
     """Refresh the design from a candidate pool, one greedy pick at a time.
 
     Keeps the ``init_keep`` most recently added design points, returns the
-    remaining design rows to the candidate pool, then grows the design by
+    remaining design points to the candidate pool, then grows the design by
     repeated :func:`mice_select` until ``max_size`` is reached or every
     candidate is degenerate.  Picks are indices into one array of points;
     the refined design is assembled once, at the end.  Stored potentials
-    and per-datum rows are recycled (the per-datum rows are gathered from
-    views of the inputs, without stacking the pool); no new target
-    evaluations happen here.  Gradient information is dropped: refined
-    designs are value-based.
-
-    Returns ``(DesignSet, Hyperparameters, info)``.
+    and per-datum rows are recycled; no new target evaluations happen here.
+    Given ``rows``, the design points' per-datum value rows, and a pool with
+    rows, the refined design gets the Gram of its rows, which ``info["rows"]``
+    lists by reference.  Gradient information is dropped: refined designs
+    are value-based.  Returns ``(DesignSet, Hyperparameters, info)``.
     """
-    use_pd = design.per_datum is not None and pool.per_datum is not None
+    use_pd = rows is not None and pool.per_datum is not None
 
     # hyperparameters are refreshed once per refresh, on the incoming design
     if cfg.refit_at_start or hyper is None:
@@ -348,10 +348,10 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     rho = hyper.rho
 
     if design.n >= cfg.max_size:
-        info = {"added": 0, "final_size": design.n, "rho": rho}
+        info = {"added": 0, "final_size": design.n, "rho": rho, "rows": rows}
         return design, Hyperparameters(rho=rho), info
 
-    # rows: the kept design points, then the pool, then the recycled design
+    # order: the kept design points, then the pool, then the recycled design
     # points; candidates are filtered in pool-then-recycled order, which
     # decides ties
     keep = min(cfg.init_keep, design.n)
@@ -373,14 +373,15 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
         chosen.append(int(cand[j]))
         cand = np.delete(cand, j)
 
-    per_datum = None
+    gfi = chosen_rows = None
     if use_pd:
-        rows = [*design.per_datum[recycled:], *pool.per_datum,
-                *design.per_datum[:recycled]]
-        per_datum = np.array([rows[i] for i in chosen])
+        all_rows = [*rows[recycled:], *pool.per_datum, *rows[:recycled]]
+        chosen_rows = [all_rows[i] for i in chosen]
+        gfi = per_datum_gram(np.array(chosen_rows))
     refined = DesignSet(points=points[chosen], potentials=potentials[chosen],
-                        per_datum=per_datum)
-    info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho}
+                        gfi=gfi)
+    info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho,
+            "rows": chosen_rows}
     return refined, Hyperparameters(rho=rho), info
 
 
@@ -461,6 +462,10 @@ class AdaptiveGPeSampler:
     regeneration is evaluated.  While adaptation is active, a regeneration
     triggers a design refresh from the finished tour, an emulator/proposal
     rebuild, and a restart draw from the regeneration kernel Q.
+
+    ``rows`` are the design points' per-datum value rows, which refreshes
+    recycle beside the tour's; a design holds only their Gram, so rows not
+    given cost one exact call per design point here.
     """
 
     def __init__(self, target, design: DesignSet, integrator_cfg,
@@ -468,7 +473,7 @@ class AdaptiveGPeSampler:
                  mice_cfg: MICEConfig | None = None,
                  rng: np.random.Generator | None = None,
                  hyper: Hyperparameters | None = None,
-                 tune: bool = False, target_accept: float = 0.7):
+                 tune: bool = False, target_accept: float = 0.7, rows=None):
         if kernel not in ("hmc", "rhmc", "lmc"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self.raw_target = target
@@ -495,6 +500,8 @@ class AdaptiveGPeSampler:
         self.last_holdout_mspe = np.nan
 
         self.design = design
+        self._design_rows = rows if rows is not None else [
+            target.potential_per_datum(p)[1] for p in design.points]
         if hyper is None:
             hyper, _ = fit_hyperparameters(
                 DesignSet(points=design.points, potentials=design.potentials),
@@ -581,12 +588,13 @@ class AdaptiveGPeSampler:
             if pool is not None:
                 self.events.append(AdaptEvent(self.iteration, "adapt_start",
                                               self.design.n))
-                new_design, new_hyper, _ = mice_refine(
+                new_design, new_hyper, info = mice_refine(
                     self.design, pool, self.mice_cfg, hyper=self.hyper,
-                    rng=self.rng)
+                    rng=self.rng, rows=self._design_rows)
                 q = 1 + 2 * self.design.dim
                 if new_design.n > q + 2:
                     self.design, self.hyper = new_design, new_hyper
+                    self._design_rows = info["rows"]
                 self._clear_tour()
                 self.n_adaptations += 1
                 if self.tuner is not None:
@@ -637,7 +645,7 @@ class AdaptiveGPeSampler:
         hold_mask[hold_idx] = True
         holdout = (points[hold_mask], potentials[hold_mask]) if nh >= 3 else None
         # the pool is chosen on the points alone, as tour indices; the
-        # per-datum rows are gathered once, for the kept indices only
+        # per-datum rows of the kept indices are passed by reference
         idx = np.flatnonzero(~hold_mask)
         if idx.size > POOL_CAP:
             idx = idx[np.linspace(0, idx.size - 1, POOL_CAP).astype(int)]
@@ -646,7 +654,7 @@ class AdaptiveGPeSampler:
             return None, holdout
         pd = None
         if len(self._tour_pd) == len(pts):
-            pd = np.array([self._tour_pd[i] for i in idx])
+            pd = [self._tour_pd[i] for i in idx]
         return CandidatePool(points[idx], potentials[idx], pd), holdout
 
     # -- public ------------------------------------------------------------

@@ -28,7 +28,8 @@ from .adaptation import (AdaptiveGPeSampler, CandidatePool, MICEConfig,
                          RegenSchedule, maxmin_filter, mice_refine)
 from .diagnostics import summarize
 from .elliptic import EllipticTarget, KLExpansion
-from .emulator import DesignSet, build_emulator, load_design, save_design
+from .emulator import (DesignSet, build_emulator, load_design, per_datum_gram,
+                       save_design)
 from .errors import ChainFileError, ConfigError, GpgmcError
 from .geometry import EmulatedGeometry, ExactGeometry
 from .mle import fit_hyperparameters
@@ -285,21 +286,26 @@ def _prior_sample(target, rng, count):
     return rng.standard_normal((count, target.dim))
 
 
-def _evaluated_design(target, points, with_gradients=False):
-    points = np.asarray(points, dtype=float)
-    n, dim = points.shape
-    ndata = target.data_count
+def _evaluated_rows(target, points, with_gradients=False):
+    """Exact potentials, gradients (or None) and stacked (n~, N) per-datum
+    rows at ``points``, each filled in place in ``data_vector`` row order."""
+    n, dim = np.shape(points)
     pots = np.empty(n)
-    pds = np.empty((n, ndata))
     grads = np.empty((n, dim)) if with_gradients else None
-    pdgs = np.empty((n, dim, ndata)) if with_gradients else None
+    rows = np.empty((n * (1 + dim) if with_gradients else n, target.data_count))
     for i, th in enumerate(points):
         if with_gradients:
-            pots[i], grads[i], pds[i], pdgs[i] = target.per_datum(th)
+            pots[i], grads[i], rows[i], rows[n + i::n] = target.per_datum(th)
         else:
-            pots[i], pds[i] = target.potential_per_datum(th)
+            pots[i], rows[i] = target.potential_per_datum(th)
+    return pots, grads, rows
+
+
+def _evaluated_design(target, points, with_gradients=False):
+    """The design at ``points``, its per-datum rows reduced to their Gram."""
+    pots, grads, rows = _evaluated_rows(target, points, with_gradients)
     return DesignSet(points=points, potentials=pots, gradients=grads,
-                     per_datum=pds, per_datum_grads=pdgs)
+                     gfi=per_datum_gram(rows))
 
 
 # -- chain execution -----------------------------------------------------
@@ -340,9 +346,9 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
         design, hyper = load_design(gcfg["design_file"])
         geometry = EmulatedGeometry(build_emulator(design, hyper))
     else:
-        design = _init_adaptive_design(cfg, target, acfg)
+        design, rows = _init_adaptive_design(cfg, target, acfg)
         adaptive = AdaptiveGPeSampler(
-            target, design, integ, kernel=scfg["name"],
+            target, design, integ, kernel=scfg["name"], rows=rows,
             schedule=RegenSchedule(**_dataclass_args(RegenSchedule, acfg)),
             mice_cfg=MICEConfig(**_dataclass_args(MICEConfig, acfg)),
             rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
@@ -416,8 +422,10 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
 
 
 def _init_adaptive_design(cfg, target, acfg):
+    """The adaptive start's design and its per-datum value rows (None from a
+    design file, which holds only their Gram)."""
     if acfg["init_design"] != "prior":
-        return load_design(acfg["init_design"])[0]
+        return load_design(acfg["init_design"])[0], None
     size = acfg["init_size"]
     rng = _rng(cfg["seed"], STREAM_DESIGN)
     pts = _prior_sample(target, rng, size * 5)
@@ -427,7 +435,11 @@ def _init_adaptive_design(cfg, target, acfg):
         raise ConfigError("/geometry/adaptation/maxmin_radius",
                           f"radius {radius:g} keeps {keep.size} of {pts.shape[0]} "
                           f"prior draws, fewer than init_size {size}")
-    return _evaluated_design(target, pts[keep[:size]])
+    pts = pts[keep[:size]]
+    pots, _, rows = _evaluated_rows(target, pts)
+    # the Gram centres a copy: the sampler keeps the rows as evaluated
+    return DesignSet(points=pts, potentials=pots,
+                     gfi=per_datum_gram(rows.copy())), rows
 
 
 def run(cfg: dict, n_chains: int = 1):
@@ -472,20 +484,11 @@ def design_cmd(cfg: dict):
     with_gradients = dcfg["with_gradients"]
     if dcfg["source"] == "prior":
         points = _prior_sample(target, rng, dcfg["count"])
-        pots, pds = [], []
-        for th in points:
-            # the candidates' potentials, and so the fit and the picks, come
-            # from potential_per_datum's sum; a gradient design is re-evaluated
-            # below, so its candidates' per-datum rows are not kept
-            u, vals = target.potential_per_datum(th)
-            pots.append(u)
-            if not with_gradients:
-                pds.append(vals)
-        pots = np.array(pots)
-        pds = None if with_gradients else np.array(pds)
+        # the candidates' potentials, and so the fit and the picks, come from
+        # potential_per_datum's sum, as the design's own do below
+        pots = np.array([target.potential_per_datum(th)[0] for th in points])
     else:
         points, pots = _read_chain_csv(dcfg["path"], target.dim)
-        pds = None
 
     radius = dcfg["maxmin_radius"]
     kept = maxmin_filter(points, radius)
@@ -495,13 +498,10 @@ def design_cmd(cfg: dict):
                           f"radius {radius:g} leaves {kept.size} candidates, "
                           f"the design step needs at least {q + 3}")
     points, pots = points[kept], pots[kept]
-    pds = pds[kept] if pds is not None else None
 
     n_init = q + 3
-    init = DesignSet(points=points[:n_init], potentials=pots[:n_init],
-                     per_datum=pds[:n_init] if pds is not None else None)
-    pool = CandidatePool(points[n_init:], pots[n_init:],
-                         pds[n_init:] if pds is not None else None)
+    init = DesignSet(points=points[:n_init], potentials=pots[:n_init])
+    pool = CandidatePool(points[n_init:], pots[n_init:])
     # lengthscales for the greedy selection come from the whole scored
     # candidate set; per-step fits on tiny growing designs are unstable
     pool_hyper, _ = fit_hyperparameters(
@@ -510,10 +510,10 @@ def design_cmd(cfg: dict):
                       refit_at_start=False)
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
 
-    if with_gradients:
-        # the re-evaluation yields per-datum data whatever the source, and
-        # metric-based samplers need it
-        design = _evaluated_design(target, design.points, with_gradients=True)
+    if with_gradients or dcfg["source"] == "prior":
+        # the chosen points' per-datum Gram, which metric-based samplers need;
+        # a gradient design gets it whatever the source
+        design = _evaluated_design(target, design.points, with_gradients)
     if design.n_tilde > q + 3:
         hyper, _ = fit_hyperparameters(
             DesignSet(points=design.points, potentials=design.potentials),

@@ -1,7 +1,11 @@
 """Derivative-aware Gaussian-process emulator of a potential surface.
 
 Conditions on a design of points with potential values, optional gradients and
-optional per-datum potential decompositions.  Every prediction (value,
+optional per-datum data.  The per-datum data enter only the empirical Fisher
+matrices and connections, and only through the (n~, n~) centred Gram
+``U J_N U'`` of the stacked per-datum matrix U, so a design carries that Gram
+(:func:`per_datum_gram`) and never the (n~, N) rows: its size and every query's
+cost are free of the data size N.  Every prediction (value,
 gradient, Hessian, empirical Fisher matrix, metric-derivative tensor) is a
 linear map of the stacked design data, so the heavy factorizations are done
 once per design.  Posterior means need no map at all: they read the weights
@@ -28,7 +32,7 @@ from .errors import (DesignFileError, IllConditioned, MissingPerDatum,
                      ShapeMismatch, TooFewPoints)
 
 __all__ = ["Hyperparameters", "DesignSet", "Prediction", "Emulator",
-           "build_emulator", "save_design", "load_design"]
+           "per_datum_gram", "build_emulator", "save_design", "load_design"]
 
 NUGGET_DEFAULT = 1e-8
 NUGGET_MAX = 1e-4
@@ -50,24 +54,34 @@ class Hyperparameters:
             raise ValueError("nugget must be non-negative")
 
 
+def per_datum_gram(rows: np.ndarray) -> np.ndarray:
+    """Centred Gram ``U J_N U'`` (J_N = I - 11'/N) of per-datum rows.
+
+    ``rows`` is the stacked (n~, N) float64 matrix U in ``data_vector`` row
+    order: potential rows, then one block of gradient rows per coordinate.
+    It is centred in place, so the caller hands over rows it no longer needs.
+    """
+    rows -= rows.mean(axis=1, keepdims=True)
+    gfi = rows @ rows.T
+    return 0.5 * (gfi + gfi.T)
+
+
 @dataclass
 class DesignSet:
     """Evaluated configurations the emulator conditions on.
 
-    ``gradients`` holds per-point potential gradients (n, D).  ``per_datum``
-    holds per-point, per-datum potential contributions (n, N) and, when
-    gradients are present, ``per_datum_grads`` their per-datum gradients
-    (n, D, N); both are required together so that the stacked per-datum matrix
-    conforms to the derivative-augmented linear maps.  A design is not
-    modified after construction: it caches the pairwise differences of its
-    points.
+    ``gradients`` holds per-point potential gradients (n, D).  ``gfi`` holds
+    the (n~, n~) centred Gram of the design's per-datum potentials (and, with
+    gradients, their per-datum gradients) from :func:`per_datum_gram`; the
+    empirical Fisher matrices need it, and nothing reads the per-datum rows
+    themselves.  A design is not modified after construction: it caches the
+    pairwise differences of its points.
     """
 
     points: np.ndarray
     potentials: np.ndarray
     gradients: np.ndarray | None = None
-    per_datum: np.ndarray | None = None
-    per_datum_grads: np.ndarray | None = None
+    gfi: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -81,17 +95,10 @@ class DesignSet:
             self.gradients = np.asarray(self.gradients, dtype=float)
             if self.gradients.shape != (n, dim):
                 raise ShapeMismatch("gradients must be (n, D)")
-        if self.per_datum is not None:
-            self.per_datum = np.asarray(self.per_datum, dtype=float)
-            if self.per_datum.ndim != 2 or self.per_datum.shape[0] != n:
-                raise ShapeMismatch("per_datum must be (n, N)")
-            if self.gradients is not None:
-                if self.per_datum_grads is None:
-                    raise ShapeMismatch(
-                        "per_datum_grads required when design has gradients and per-datum data")
-                self.per_datum_grads = np.asarray(self.per_datum_grads, dtype=float)
-                if self.per_datum_grads.shape != (n, dim, self.per_datum.shape[1]):
-                    raise ShapeMismatch("per_datum_grads must be (n, D, N)")
+        if self.gfi is not None:
+            self.gfi = np.asarray(self.gfi, dtype=float)
+            if self.gfi.shape != (self.n_tilde,) * 2:
+                raise ShapeMismatch("gfi must be (n~, n~)")
         if n > 1:
             d2 = np.sum(self.pair_diffs.sq, axis=-1)
             np.fill_diagonal(d2, np.inf)
@@ -125,19 +132,6 @@ class DesignSet:
         if not self.has_gradients:
             return self.potentials.copy()
         return np.concatenate([self.potentials, self.gradients.T.reshape(-1)])
-
-    def per_datum_matrix(self) -> np.ndarray:
-        """Stacked per-datum matrix (n~, N) conforming to data_vector layout."""
-        if self.per_datum is None:
-            raise MissingPerDatum("design carries no per-datum potentials")
-        if not self.has_gradients:
-            return self.per_datum.copy()
-        n, dim, ndata = self.per_datum_grads.shape
-        out = np.empty((n * (1 + dim), ndata))
-        out[:n] = self.per_datum
-        for k in range(dim):
-            out[n * (1 + k):n * (2 + k)] = self.per_datum_grads[:, k]
-        return out
 
 
 @dataclass
@@ -201,12 +195,7 @@ class Emulator:
         self.logdet_C = 2.0 * np.sum(np.log(np.diagonal(self._chol[0])))
         self.logdet_B = 2.0 * np.sum(np.log(np.diagonal(self._chol_B[0])))
 
-        self.gfi = None
-        if design.per_datum is not None:
-            U = design.per_datum_matrix()  # a fresh copy, centred in place
-            U -= U.mean(axis=1, keepdims=True)
-            gfi = U @ U.T  # U J_N U' with J_N = I - 11'/N
-            self.gfi = 0.5 * (gfi + gfi.T)
+        self.gfi = design.gfi
 
     # -- linear maps -----------------------------------------------------
 
@@ -302,6 +291,8 @@ class Emulator:
         Returns the (m, D, D) matrices and ``gfi @ A1.T``, which the metric
         bundle reuses for the connection.
         """
+        if self.gfi is None:
+            raise MissingPerDatum("design carries no per-datum Gram")
         gA1 = self.gfi @ A1.T
         M = A1 @ gA1
         M = 0.5 * (M + M.T)
@@ -313,8 +304,6 @@ class Emulator:
         Builds the order-1 map alone; the matrices are bitwise those of
         :meth:`predict_metric_bundle`.
         """
-        if self.gfi is None:
-            raise MissingPerDatum("design carries no per-datum potentials")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self._fisher(self.linear_map(points, 1), *points.shape)[0]
 
@@ -329,8 +318,6 @@ class Emulator:
         dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and ``grad`` the (m, D)
         potential gradients, bitwise ``predict(points, 1).mean``.
         """
-        if self.gfi is None:
-            raise MissingPerDatum("design carries no per-datum potentials")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, dim = points.shape
         C1, C2 = self._cross_corr(points, (1, 2))
@@ -366,17 +353,15 @@ def save_design(path, design: DesignSet, hyper: Hyperparameters) -> None:
 
     ``path`` gets a JSON document with the points, potentials, gradients and
     hyperparameters, each float as its shortest round-trip decimal.  A design
-    with per-datum data also gets a sidecar ``<stem>.per_datum.npy`` beside
-    it: the stacked (n~, N) float64 matrix of :meth:`DesignSet.per_datum_matrix`
-    in ``data_vector`` row order, written by ``np.save``.  The JSON names the
-    sidecar under ``per_datum_path``.
+    with a per-datum Gram also gets a sidecar ``<stem>.per_datum.npy`` beside
+    it: the (n~, n~) float64 matrix ``DesignSet.gfi``, written by ``np.save``.
+    The JSON names the sidecar under ``per_datum_path``.
     """
     path = Path(path)
     per_datum_path = None
-    if design.per_datum is not None:
+    if design.gfi is not None:
         per_datum_path = path.with_suffix(".per_datum.npy").name
-        np.save(path.parent / per_datum_path, design.per_datum_matrix(),
-                allow_pickle=False)
+        np.save(path.parent / per_datum_path, design.gfi, allow_pickle=False)
     doc = {
         "points": [[repr(float(v)) for v in row] for row in design.points],
         "potentials": [repr(float(v)) for v in design.potentials],
@@ -394,37 +379,50 @@ def save_design(path, design: DesignSet, hyper: Hyperparameters) -> None:
 def load_design(path) -> tuple[DesignSet, Hyperparameters]:
     """Round-trip counterpart of :func:`save_design` (bit-stable).
 
-    Raises DesignFileError, naming the file, when the per-datum sidecar is
-    not a float64 ``.npy`` matrix of the design's n~ rows (decimal-text
-    ``.per_datum.csv`` sidecars are not read).
+    Raises DesignFileError, naming the file, when the design JSON or its
+    sidecar is missing or unreadable, the JSON lacks a key or holds a ragged
+    or non-numeric array or an invalid design, or the sidecar is not the
+    symmetric float64 (n~, n~) Gram that save_design writes (older (n~, N)
+    per-datum row files and decimal-text sidecars are not read).
     """
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    points = np.array([[float(v) for v in row] for row in doc["points"]])
-    potentials = np.array([float(v) for v in doc["potentials"]])
-    gradients = None
-    if doc.get("gradients") is not None:
-        gradients = np.array([[float(v) for v in row] for row in doc["gradients"]])
-    per_datum = per_datum_grads = None
-    if doc.get("per_datum_path"):
-        pd_file = path.parent / doc["per_datum_path"]
-        n, dim = points.shape
-        n_tilde = n * (1 + dim) if gradients is not None else n
-        try:
-            stacked = np.load(pd_file, allow_pickle=False)
-        except (ValueError, EOFError):  # text, pickled or truncated content
-            stacked = None
-        if not (isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
-                and stacked.ndim == 2 and stacked.shape[0] == n_tilde):
-            raise DesignFileError(
-                f"{pd_file}: expected a float64 .npy matrix with {n_tilde} rows "
-                f"written by save_design; regenerate the design")
-        per_datum = stacked[:n]
-        if gradients is not None:
-            per_datum_grads = stacked[n:].reshape(dim, n, -1).transpose(1, 0, 2)
-    design = DesignSet(points=points, potentials=potentials, gradients=gradients,
-                       per_datum=per_datum, per_datum_grads=per_datum_grads)
-    hyper = Hyperparameters(rho=np.array([float(v) for v in doc["rho"]]),
-                            nugget=float(doc["nugget"]))
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
+        raise DesignFileError(f"{path}: cannot read design file: {exc}") from exc
+    try:
+        points = np.array([[float(v) for v in row] for row in doc["points"]])
+        potentials = np.array([float(v) for v in doc["potentials"]])
+        gradients = None
+        if doc.get("gradients") is not None:
+            gradients = np.array([[float(v) for v in row] for row in doc["gradients"]])
+        gfi = None
+        if doc.get("per_datum_path"):
+            n, dim = points.shape
+            gfi = _load_gram(path.parent / doc["per_datum_path"],
+                             n * (1 + dim) if gradients is not None else n)
+        design = DesignSet(points=points, potentials=potentials,
+                           gradients=gradients, gfi=gfi)
+        hyper = Hyperparameters(rho=np.array([float(v) for v in doc["rho"]]),
+                                nugget=float(doc["nugget"]))
+    except KeyError as exc:
+        raise DesignFileError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, ShapeMismatch) as exc:  # ragged, non-numeric
+        raise DesignFileError(f"{path}: not a design file: {exc}") from exc
     return design, hyper
+
+
+def _load_gram(pd_file: Path, n_tilde: int) -> np.ndarray:
+    """The sidecar's Gram, checked to be the matrix save_design writes."""
+    try:
+        gfi = np.load(pd_file, allow_pickle=False)
+    except OSError as exc:
+        raise DesignFileError(f"{pd_file}: cannot read per-datum Gram: {exc}") from exc
+    except (ValueError, EOFError):  # text, pickled or truncated content
+        gfi = None
+    if not (isinstance(gfi, np.ndarray) and gfi.dtype == np.float64
+            and gfi.shape == (n_tilde, n_tilde) and np.array_equal(gfi, gfi.T)):
+        raise DesignFileError(
+            f"{pd_file}: expected the symmetric float64 ({n_tilde}, {n_tilde}) "
+            f"per-datum Gram written by save_design; regenerate the design")
+    return gfi

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .emulator import Emulator
-from .errors import MissingPerDatum
 
 __all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind"]
 
@@ -77,8 +76,6 @@ class EmulatedGeometry:
             self.emulator.predict_efi(np.atleast_2d(theta))[0])[0]
 
     def metric_and_derivs(self, theta):
-        if self.emulator.gfi is None:
-            raise MissingPerDatum("emulator has no per-datum information")
         G_raw, T3, grad = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
         G_raw, T3 = G_raw[0], T3[0]
         dim = G_raw.shape[0]

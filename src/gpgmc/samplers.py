@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (cholesky, cho_factor, cho_solve, solve,
-                          solve_triangular, LinAlgError)
+from scipy.linalg import cholesky, cho_solve, solve, solve_triangular, LinAlgError
 
 from .errors import (FixedPointDivergence, NonFiniteGradient, SingularUpdate,
                      SolverFailure)
@@ -111,10 +110,9 @@ def _mass_ops(cfg: IntegratorConfig, dim: int):
             (lambda p: 0.5 * float(p @ p))
     M = np.asarray(cfg.mass, dtype=float)
     L = cholesky(M, lower=True)
-    cf = cho_factor(M, lower=True)
-    minv = lambda p: cho_solve(cf, p)
+    minv = lambda p: cho_solve((L, True), p)
     return minv, (lambda rng: L @ rng.standard_normal(dim)), \
-        (lambda p: 0.5 * float(p @ cho_solve(cf, p)))
+        (lambda p: 0.5 * float(p @ minv(p)))
 
 
 @_quiet_overflow

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpgmc.emulator import DesignSet
+from gpgmc.emulator import DesignSet, per_datum_gram
 
 
 def spread_points(rng, n, dim, spread=2.0, min_sep=0.35):
@@ -23,6 +23,18 @@ def central_diff(f, x, h=1e-6):
         step[k] = h
         out.append((np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2 * h))
     return np.stack(out)
+
+
+def per_datum_design(target, points, gradients=False):
+    """The design at ``points`` from ``target.per_datum``, with the Gram of
+    its stacked per-datum rows (values, then gradients coordinate-major)."""
+    evals = [target.per_datum(th) for th in points]
+    rows = [np.stack([vals for _, _, vals, _ in evals])]
+    if gradients:
+        rows += list(np.stack([DU for *_, DU in evals]).transpose(1, 0, 2))
+    return DesignSet(points=points, potentials=np.array([u for u, *_ in evals]),
+                     gradients=np.array([g for _, g, *_ in evals]) if gradients else None,
+                     gfi=per_datum_gram(np.concatenate(rows)))
 
 
 class SmoothTestFunction:
@@ -47,14 +59,19 @@ class SmoothTestFunction:
     def grad(self, theta):
         return self.per_datum_grads(theta).sum(axis=1)
 
+    def rows(self, points, gradients=True):
+        """Stacked per-datum matrix (n~, N) in data_vector row order."""
+        rows = [np.stack([self.per_datum_values(p) for p in points])]
+        if gradients:
+            grads = np.stack([self.per_datum_grads(p) for p in points])
+            rows += list(grads.transpose(1, 0, 2))  # one (n, N) block per coordinate
+        return np.concatenate(rows)
+
     def design(self, points, gradients=True, per_datum=True):
         pots = np.array([self.value(p) for p in points])
         grads = np.stack([self.grad(p) for p in points]) if gradients else None
-        pd = np.stack([self.per_datum_values(p) for p in points]) if per_datum else None
-        pdg = np.stack([self.per_datum_grads(p) for p in points]) \
-            if (gradients and per_datum) else None
-        return DesignSet(points=points, potentials=pots, gradients=grads,
-                         per_datum=pd, per_datum_grads=pdg)
+        gfi = per_datum_gram(self.rows(points, gradients)) if per_datum else None
+        return DesignSet(points=points, potentials=pots, gradients=grads, gfi=gfi)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import spread_points
+from conftest import per_datum_design, spread_points
 from gpgmc import adaptation as ad
 from gpgmc import cli, kernels, mle
 from gpgmc.diagnostics import ess
@@ -62,20 +62,6 @@ def banana_design_points(banana):
             break
     assert keep.size >= 40
     return thin[keep]
-
-
-def evaluated_banana_design(banana, pts, gradients):
-    pots, grads, pds, pdgs = [], [], [], []
-    for th in pts:
-        u, g, vals, DU = banana.per_datum(th)
-        pots.append(u)
-        grads.append(g)
-        pds.append(vals)
-        pdgs.append(DU)
-    return DesignSet(points=pts, potentials=np.array(pots),
-                     gradients=np.array(grads) if gradients else None,
-                     per_datum=np.array(pds),
-                     per_datum_grads=np.array(pdgs) if gradients else None)
 
 
 def test_c01_kernel_derivative_correctness():
@@ -142,8 +128,8 @@ def test_c03_derivative_information_improves_emulation(banana, banana_grid,
                                                        banana_design_points):
     t0 = time.perf_counter()
     pts = banana_design_points[:20]
-    with_grads = evaluated_banana_design(banana, pts, gradients=True)
-    without = evaluated_banana_design(banana, pts, gradients=False)
+    with_grads = per_datum_design(banana, pts, gradients=True)
+    without = per_datum_design(banana, pts, gradients=False)
     hyper, _ = fit_hyperparameters(
         DesignSet(points=pts, potentials=without.potentials),
         rng=np.random.default_rng(0))
@@ -165,8 +151,8 @@ def test_c03_derivative_information_improves_emulation(banana, banana_grid,
 def test_c04_design_growth_nests_variance(banana, banana_grid,
                                           banana_design_points):
     t0 = time.perf_counter()
-    small = evaluated_banana_design(banana, banana_design_points[:20], False)
-    big = evaluated_banana_design(banana, banana_design_points, False)
+    small = per_datum_design(banana, banana_design_points[:20], False)
+    big = per_datum_design(banana, banana_design_points, False)
     hyper, _ = fit_hyperparameters(
         DesignSet(points=small.points, potentials=small.potentials),
         rng=np.random.default_rng(0))
@@ -202,8 +188,7 @@ def test_c06_likelihood_derivatives(banana, banana_design_points):
     t0 = time.perf_counter()
     rng = np.random.default_rng(600)
     for gradients in (False, True):
-        design = evaluated_banana_design(banana, banana_design_points[:16],
-                                         gradients)
+        design = per_datum_design(banana, banana_design_points[:16], gradients)
         design = DesignSet(points=design.points, potentials=design.potentials,
                            gradients=design.gradients)
         for _ in range(5):  # 5 per mode = 10 random rho
@@ -417,7 +402,7 @@ def test_c10_regeneration_construction(banana):
 
 def test_c11_greedy_selection_oracle(banana, banana_design_points):
     t0 = time.perf_counter()
-    design = evaluated_banana_design(banana, banana_design_points[:20], False)
+    design = per_datum_design(banana, banana_design_points[:20], False)
     cfg = ad.MICEConfig()
     rho = np.array([0.7, 0.9])
     rng = np.random.default_rng(1100)
@@ -454,7 +439,7 @@ def test_c11_greedy_selection_oracle(banana, banana_design_points):
     # refinement reduces holdout error
     rng = np.random.default_rng(1101)
     init_pts = spread_points(rng, 12, 2, spread=0.6, min_sep=0.12)
-    init = evaluated_banana_design(banana, init_pts, False)
+    init = per_datum_design(banana, init_pts, False)
     pool_pts = spread_points(rng, 50, 2, spread=2.4, min_sep=0.25)
     pool = ad.CandidatePool(
         pool_pts, np.array([banana.potential(p) for p in pool_pts]),
@@ -478,9 +463,7 @@ def test_c12_adaptive_refinement_halves_density_error(banana, banana_grid):
     # design crowded at the chain's starting point (the prior mean)
     drng = np.random.default_rng(1)
     pts = 0.15 * drng.standard_normal((10, 2))
-    design = evaluated_banana_design(banana, pts, False)
-    design = DesignSet(points=design.points, potentials=design.potentials,
-                       per_datum=design.per_datum)
+    design = per_datum_design(banana, pts, False)
     rng = np.random.default_rng(0)
     sampler = ad.AdaptiveGPeSampler(
         banana, design, IntegratorConfig(step_size=0.05, n_steps=10),
@@ -564,18 +547,9 @@ def test_c14_elliptic_inversion():
 
     thin = exact_draws[::25]
     pts = thin[ad.maxmin_filter(thin, 0.3)[:40]]
-    pots, grads, pds, pdgs = [], [], [], []
-    for th in pts:
-        u, g, vals, DU = target.per_datum(th)
-        pots.append(u)
-        grads.append(g)
-        pds.append(vals)
-        pdgs.append(DU)
-    design = DesignSet(points=pts, potentials=np.array(pots),
-                       gradients=np.array(grads), per_datum=np.array(pds),
-                       per_datum_grads=np.array(pdgs))
+    design = per_datum_design(target, pts, gradients=True)
     hyper, _ = fit_hyperparameters(
-        DesignSet(points=pts, potentials=np.array(pots)),
+        DesignSet(points=pts, potentials=design.potentials),
         rng=np.random.default_rng(0))
     gpe = EmulatedGeometry(build_emulator(design, hyper))
 

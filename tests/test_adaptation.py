@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from conftest import spread_points
 from gpgmc import adaptation as ad, kernels
-from gpgmc.emulator import DesignSet, Hyperparameters
+from gpgmc.emulator import DesignSet, Hyperparameters, per_datum_gram
 from gpgmc.errors import (AllDegenerate, IllConditioned, OptimFailed,
                           RejectionBudgetExhausted, ShapeMismatch)
 from gpgmc.mle import fit_hyperparameters
@@ -21,14 +21,16 @@ def banana():
     return banana_target(rng=np.random.default_rng(11))
 
 
+def value_rows(target, points):
+    """The per-datum value rows at ``points``, (n, N)."""
+    return np.stack([target.potential_per_datum(th)[1] for th in points])
+
+
 def evaluated_design(target, points):
-    pots, pds = [], []
-    for th in points:
-        u, vals = target.potential_per_datum(th)
-        pots.append(u)
-        pds.append(vals)
-    return DesignSet(points=np.asarray(points), potentials=np.array(pots),
-                     per_datum=np.array(pds))
+    evals = [target.potential_per_datum(th) for th in points]
+    return DesignSet(points=np.asarray(points),
+                     potentials=np.array([u for u, _ in evals]),
+                     gfi=per_datum_gram(np.array([v for _, v in evals])))
 
 
 @pytest.fixture(scope="module")
@@ -500,18 +502,20 @@ class TestMiceRefine:
             np.stack([banana.potential_per_datum(p)[1] for p in pool_pts]))
         cfg = ad.MICEConfig(init_keep=5, max_size=30, refit_at_start=False)
         hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
-        out, _, info = ad.mice_refine(spread_banana_design, pool, cfg, hyper=hyper)
+        design = spread_banana_design
+        design_rows = value_rows(banana, design.points)
+        out, _, info = ad.mice_refine(design, pool, cfg, hyper=hyper,
+                                      rows=design_rows)
 
         # reference: the kept design points, then one mice_select per pick
         # over the pool followed by the recycled design points
-        design = spread_banana_design
         recycled = design.n - cfg.init_keep
         pts = list(design.points[recycled:])
         pots = list(design.potentials[recycled:])
-        rows = list(design.per_datum[recycled:])
+        rows = list(design_rows[recycled:])
         c_pts = list(pool.points) + list(design.points[:recycled])
         c_pots = list(pool.potentials) + list(design.potentials[:recycled])
-        c_rows = list(pool.per_datum) + list(design.per_datum[:recycled])
+        c_rows = list(pool.per_datum) + list(design_rows[:recycled])
         while len(pts) < cfg.max_size:
             j, _ = ad.mice_select(DesignSet(points=np.array(pts),
                                             potentials=np.array(pots)),
@@ -523,7 +527,8 @@ class TestMiceRefine:
         assert info["added"] == cfg.max_size - cfg.init_keep
         assert np.array_equal(out.points, np.array(pts))
         assert np.array_equal(out.potentials, np.array(pots))
-        assert np.array_equal(out.per_datum, np.array(rows))
+        assert np.array_equal(np.array(info["rows"]), np.array(rows))
+        assert np.array_equal(out.gfi, per_datum_gram(np.array(rows)))
 
     def test_refresh_builds_no_emulator_and_copies_rows_once(self, monkeypatch):
         """A refresh at N = 30 000 holds about one copy of the refined rows."""
@@ -534,7 +539,7 @@ class TestMiceRefine:
         evals = [target.potential_per_datum(p) for p in pts]
         pots = np.array([u for u, _ in evals])
         rows = np.array([v for _, v in evals])
-        design = DesignSet(points=pts[:16], potentials=pots[:16], per_datum=rows[:16])
+        design = DesignSet(points=pts[:16], potentials=pots[:16])
         pool = ad.CandidatePool(pts[16:], pots[16:], rows[16:])
         builds = []
         build = ad.build_emulator
@@ -544,13 +549,16 @@ class TestMiceRefine:
         tracemalloc.start()
         try:
             out, _, info = ad.mice_refine(design, pool, ad.MICEConfig(),
-                                          rng=np.random.default_rng(0))
+                                          rng=np.random.default_rng(0),
+                                          rows=rows[:16])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info["added"] == 35 and out.per_datum.shape == (40, 30_000)
+        refined_rows = np.array(info["rows"])
+        assert info["added"] == 35 and refined_rows.shape == (40, 30_000)
+        assert out.gfi.shape == (40, 40)
         assert builds == []
-        assert peak <= 1.25 * out.per_datum.nbytes
+        assert peak <= 1.25 * refined_rows.nbytes
 
 
 class TestNarrowedFailures:
@@ -601,7 +609,7 @@ class TestNarrowedFailures:
 
 class TestAdaptiveSampler:
     def test_collect_pool_gathers_rows_once(self):
-        """A 240-point tour at N = 30 000 yields its pool with one row copy."""
+        """A 240-point tour at N = 30 000 yields its pool's rows by reference."""
         n_tour, n_data = 240, 30_000
         points = np.random.default_rng(5).standard_normal((n_tour, 2))
         sampler = ad.AdaptiveGPeSampler.__new__(ad.AdaptiveGPeSampler)
@@ -617,13 +625,15 @@ class TestAdaptiveSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pool.per_datum.shape == (pool.points.shape[0], n_data)
+        rows = np.array(pool.per_datum)
+        assert rows.shape == (pool.points.shape[0], n_data)
         assert pool.points.shape[0] > 150 and holdout[0].shape[0] == ad.HOLDOUT_SIZE
-        idx = pool.per_datum[:, 0].astype(int)
-        assert np.array_equal(pool.per_datum, np.repeat(idx[:, None], n_data, axis=1))
+        idx = rows[:, 0].astype(int)
+        assert np.array_equal(rows, np.repeat(idx[:, None], n_data, axis=1))
+        assert all(row is sampler._tour_pd[i] for row, i in zip(pool.per_datum, idx))
         assert np.array_equal(pool.points, points[idx])
         assert np.array_equal(pool.potentials, idx.astype(float))
-        assert peak <= 1.25 * pool.per_datum.nbytes
+        assert peak <= 1.25 * rows.nbytes
 
     def make_sampler(self, banana, design, rng, **schedule_kw):
         cfg = IntegratorConfig(step_size=0.05, n_steps=10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpgmc import cli
-from gpgmc.emulator import load_design
+from gpgmc.emulator import load_design, per_datum_gram
 from gpgmc.errors import ConfigError
 
 
@@ -452,7 +452,7 @@ class TestDesignCommand:
         path, _ = cli.design_cmd(cfg)
         design, _ = load_design(path)
         assert design.n <= 15
-        assert design.per_datum is None
+        assert design.gfi is None
 
     def test_chain_source_with_gradients_supports_rhmc(self, tmp_path):
         bbd = {"name": "bbd", "dim": 4, "n_data": 300}
@@ -468,8 +468,7 @@ class TestDesignCommand:
                                  "with_gradients": True}}))
         path, _ = cli.design_cmd(cfg)
         design, _ = load_design(path)
-        assert design.per_datum is not None
-        assert design.per_datum_grads is not None
+        assert design.gfi.shape == (design.n_tilde, design.n_tilde)
 
         run_path = tmp_path / "rhmc.json"
         run_path.write_text(json.dumps(banana_config(
@@ -551,24 +550,28 @@ class TestDesignCommand:
         assert err.rstrip().endswith("candidates, the design step needs at least 8")
 
     def test_evaluated_design_holds_one_copy_of_its_rows(self):
-        """Per-datum rows and gradients are written in place, not stacked."""
+        """Per-datum rows and gradients are written in place into one stacked
+        matrix, whose Gram is bitwise that of the same rows stacked apart."""
         target = cli.build_target(cli.validate_config({
             "target": {"name": "bbd", "dim": 4, "n_data": 30_000},
             "sampler": {"name": "rhmc"}, "seed": 3, "iters": 2}), 3)
-        points = np.random.default_rng(4).standard_normal((20, 4))
+        n, dim, n_data = 20, 4, 30_000
+        points = np.random.default_rng(4).standard_normal((n, dim))
         tracemalloc.start()
         try:
             design = cli._evaluated_design(target, points, with_gradients=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = design.per_datum.nbytes + design.per_datum_grads.nbytes
+        rows = n * (1 + dim) * n_data * 8
         assert peak <= 1.25 * rows
         u, g, vals, DU = target.per_datum(points[7])
         assert design.potentials[7] == u
         assert np.array_equal(design.gradients[7], g)
-        assert np.array_equal(design.per_datum[7], vals)
-        assert np.array_equal(design.per_datum_grads[7], DU)
+        evals = [target.per_datum(p) for p in points]
+        stacked = np.concatenate([np.stack([e[2] for e in evals]),
+                                  *np.stack([e[3] for e in evals]).transpose(1, 0, 2)])
+        assert np.array_equal(design.gfi, per_datum_gram(stacked))
 
 
 class TestDiagnose:
@@ -614,6 +617,24 @@ class TestUnreadableInput:
         cfg_path.write_text(json.dumps([banana_config(tmp_path)]))
         assert cli.main(["run", str(cfg_path), flag, value]) == 2
         assert "config error: /: config must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, '{"points": [[1]]}'],
+                             ids=["missing", "no-potentials"])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["design_file",
+                                                             "init_design"])
+    def test_unreadable_design_file(self, tmp_path, capsys, content, adaptive):
+        design = tmp_path / "design.json"
+        if content is not None:
+            design.write_text(content)
+        geometry = {"mode": "emulated", "design_file": str(design)}
+        if adaptive:
+            geometry = {"mode": "emulated",
+                        "adaptation": {"init_design": str(design)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(banana_config(
+            tmp_path, sampler={"name": "hmc"}, geometry=geometry)))
+        assert cli.main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {design}: ")
 
     def test_diagnose_missing_chain(self, tmp_path, capsys):
         chain = tmp_path / "chain.csv"

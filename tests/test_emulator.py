@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import SmoothTestFunction, spread_points
 from gpgmc import kernels
 from gpgmc.emulator import (DesignSet, Emulator, Hyperparameters, build_emulator,
-                            load_design, save_design)
+                            load_design, per_datum_gram, save_design)
 from gpgmc.errors import (DesignFileError, IllConditioned, MissingPerDatum,
                           TooFewPoints)
 
@@ -135,8 +135,7 @@ def test_prediction_mean_is_linear_in_data():
     doubled = DesignSet(points=em.design.points,
                         potentials=2.0 * em.design.potentials,
                         gradients=2.0 * em.design.gradients,
-                        per_datum=em.design.per_datum,
-                        per_datum_grads=em.design.per_datum_grads)
+                        gfi=em.design.gfi)
     em2 = Emulator(doubled, em.hyper)
     th = np.array([[0.3, 0.1], [-0.5, 0.9]])
     np.testing.assert_allclose(em2.predict(th, 0).mean,
@@ -192,7 +191,7 @@ class TestEmpiricalFisher:
         th = np.array([[0.25, -0.4]])
         got = em.predict_efi(th)[0]
         # oracle: predict each per-datum column's gradient, then assemble
-        pd = design.per_datum_matrix()
+        pd = smooth_fn.rows(pts)
         DU = em.linear_map(th, 1) @ pd
         centered = DU - DU.mean(axis=1, keepdims=True)
         oracle = centered @ centered.T
@@ -210,7 +209,7 @@ class TestEmpiricalFisher:
         pts = spread_points(rng, 10, 2)
         pots = np.sin(pts[:, 0]) + pts[:, 1]**2
         design = DesignSet(points=pts, potentials=pots,
-                           per_datum=pots[:, None])
+                           gfi=per_datum_gram(pots[:, None].copy()))
         em = Emulator(design, Hyperparameters(rho=np.ones(2)))
         efi = em.predict_efi(np.zeros((1, 2)))
         np.testing.assert_allclose(efi, 0.0, atol=1e-20)
@@ -236,7 +235,7 @@ class TestConnection:
         em = Emulator(design, Hyperparameters(rho=np.array([0.7, 1.3])))
         th = np.array([[0.2, 0.5]])
         got = em.predict_metric_bundle(th)[1][0]
-        pd = design.per_datum_matrix()
+        pd = smooth_fn.rows(pts)
         ndata = pd.shape[1]
         DU = em.linear_map(th, 1) @ pd
         D2U = (em.linear_map(th, 2) @ pd).reshape(2, 2, ndata)
@@ -248,7 +247,8 @@ class TestConnection:
         rng = np.random.default_rng(16)
         pts = spread_points(rng, 10, 2)
         pots = np.cos(pts[:, 0] + pts[:, 1])
-        design = DesignSet(points=pts, potentials=pots, per_datum=pots[:, None])
+        design = DesignSet(points=pts, potentials=pots,
+                           gfi=per_datum_gram(pots[:, None].copy()))
         em = Emulator(design, Hyperparameters(rho=np.ones(2)))
         np.testing.assert_allclose(em.predict_metric_bundle(np.zeros((1, 2)))[1],
                                    0.0, atol=1e-20)
@@ -295,7 +295,7 @@ def test_design_json_roundtrip_is_bit_stable(tmp_path, smooth_fn):
     assert np.array_equal(loaded.points, design.points)
     assert np.array_equal(loaded.potentials, design.potentials)
     assert np.array_equal(loaded.gradients, design.gradients)
-    assert np.array_equal(loaded.per_datum_matrix(), design.per_datum_matrix())
+    assert np.array_equal(loaded.gfi, design.gfi)
     assert np.array_equal(hyper2.rho, hyper.rho)
     assert hyper2.nugget == hyper.nugget
     # second save is byte-identical, the JSON and its per-datum sidecar
@@ -322,7 +322,6 @@ _doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 def _designs(draw):
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
-    ndata = draw(st.integers(1, 4))
     gradients = draw(st.booleans())
     per_datum = draw(st.booleans())
     # distinct points: distinct grid cells scaled by a positive factor
@@ -330,12 +329,18 @@ def _designs(draw):
                           max_size=n, unique=True))
     scale = draw(st.floats(1e-3, 1e3))
     arr = lambda shape: draw(hnp.arrays(np.float64, shape, elements=_doubles))
+    gfi = None
+    if per_datum:
+        # any symmetric matrix: the upper triangle mirrored, bits and all
+        n_tilde = n * (1 + dim) if gradients else n
+        gfi = arr((n_tilde, n_tilde))
+        lower = np.tril_indices(n_tilde, -1)
+        gfi[lower] = gfi.T[lower]
     design = DesignSet(
         points=scale * np.array(cells, dtype=float),
         potentials=arr((n,)),
         gradients=arr((n, dim)) if gradients else None,
-        per_datum=arr((n, ndata)) if per_datum else None,
-        per_datum_grads=arr((n, dim, ndata)) if gradients and per_datum else None)
+        gfi=gfi)
     hyper = Hyperparameters(
         rho=draw(hnp.arrays(np.float64, (dim,),
                             elements=st.floats(1e-300, 1e300))),
@@ -354,14 +359,13 @@ def test_design_save_load_save_is_bit_stable(case):
         save_design(first, design, hyper)
         loaded, hyper2 = load_design(first)
         save_design(second, loaded, hyper2)
-        for name in ("points", "potentials", "gradients", "per_datum",
-                     "per_datum_grads"):
+        for name in ("points", "potentials", "gradients", "gfi"):
             assert _same_bits(getattr(loaded, name), getattr(design, name)), name
         assert _same_bits(hyper2.rho, hyper.rho)
         assert _same_bits(np.float64(hyper2.nugget), np.float64(hyper.nugget))
         names = sorted(p.name for p in first.parent.iterdir())
         assert names == sorted(p.name for p in second.parent.iterdir())
-        assert names == (["d.json", "d.per_datum.npy"] if design.per_datum is not None
+        assert names == (["d.json", "d.per_datum.npy"] if design.gfi is not None
                          else ["d.json"])
         for name in names:
             assert (first.parent / name).read_bytes() \
@@ -369,13 +373,14 @@ def test_design_save_load_save_is_bit_stable(case):
 
 
 def test_decimal_text_sidecar_fails_with_its_name(tmp_path, smooth_fn):
-    design = smooth_fn.design(spread_points(np.random.default_rng(18), 8, 2))
+    pts = spread_points(np.random.default_rng(18), 8, 2)
+    design = smooth_fn.design(pts)
     path = tmp_path / "design.json"
     save_design(path, design, Hyperparameters(rho=np.ones(2)))
     # the layout an earlier version wrote: one decimal row per stacked datum row
     csv = tmp_path / "design.per_datum.csv"
     csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
-                           for row in design.per_datum_matrix()))
+                           for row in smooth_fn.rows(pts)))
     doc = json.loads(path.read_text())
     doc["per_datum_path"] = csv.name
     path.write_text(json.dumps(doc))
@@ -386,25 +391,100 @@ def test_decimal_text_sidecar_fails_with_its_name(tmp_path, smooth_fn):
 
 
 def test_build_holds_one_copy_of_the_per_datum_matrix():
-    """Building G = U J_N U' allocates the stacked (n~, N) matrix once."""
+    """Building G = U J_N U' from the stacked (n~, N) matrix allocates no
+    second copy of it: the rows are centred in place."""
     import tracemalloc
 
     rng = np.random.default_rng(21)
     n, dim, ndata = 20, 4, 30_000
-    design = DesignSet(points=spread_points(rng, n, dim),
-                       potentials=rng.normal(size=n),
-                       gradients=rng.normal(size=(n, dim)),
-                       per_datum=rng.normal(size=(n, ndata)),
-                       per_datum_grads=rng.normal(size=(n, dim, ndata)))
-    hyper = Hyperparameters(rho=np.full(dim, 0.5))
-    stacked_bytes = design.n_tilde * ndata * 8
+    U = rng.normal(size=(n * (1 + dim), ndata))
+    centered = U - U.mean(axis=1, keepdims=True)
+    stacked_bytes = U.nbytes
     tracemalloc.start()
     try:
-        em = Emulator(design, hyper)
+        gfi = per_datum_gram(U)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * stacked_bytes, (peak, stacked_bytes)
-    U = design.per_datum_matrix()
-    centered = U - U.mean(axis=1, keepdims=True)
-    np.testing.assert_allclose(em.gfi, centered @ centered.T, rtol=1e-12)
+    assert peak <= 0.05 * stacked_bytes, (peak, stacked_bytes)
+    np.testing.assert_allclose(gfi, centered @ centered.T, rtol=1e-12)
+    assert np.array_equal(gfi, gfi.T)
+
+
+def _saved_design(tmp_path, smooth_fn):
+    design = smooth_fn.design(spread_points(np.random.default_rng(18), 8, 2))
+    path = tmp_path / "design.json"
+    save_design(path, design, Hyperparameters(rho=np.ones(2)))
+    return path, tmp_path / "design.per_datum.npy", design
+
+
+@pytest.mark.parametrize("sidecar", [
+    # the (n~, N) stacked per-datum rows an earlier version wrote
+    lambda fn, pts, gfi: fn.rows(pts),
+    lambda fn, pts, gfi: gfi + np.triu(np.full(gfi.shape, 1e-9), 1),
+    lambda fn, pts, gfi: gfi.astype(np.float32),
+    lambda fn, pts, gfi: gfi[:-1, :-1],
+], ids=["per-datum-rows", "not-symmetric", "float32", "too-small"])
+def test_sidecar_that_is_not_the_gram_fails_with_its_name(tmp_path, smooth_fn,
+                                                          sidecar):
+    path, npy, design = _saved_design(tmp_path, smooth_fn)
+    np.save(npy, sidecar(smooth_fn, design.points, design.gfi))
+    with pytest.raises(DesignFileError, match="symmetric float64") as err:
+        load_design(path)
+    assert str(npy) in str(err.value)
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spoil, what", [
+    (lambda path, npy: path.unlink(), "json"),
+    (lambda path, npy: path.write_text('{"points": [[1'), "json"),
+    (lambda path, npy: path.write_bytes(b"\xff\xfe\x00"), "json"),
+    (lambda path, npy: path.write_text('{"points": [[1]]}'), "json"),
+    (lambda path, npy: path.write_text("[1, 2]"), "json"),
+    (lambda path, npy: _edit_json(path, lambda d: d["points"][0].pop()), "json"),
+    (lambda path, npy: _edit_json(path, lambda d: d.pop("rho")), "json"),
+    (lambda path, npy: _edit_json(path, lambda d: d.update(nugget="x")), "json"),
+    (lambda path, npy: _edit_json(path, lambda d: d["potentials"].pop()), "json"),
+    (lambda path, npy: npy.unlink(), "npy"),
+    (lambda path, npy: npy.write_bytes(npy.read_bytes()[:100]), "npy"),
+], ids=["missing", "invalid-json", "not-text", "missing-key", "not-an-object",
+        "ragged", "no-rho", "non-numeric", "short-potentials", "missing-sidecar",
+        "truncated-sidecar"])
+def test_unreadable_design_file_fails_with_its_name(tmp_path, smooth_fn, spoil,
+                                                    what):
+    path, npy, _ = _saved_design(tmp_path, smooth_fn)
+    spoil(path, npy)
+    with pytest.raises(DesignFileError) as err:
+        load_design(path)
+    assert str(path if what == "json" else npy) in str(err.value)
+
+
+def test_run_path_memory_is_free_of_the_data_size(tmp_path):
+    """Loading a BBD gradient design, building its emulator and asking for
+    one metric with its derivatives peak alike at N = 3000 and N = 30 000."""
+    import tracemalloc
+
+    from gpgmc import cli
+    from gpgmc.geometry import EmulatedGeometry
+    from gpgmc.targets import BBDTarget
+
+    points = np.random.default_rng(4).standard_normal((20, 4))
+    peaks = []
+    for n_data in (3000, 30_000):
+        target = BBDTarget.simulate(np.random.default_rng(3), n_data=n_data, dim=4)
+        path = tmp_path / f"design{n_data}.json"
+        save_design(path, cli._evaluated_design(target, points, with_gradients=True),
+                    Hyperparameters(rho=np.full(4, 0.5)))
+        tracemalloc.start()
+        try:
+            em = build_emulator(*load_design(path))
+            EmulatedGeometry(em).metric_and_derivs(np.full(4, 0.1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

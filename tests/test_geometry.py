@@ -9,16 +9,18 @@ from gpgmc.targets import banana_target
 
 @st.composite
 def emulated_points(draw):
-    """A random emulator with per-datum data and a point to query it at."""
+    """A random emulator with per-datum data, a point to query it at and the
+    per-datum rows the design's Gram comes from."""
     dim = draw(st.sampled_from([2, 3, 4]))
     gradients = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = 1 + 2 * dim
     n = draw(st.integers(4, 8)) if gradients else draw(st.integers(q + 3, q + 8))
     fn = SmoothTestFunction(rng, dim)
-    design = fn.design(spread_points(rng, n, dim), gradients=gradients)
+    pts = spread_points(rng, n, dim)
+    design = fn.design(pts, gradients=gradients)
     hyper = Hyperparameters(rho=rng.uniform(0.3, 1.5, dim))
-    return Emulator(design, hyper), rng.uniform(-2.0, 2.0, dim)
+    return Emulator(design, hyper), rng.uniform(-2.0, 2.0, dim), fn.rows(pts, gradients)
 
 
 def _rel_err(got, ref):
@@ -29,7 +31,7 @@ def _rel_err(got, ref):
 @given(emulated_points())
 def test_metric_and_derivs_match_linear_map_oracles(case):
     """One fused query returns what the per-quantity linear maps give."""
-    em, x = case
+    em, x, pd = case
     dim = x.size
     # reg_scale 0 leaves only the 1e-12 floor on the metric, constant in x
     G, dG, grad = EmulatedGeometry(em, reg_scale=0.0).metric_and_derivs(x)
@@ -38,7 +40,6 @@ def test_metric_and_derivs_match_linear_map_oracles(case):
     L2 = em.linear_map(x[None, :], 2)
     assert _rel_err(grad, L1 @ em.design.data_vector()) <= 1e-9
 
-    pd = em.design.per_datum_matrix()
     ndata = pd.shape[1]
     DU = L1 @ pd
     centered = DU - DU.mean(axis=1, keepdims=True)
@@ -91,7 +92,7 @@ def test_exact_provider_queries_metric_then_gradient():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(emulated_points(), st.sampled_from([0.0, 1e-6, 1e-3]))
 def test_emulated_metric_query_equals_fused_metric(case, reg_scale):
-    em, x = case
+    em, x, _ = case
     geo = EmulatedGeometry(em, reg_scale=reg_scale)
     np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import SmoothTestFunction, spread_points
+from conftest import SmoothTestFunction, per_datum_design, spread_points
 from gpgmc import adaptation as ad
 from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
 from gpgmc.errors import NonFiniteGradient, RejectionBudgetExhausted
@@ -481,18 +481,9 @@ class TestEmulatedModeContract:
     def test_exactly_one_exact_potential_call_per_proposal(self, banana):
         rng = np.random.default_rng(14)
         pts = spread_points(rng, 25, 2, spread=2.0, min_sep=0.3)
-        pots, grads, pds, pdgs = [], [], [], []
-        for th in pts:
-            u, g, vals, DU = banana.per_datum(th)
-            pots.append(u)
-            grads.append(g)
-            pds.append(vals)
-            pdgs.append(DU)
-        design = DesignSet(points=pts, potentials=np.array(pots),
-                           gradients=np.array(grads), per_datum=np.array(pds),
-                           per_datum_grads=np.array(pdgs))
+        design = per_datum_design(banana, pts, gradients=True)
         hyper, _ = fit_hyperparameters(
-            DesignSet(points=pts, potentials=np.array(pots)),
+            DesignSet(points=pts, potentials=design.potentials),
             rng=np.random.default_rng(0))
         geometry = EmulatedGeometry(build_emulator(design, hyper))
         for step, cfg in [
@@ -527,9 +518,7 @@ class TestExactCallContract:
     @pytest.fixture(scope="class")
     def banana_design(self, banana):
         pts = spread_points(np.random.default_rng(21), 14, 2, spread=2.2, min_sep=0.35)
-        evals = [banana.potential_per_datum(p) for p in pts]
-        return DesignSet(points=pts, potentials=np.array([u for u, _ in evals]),
-                         per_datum=np.array([v for _, v in evals]))
+        return per_datum_design(banana, pts)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
