@@ -332,23 +332,27 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     Given ``rows``, the design points' per-datum value rows, and a pool with
     rows, the refined design gets the Gram of its rows, which ``info["rows"]``
     lists by reference.  Gradient information is dropped: refined designs
-    are value-based.  Returns ``(DesignSet, Hyperparameters, info)``.
+    are value-based.  ``info["mle_warn"]`` is the refit's ``warn`` flag
+    (False without a refit).  Returns ``(DesignSet, Hyperparameters, info)``.
     """
     use_pd = rows is not None and pool.per_datum is not None
 
     # hyperparameters are refreshed once per refresh, on the incoming design
+    mle_warn = False
     if cfg.refit_at_start or hyper is None:
         fit_on = DesignSet(points=design.points, potentials=design.potentials)
         try:
-            hyper, _ = fit_hyperparameters(
+            hyper, fit_info = fit_hyperparameters(
                 fit_on, rng=rng if rng is not None else np.random.default_rng(0))
+            mle_warn = fit_info["warn"]
         except (OptimFailed, TooFewPoints, IllConditioned):
             if hyper is None:
                 raise
     rho = hyper.rho
 
     if design.n >= cfg.max_size:
-        info = {"added": 0, "final_size": design.n, "rho": rho, "rows": rows}
+        info = {"added": 0, "final_size": design.n, "rho": rho, "rows": rows,
+                "mle_warn": mle_warn}
         return design, Hyperparameters(rho=rho), info
 
     # order: the kept design points, then the pool, then the recycled design
@@ -381,7 +385,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     refined = DesignSet(points=points[chosen], potentials=potentials[chosen],
                         gfi=gfi)
     info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho,
-            "rows": chosen_rows}
+            "rows": chosen_rows, "mle_warn": mle_warn}
     return refined, Hyperparameters(rho=rho), info
 
 
@@ -466,6 +470,10 @@ class AdaptiveGPeSampler:
     ``rows`` are the design points' per-datum value rows, which refreshes
     recycle beside the tour's; a design holds only their Gram, so rows not
     given cost one exact call per design point here.
+
+    ``events`` records regenerations, refreshes, exhausted Q draws and, as
+    ``mle_warn``, every lengthscale fit (the start's or a refresh's) that did
+    not converge.
     """
 
     def __init__(self, target, design: DesignSet, integrator_cfg,
@@ -503,9 +511,10 @@ class AdaptiveGPeSampler:
         self._design_rows = rows if rows is not None else [
             target.potential_per_datum(p)[1] for p in design.points]
         if hyper is None:
-            hyper, _ = fit_hyperparameters(
+            hyper, info = fit_hyperparameters(
                 DesignSet(points=design.points, potentials=design.potentials),
                 rng=self.rng)
+            self._note_mle(info["warn"])
         self.hyper = hyper
         self._rebuild()
 
@@ -523,6 +532,12 @@ class AdaptiveGPeSampler:
              for u, p in zip(self.design.potentials, self.design.points)]))
         # ratios recorded under the previous proposal are meaningless now
         self._logw_history.clear()
+
+    def _note_mle(self, warn):
+        """An ``mle_warn`` event when a lengthscale fit did not converge."""
+        if warn:
+            self.events.append(AdaptEvent(self.iteration, "mle_warn",
+                                          self.design.n))
 
     def _record_tour(self, theta, potential, per_datum):
         self._tour_points.append(np.array(theta))
@@ -591,6 +606,7 @@ class AdaptiveGPeSampler:
                 new_design, new_hyper, info = mice_refine(
                     self.design, pool, self.mice_cfg, hyper=self.hyper,
                     rng=self.rng, rows=self._design_rows)
+                self._note_mle(info["mle_warn"])
                 q = 1 + 2 * self.design.dim
                 if new_design.n > q + 2:
                     self.design, self.hyper = new_design, new_hyper

@@ -504,8 +504,7 @@ def design_cmd(cfg: dict):
     pool = CandidatePool(points[n_init:], pots[n_init:])
     # lengthscales for the greedy selection come from the whole scored
     # candidate set; per-step fits on tiny growing designs are unstable
-    pool_hyper, _ = fit_hyperparameters(
-        DesignSet(points=points, potentials=pots), rng=rng)
+    pool_hyper = _fit_design_hyper(points, pots, rng, "pool")
     mcfg = MICEConfig(init_keep=n_init, max_size=dcfg["target_size"],
                       refit_at_start=False)
     design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
@@ -515,11 +514,21 @@ def design_cmd(cfg: dict):
         # a gradient design gets it whatever the source
         design = _evaluated_design(target, design.points, with_gradients)
     if design.n_tilde > q + 3:
-        hyper, _ = fit_hyperparameters(
-            DesignSet(points=design.points, potentials=design.potentials),
-            rng=rng)
+        hyper = _fit_design_hyper(design.points, design.potentials, rng, "final")
     save_design(out_dir / "design.json", design, hyper)
     return out_dir / "design.json", info
+
+
+def _fit_design_hyper(points, potentials, rng, name):
+    """Lengthscales fitted on values at ``points``; a fit that does not
+    converge is kept, with one stderr line naming it."""
+    hyper, info = fit_hyperparameters(
+        DesignSet(points=points, potentials=potentials), rng=rng)
+    if info["warn"]:
+        print(f"warning: the {name} lengthscale fit of the design step did "
+              f"not converge (projected gradient {info['grad_norm']:.3g})",
+              file=sys.stderr)
+    return hyper
 
 
 def _read_chain_csv(path, dim=None, extra=()):

@@ -11,10 +11,21 @@ linear map of the stacked design data, so the heavy factorizations are done
 once per design.  Posterior means need no map at all: they read the weights
 ``beta_hat = P u`` and ``w = Q u`` stored at build time, and the kernel term
 is a direct contraction of the kernel-derivative polynomials with ``w``
-(:func:`kernels.cross_corr_dot`), costing O(m n D) for m points of an
+(:meth:`kernels.CrossDiffs.dot`), costing O(m n D) for m points of an
 n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
 Cross blocks are built only for covariances and for the linear maps behind
 the Fisher matrices and connections.
+
+Each query takes the differences and correlations of its points against the
+design once (:class:`kernels.CrossDiffs`); the cross rows and the gradient
+contraction of the query all come from that pass, and the basis terms of
+the order-1 and order-2 maps are slices of ``P`` taken at build time.  At one
+point of an n-point gradient design (n~ = n (1 + D)) the metric query
+(:meth:`Emulator.predict_efi`) costs O(D n~^2) and the full point
+(:meth:`Emulator.predict_metric_bundle`: metric, connection and gradient)
+O(D^2 n~^2), both dominated by the products with Q and the Gram; at the
+sizes the samplers use (n~ ~ 100, D ~ 4) the fixed cost of each numpy call
+matters as much, so a query makes as few of them as it can.
 """
 
 from __future__ import annotations
@@ -181,6 +192,12 @@ class Emulator:
         except LinAlgError as exc:
             raise IllConditioned(f"basis Gram factorization failed: {exc}") from exc
         self.P = cho_solve(self._chol_B, Ci_H.T, check_finite=False)
+        # the basis derivatives are constant rows: d/dx_k h = e_{1+k}
+        # + 2 x_k e_{1+D+k} and d2/dx_k dx_l h = 2 d_kl e_{1+D+k}, so their
+        # products with P are slices of it, kept as (D, 1, n~) to broadcast
+        # over points
+        self._P1 = self.P[1:1 + design.dim, None]
+        self._P2 = 2.0 * self.P[1 + design.dim:, None]
         self.Q = cho_solve(self._chol, np.eye(n_tilde), check_finite=False) \
             - Ci_H @ self.P
         self.Q = 0.5 * (self.Q + self.Q.T)
@@ -208,32 +225,41 @@ class Emulator:
         """Prediction operator L so that mean = L @ data_vector (flat layout).
 
         ``cross`` is the order-``order`` cross-correlation of ``points`` with
-        the design, when the caller has already built it.
+        the design, when the caller has already built it.  The basis term of
+        orders 1 and 2 is read off slices of P.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        H_e = kernels.basis(points, order)
         C_ed = self._cross_corr(points, order) if cross is None else cross
-        L = H_e @ self.P + C_ed @ self.Q
-        if order == 2:
-            # enforce exact (k,l) row symmetry of the second-derivative map
-            dim = self.design.dim
-            m = points.shape[0]
-            L4 = L.reshape(dim, dim, m, -1)
-            L4 = 0.5 * (L4 + L4.transpose(1, 0, 2, 3))
-            L = L4.reshape(dim * dim * m, -1)
-        return L
+        L = C_ed @ self.Q
+        if order == 0:
+            return kernels.basis(points, 0) @ self.P + L
+        m, dim = points.shape
+        if order == 1:
+            L = L.reshape(dim, m, -1)
+            L += self._P1 + points.T[:, :, None] * self._P2
+            return L.reshape(dim * m, -1)
+        L = L.reshape(dim, dim, m, -1)
+        d = np.arange(dim)
+        L[d, d] += self._P2
+        # enforce exact (k,l) row symmetry of the second-derivative map
+        L = 0.5 * (L + L.transpose(1, 0, 2, 3))
+        return L.reshape(dim * dim * m, -1)
 
-    def _mean(self, points, order):
+    def _mean(self, points, order, cross=None):
         """Posterior mean H_e beta_hat + C_ed w in natural shape.
 
-        The cross term is a kernel contraction with ``w``; no cross block is
-        formed.
+        The cross term is a kernel contraction with ``w`` on the points'
+        :class:`kernels.CrossDiffs` (``cross``, when the caller has already
+        built it); no cross block is formed.
         """
         dim = self.design.dim
         b = self.beta_hat
-        cw = kernels.cross_corr_dot(points, order, self.design.points,
-                                    self.hyper.rho, self.design.has_gradients,
-                                    self.w)
+        if cross is None:
+            cw = kernels.cross_corr_dot(points, order, self.design.points,
+                                        self.hyper.rho, self.design.has_gradients,
+                                        self.w)
+        else:
+            cw = cross.dot(order, self.design.has_gradients, self.w)
         if order == 0:
             return kernels.basis(points, 0) @ b + cw
         if order == 1:
@@ -301,8 +327,8 @@ class Emulator:
     def predict_efi(self, points: np.ndarray) -> np.ndarray:
         """Emulated empirical Fisher matrices, (m, D, D), symmetric PSD.
 
-        Builds the order-1 map alone; the matrices are bitwise those of
-        :meth:`predict_metric_bundle`.
+        One pass over the design builds the order-1 rows and map alone; the
+        matrices are bitwise those of :meth:`predict_metric_bundle`.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self._fisher(self.linear_map(points, 1), *points.shape)[0]
@@ -310,24 +336,26 @@ class Emulator:
     def predict_metric_bundle(self, points: np.ndarray):
         """Emulated metric, its raw derivative tensor and the gradient.
 
-        The order-1 and order-2 cross-correlation blocks are built in one
-        pass over the design and give the maps A1 and A2.  Returns
-        ``(G, T3, grad)`` with ``G`` the (m, D, D) empirical Fisher matrices,
-        ``T3`` the (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the
-        first-kind connection Gamma_{ab,c} (the metric derivative follows as
-        dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and ``grad`` the (m, D)
-        potential gradients, bitwise ``predict(points, 1).mean``.
+        One pass over the design (:class:`kernels.CrossDiffs`) gives the
+        order-1 and order-2 rows, hence the maps A1 and A2, and the gradient
+        contraction.  Returns ``(G, T3, grad)`` with ``G`` the (m, D, D)
+        empirical Fisher matrices, ``T3`` the (m, D, D, D) tensors
+        ``T3[i][a,b,c]`` equal to the first-kind connection Gamma_{ab,c} (the
+        metric derivative follows as dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and
+        ``grad`` the (m, D) potential gradients, bitwise
+        ``predict(points, 1).mean``.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m, dim = points.shape
-        C1, C2 = self._cross_corr(points, (1, 2))
+        cross = kernels.CrossDiffs(points, self.design.points, self.hyper.rho)
+        C1, C2 = cross.rows((1, 2), self.design.has_gradients)
         A1 = self.linear_map(points, 1, C1)
         A2 = self.linear_map(points, 2, C2)
         G, gA1 = self._fisher(A1, m, dim)
         T = A2 @ gA1
         T5 = T.reshape(dim, dim, m, dim, m)
         T3 = np.einsum("abici->iabc", T5)
-        return G, T3, self._mean(points, 1)
+        return G, T3, self._mean(points, 1, cross)
 
 
 def build_emulator(design: DesignSet, hyper: Hyperparameters) -> Emulator:

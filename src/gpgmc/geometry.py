@@ -11,6 +11,12 @@ model's analytic formulas; the emulated provider reads everything off a
 Gaussian-process emulator, so a sampler runs identically in "full" and
 "emulated" mode.  Acceptance tests never go through a provider: they always
 use the exact target potential.
+
+An emulated query makes one emulator call at one point, and that call one
+pass over the design: ``metric`` builds the order-1 map alone,
+``metric_and_derivs`` the order-1 and order-2 maps and the gradient
+contraction from the same pass.  The regularizer is added to the diagonal
+in place.
 """
 
 from __future__ import annotations
@@ -66,24 +72,26 @@ class EmulatedGeometry:
         return self.emulator.predict(np.atleast_2d(theta), 1).mean[0]
 
     def _regularize(self, G):
+        """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""
         dim = G.shape[0]
-        lam = max(self.reg_scale * float(np.trace(G)) / dim, 1e-12)
-        return G + lam * np.eye(dim), lam
+        lam = max(self.reg_scale * float(G.trace()) / dim, 1e-12)
+        d = np.arange(dim)
+        G[d, d] += lam
+        return lam
 
     def metric(self, theta) -> np.ndarray:
         """Regularized metric from the order-1 map alone."""
-        return self._regularize(
-            self.emulator.predict_efi(np.atleast_2d(theta))[0])[0]
+        G = self.emulator.predict_efi(np.atleast_2d(theta))[0]
+        self._regularize(G)
+        return G
 
     def metric_and_derivs(self, theta):
-        G_raw, T3, grad = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
-        G_raw, T3 = G_raw[0], T3[0]
-        dim = G_raw.shape[0]
+        G, T3, grad = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
+        G, T3 = G[0], T3[0]
+        dim = G.shape[0]
         # dG_c[a, b] = T3[a, c, b] + T3[b, c, a]
-        dG = np.einsum("acb->cab", T3) + np.einsum("bca->cab", T3)
-        G, lam = self._regularize(G_raw)
-        dlam = self.reg_scale * np.trace(dG, axis1=1, axis2=2) / dim
-        if lam <= 1e-12:
-            dlam = np.zeros(dim)
-        dG = dG + dlam[:, None, None] * np.eye(dim)[None, :, :]
+        dG = T3.transpose(1, 0, 2) + T3.transpose(1, 2, 0)
+        if self._regularize(G) > 1e-12:  # off the floor, lam varies with theta
+            d = np.arange(dim)
+            dG[:, d, d] += self.reg_scale * dG.trace(axis1=1, axis2=2)[:, None] / dim
         return G, dG, grad[0]

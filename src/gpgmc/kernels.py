@@ -11,9 +11,12 @@ points, the first-derivative axis is flattened as ``row = k*m + i`` (coordinate
 operand, e.g. ``(2,1)`` correlates second derivatives at the first point set
 with first derivatives at the second.
 
-Each block is a table of polynomial prefactors times the correlation.
-Posterior means need no block: :func:`cross_corr_dot` contracts the
-prefactors with the weights directly.
+Each block is a polynomial prefactor times the correlation.  The blocks of
+evaluation points against a design come from :class:`CrossDiffs`, which
+takes the differences and correlations once and builds the rows of every
+evaluation order from them (:meth:`CrossDiffs.rows`).  Posterior means need
+no block: :meth:`CrossDiffs.dot` contracts the prefactors with the weights
+directly.
 
 The maximum-likelihood fit differentiates a design's auto-correlation
 ``C~`` (:func:`tilde_corr`) in rho; :func:`tilde_corr_rho_derivs` gives its
@@ -40,8 +43,8 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-__all__ = ["basis", "corr_block", "PairDiffs", "tilde_basis", "tilde_corr",
-           "tilde_corr_rho_derivs", "cross_corr", "cross_corr_dot"]
+__all__ = ["basis", "corr_block", "PairDiffs", "CrossDiffs", "tilde_basis",
+           "tilde_corr", "tilde_corr_rho_derivs", "cross_corr", "cross_corr_dot"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -116,46 +119,107 @@ def _pairs_and_corr(points, rho):
     return pairs, rho, _corr(pairs.sq, rho)
 
 
-def _prefactor_table(diff, rho, orders, with_gradients):
-    """Polynomial prefactors of every block, one array per evaluation order.
+def _prefactor_table(diff, rho):
+    """Polynomial prefactors ``(T0, T1)`` of a gradient design's own blocks.
 
-    Each order's array has axes (deriv..., q, i, j): the derivative axes of
-    the evaluation points (none, ``k`` or ``k, l``), then ``q`` over the
-    design-side blocks ``[(o,0); (o,1)_p]`` (just ``(o,0)`` without
-    gradients), then the point axes.  With ``a = 2 rho * diff`` the
-    prefactors are
+    ``T0`` has axes (q, i, j) and ``T1`` axes (k, q, i, j): ``k`` is the
+    derivative axis of the order-1 rows, ``q`` runs over the blocks
+    ``[(o,0); (o,1)_p]`` and ``i, j`` over the points.  With
+    ``a = 2 rho * diff`` the prefactors are
 
     * (0,0): ``1``, and (0,1): ``a_p``;
-    * (1,0): ``-a_k``, and (1,1): ``2 rho_k d_kp - a_k a_p``;
-    * (2,0): ``a_k a_l - 2 rho_k d_kl``, the negative of (1,1);
-    * (2,1): ``(a_k a_l - 2 rho_k d_kl) a_p - 2 rho_k d_kp a_l
-      - 2 rho_l d_lp a_k``.
+    * (1,0): ``-a_k``, and (1,1): ``2 rho_k d_kp - a_k a_p``.
 
-    With ``at = [1; a]`` the (o,0) and (o,1) prefactors stack along ``q``.
+    :func:`tilde_corr` and the rho-derivatives of
+    :func:`tilde_corr_rho_derivs` are built on them; evaluation points take
+    their blocks from :meth:`CrossDiffs.rows`.
     """
     m, n, dim = diff.shape
     a = 2.0 * rho[:, None, None] * diff.transpose(2, 0, 1)  # (p, i, j)
-    at = np.concatenate([np.ones((1, m, n)), a]) if with_gradients \
-        else np.ones((1, m, n))
-    two_rho = np.diag(2.0 * rho)[:, :, None, None]  # 2 rho_k d_kp
-    out = []
-    for order in orders:
-        if order == 0:
-            pref = at
-        elif order == 1:
-            pref = -a[:, None] * at[None]  # (k, q, i, j)
+    T0 = np.concatenate([np.ones((1, m, n)), a])
+    T1 = -a[:, None] * T0[None]
+    T1[:, 1:] += np.diag(2.0 * rho)[:, :, None, None]
+    return T0, T1
+
+
+class CrossDiffs:
+    """Differences ``diff[i, j] = x_i - y_j`` of evaluation points against a
+    design, with their correlations ``corr`` at one rho.
+
+    Every cross block (:meth:`rows`) and kernel contraction (:meth:`dot`) of
+    the points is built from one instance, so a query that needs several
+    pays for one pass over the design.
+    """
+
+    def __init__(self, eval_points, design_points, rho):
+        self.diff, self.rho, self.corr = _diff_and_corr(eval_points,
+                                                        design_points, rho)
+
+    def rows(self, orders, with_gradients):
+        """Cross-correlation rows of each evaluation order in ``orders``.
+
+        For each order ``o`` returns the (m D^o, n~) matrix
+        ``[(o,0) | (o,1)]``, or the (o,0) block alone without gradients.
+        With ``a = 2 rho * diff`` and the design-side columns
+        ``b = [k; a_p k]`` (just ``k`` without gradients) the rows are
+
+        * order 0: ``b``;
+        * order 1: ``-a_k b``, plus ``2 rho_k k`` in block ``p = k``;
+        * order 2: ``(a_k a_l - 2 rho_k d_kl) b``, minus ``2 rho_k a_l k`` in
+          block ``p = k`` and ``2 rho_l a_k k`` in block ``p = l``.
+        """
+        diff, corr = self.diff, self.corr
+        if not with_gradients and not any(orders):
+            # plain values: no prefactor, and the hot path of MLE fits and MICE
+            return [corr for _ in orders]
+        m, n, dim = diff.shape
+        two_rho = 2.0 * self.rho
+        a = (diff * two_rho).transpose(2, 0, 1)  # (p, i, j)
+        ak = a * corr  # a_p k, the (0,1)_p prefactor times k
+        # products whose diagonal is then updated are written to C-ordered
+        # arrays, so that the diagonal over two adjacent axes is a strided
+        # view of a reshape
+        sq = (dim, dim, m, n)
+        out = []
+        for order in orders:
+            # ``first`` is the (order, 0) block; ``rest``, with gradients, the
+            # (order, 1)_p blocks with p next to the derivative axis k, where
+            # the terms in d_kp and d_lp are diagonal views
+            if order == 0:
+                first, rest = corr, ak.transpose(1, 0, 2)  # rest: (i, p, j)
+            elif order == 1:
+                first = -ak
+                if with_gradients:
+                    # (k, p, i, j)
+                    rest = np.multiply(a[:, None], first[None], out=np.empty(sq))
+                    rest.reshape(dim * dim, m, n)[::dim + 1] += \
+                        two_rho[:, None, None] * corr
+                    rest = rest.transpose(0, 2, 1, 3)
+            elif order == 2:
+                a2 = np.multiply(a[:, None], a[None], out=np.empty(sq))  # (k, l, i, j)
+                a2.reshape(dim * dim, m, n)[::dim + 1] -= two_rho[:, None, None]
+                first = a2 * corr
+                if with_gradients:
+                    rest = np.multiply(a2[:, None], ak[None, :, None],
+                                       out=np.empty((dim,) + sq))  # (k, p, l, i, j)
+                    t = two_rho[:, None, None, None] * ak  # t[k, l] = 2 rho_k a_l k
+                    rest.reshape(dim * dim, dim, m, n)[::dim + 1] -= t  # p = k
+                    rest.reshape(dim, dim * dim, m, n)[:, ::dim + 1] -= t.swapaxes(0, 1)
+                    rest = rest.transpose(0, 2, 3, 1, 4)
+            else:
+                raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
             if with_gradients:
-                pref[:, 1:] += two_rho
-        elif order == 2:
-            a2 = a[:, None] * a[None] - two_rho  # (k, l, i, j)
-            pref = a2[:, :, None] * at[None, None]  # (k, l, q, i, j)
-            if with_gradients:
-                cross = two_rho[None] * a[:, None, None]  # 2 rho_l d_lp a_k
-                pref[:, :, 1:] -= cross + cross.swapaxes(0, 1)
-        else:
-            raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
-        out.append(pref)
-    return out
+                rows = np.empty(first.shape[:-1] + (1 + dim, n))
+                rows[..., 0, :] = first
+                rows[..., 1:, :] = rest
+                first = rows
+            out.append(first.reshape(-1, (1 + dim if with_gradients else 1) * n))
+        return out
+
+    def dot(self, order, with_gradients, w):
+        """``rows((order,), with_gradients)[0] @ w`` without forming the rows;
+        see :func:`cross_corr_dot`."""
+        return _corr_dot(self.diff, self.rho, self.corr, order, with_gradients, w)
 
 
 def cross_corr_dot(eval_points: np.ndarray, order: int,
@@ -164,24 +228,30 @@ def cross_corr_dot(eval_points: np.ndarray, order: int,
     """``cross_corr(eval_points, order, design_points, rho, with_gradients) @ w``
     without forming the block.
 
-    The result is in natural shape: (m,), (m, D) or (m, D, D) by order, i.e.
-    the coordinate-major vector ``cross_corr(...) @ w`` with its points axis
-    moved first.  With ``a_j = 2 rho * (x - x_j)``, ``k_j`` the correlation,
-    ``w`` split as ``w0 = w[:n]`` and ``W1[j] = w[n:].reshape(D, n)[:, j]``
-    (``W1 = 0`` without gradients), ``V_j = 2 rho * W1[j]`` and
-    ``s_j = w0_j + a_j . W1[j]``, the prefactors of :func:`_prefactor_table`
-    summed against ``w`` give
+    The result is in natural shape: (m,), (m, D) or (m, D, D) by order,
+    i.e. the coordinate-major vector ``cross_corr(...) @ w`` with its points
+    axis moved first.  With ``a_j = 2 rho * (x - x_j)``, ``k_j`` the
+    correlation, ``w`` split as ``w0 = w[:n]`` and
+    ``W1[j] = w[n:].reshape(D, n)[:, j]`` (``W1 = 0`` without gradients),
+    ``V_j = 2 rho * W1[j]`` and ``s_j = w0_j + a_j . W1[j]``, the rows of
+    :meth:`CrossDiffs.rows` summed against ``w`` give
 
     * order 0: ``sum_j k_j s_j``;
     * order 1: ``sum_j k_j (V_j - a_j s_j)``;
-    * order 2: ``sum_j k_j ((a_j a_j' - diag(2 rho)) s_j - V_j a_j' - a_j V_j')``.
+    * order 2: ``sum_j k_j ((a_j a_j' - diag(2 rho)) s_j - V_j a_j'
+      - a_j V_j')``.
 
     Cost is O(m n D), or O(m n D^2) at order 2, against the block's
     O(m n~ D^order).
     """
+    return _corr_dot(*_diff_and_corr(eval_points, design_points, rho), order,
+                     with_gradients, w)
+
+
+def _corr_dot(diff, rho, corr, order, with_gradients, w):
+    """:func:`cross_corr_dot` on the differences and correlations of a pass."""
     if order not in (0, 1, 2):
         raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
-    diff, rho, corr = _diff_and_corr(eval_points, design_points, rho)
     if order == 0 and not with_gradients:
         return corr @ w  # plain values, as for the block itself
     n, dim = diff.shape[1:]
@@ -213,20 +283,6 @@ def _flatten(blk):
     return blk.swapaxes(-3, -2).reshape(-1, q * n)
 
 
-def _block_rows(diff, corr, rho, orders, with_gradients):
-    """Cross-correlation blocks of each evaluation order, from one pass.
-
-    For each ``order_a`` in ``orders`` returns the (m D^order_a, n~) matrix
-    ``[(order_a, 0) | (order_a, 1)]``, or the (order_a, 0) block alone
-    without gradients: each is its prefactor table times ``corr``, flattened.
-    """
-    if not with_gradients and not any(orders):
-        # plain values: no prefactor, and the hot path of MLE fits and MICE
-        return [corr for _ in orders]
-    return [_flatten(pref * corr)
-            for pref in _prefactor_table(diff, rho, orders, with_gradients)]
-
-
 def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
                rho: np.ndarray) -> np.ndarray:
     """Cross-correlation block between derivative observations.
@@ -237,9 +293,9 @@ def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
     """
     if order_b not in (0, 1):
         raise ValueError(f"unsupported block orders ({order_a}, {order_b})")
-    diff, rho, corr = _diff_and_corr(A, B, rho)
-    rows = _block_rows(diff, corr, rho, (order_a,), with_gradients=order_b == 1)[0]
-    return rows[:, diff.shape[1]:] if order_b == 1 else rows
+    cross = CrossDiffs(A, B, rho)
+    rows = cross.rows((order_a,), with_gradients=order_b == 1)[0]
+    return rows[:, cross.diff.shape[1]:] if order_b == 1 else rows
 
 
 def _rho_poly(diff, coords):
@@ -278,7 +334,8 @@ def tilde_corr(points, rho: np.ndarray, with_gradients: bool):
     pairs, rho, corr = _pairs_and_corr(points, rho)
     if not with_gradients:
         return corr
-    return np.vstack(_block_rows(pairs.diff, corr, rho, (0, 1), True))
+    return np.vstack([_flatten(pref * corr)
+                      for pref in _prefactor_table(pairs.diff, rho)])
 
 
 def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
@@ -293,7 +350,7 @@ def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
     """
     pairs, rho, corr = _pairs_and_corr(points, rho)
     if with_gradients:
-        T0, T1 = _prefactor_table(pairs.diff, rho, (0, 1), True)
+        T0, T1 = _prefactor_table(pairs.diff, rho)
         a = T0[1:]
     for cs in coords:
         if not with_gradients:
@@ -318,7 +375,6 @@ def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,
     from one pass over the design and returned as a tuple.
     """
     single = np.ndim(order) == 0
-    diff, rho, corr = _diff_and_corr(eval_points, design_points, rho)
-    out = _block_rows(diff, corr, rho, (order,) if single else order,
-                      with_gradients)
+    out = CrossDiffs(eval_points, design_points, rho).rows(
+        (order,) if single else order, with_gradients)
     return out[0] if single else tuple(out)

@@ -7,7 +7,14 @@ test.  Exactly one exact potential evaluation is spent per completed proposal.
 
 Non-finite geometry during a trajectory auto-rejects the proposal instead of
 aborting: long emulator extrapolations can produce wild values and the chain
-must survive them.
+must survive them.  So does a finite metric that is not positive definite,
+which fails the Cholesky factorization behind every inverse metric.
+
+A Riemannian or Lagrangian step asks its geometry provider for one full
+point (metric, metric derivatives and gradient) per integrator step, and
+an RHMC position sweep for the metric alone; each answer is one query at
+one point.  The D x D factor and inverse come straight from LAPACK
+(potrf, potri), since at that size the wrappers' fixed cost dominates.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, solve, solve_triangular, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import (FixedPointDivergence, NonFiniteGradient, SingularUpdate,
                      SolverFailure)
@@ -68,7 +76,10 @@ def init_state(target, theta0, rng: np.random.Generator) -> ChainState:
 
 
 def _finite(*arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+    for a in arrays:
+        if not np.isfinite(a).all():
+            return False
+    return True
 
 
 def _quiet_overflow(fn):
@@ -161,9 +172,22 @@ def hmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
 # -- RHMC --------------------------------------------------------------------
 
 def _cholesky_inverse(G):
-    """Lower Cholesky factor and inverse of a metric already checked finite."""
-    chol = cholesky(G, lower=True, check_finite=False)
-    return chol, cho_solve((chol, True), np.eye(G.shape[0]), check_finite=False)
+    """Lower Cholesky factor and inverse of a metric already checked finite.
+
+    Calls LAPACK's potrf and potri directly: at D x D the per-call overhead
+    of scipy's checked wrappers and a solve against the identity is most of
+    the cost.  A metric that is not positive definite raises LinAlgError.
+    """
+    chol, info = dpotrf(G, lower=1, clean=1)
+    if info == 0:
+        inv, info = dpotri(chol, lower=1)
+    if info != 0:
+        raise LinAlgError("metric is not positive definite")
+    # potri fills the lower triangle and leaves chol's zeros above it, so
+    # adding the transpose doubles the diagonal alone; halving it is exact
+    ginv = inv + inv.T
+    ginv.flat[::G.shape[0] + 1] *= 0.5
+    return chol, ginv
 
 
 def _metric_inverse(geometry, theta):
@@ -185,7 +209,7 @@ class _ManifoldPoint:
         self.G = G
         self.dG = dG
         self.chol, self.Ginv = _cholesky_inverse(G)
-        self.logdet = 2.0 * float(np.sum(np.log(np.diagonal(self.chol))))
+        self.logdet = 2.0 * float(np.log(self.chol.diagonal()).sum())
         # grad of phi = U + log det(G)/2
         self.gphi = grad_u + 0.5 * np.einsum("ij,kji->k", self.Ginv, dG)
         if not _finite(self.gphi):
@@ -246,7 +270,7 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
             p_new = p - 0.5 * eps * (point.gphi - 0.5 * point.nu(p_half))
             if not _finite(p_new):
                 raise FixedPointDivergence("momentum iterate non-finite")
-            delta = np.max(np.abs(p_new - p_half))
+            delta = np.abs(p_new - p_half).max()
             p_half = p_new
             if delta < cfg.fixed_point_tol:
                 break
@@ -257,7 +281,7 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
             theta_next = theta + 0.5 * eps * (point.Ginv + ginv_end) @ p_half
             if not _finite(theta_next):
                 raise FixedPointDivergence("position iterate non-finite")
-            delta = np.max(np.abs(theta_next - theta_new))
+            delta = np.abs(theta_next - theta_new).max()
             theta_new = theta_next
             if delta < cfg.fixed_point_tol or sweep == cfg.fixed_point_iters - 1:
                 break

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from conftest import spread_points
-from gpgmc import adaptation as ad, kernels
+from gpgmc import adaptation as ad, kernels, mle
 from gpgmc.emulator import DesignSet, Hyperparameters, per_datum_gram
 from gpgmc.errors import (AllDegenerate, IllConditioned, OptimFailed,
                           RejectionBudgetExhausted, ShapeMismatch)
@@ -756,6 +756,22 @@ class TestAdaptiveSampler:
         assert cfg == IntegratorConfig(step_size=0.05, n_steps=10)
         assert schedule == ad.RegenSchedule(test_interval=5, min_pool=12,
                                             max_adaptations=1)
+
+    def test_unconverged_fits_leave_mle_warn_events(self, banana, monkeypatch):
+        """The start's fit and each refresh's refit, capped at one iteration."""
+        monkeypatch.setattr(mle, "FIT_MAX_ITER", 1)
+        rng = np.random.default_rng(18)
+        pts = 0.15 * np.random.default_rng(19).standard_normal((10, 2))
+        sampler = self.make_sampler(banana, evaluated_design(banana, pts), rng,
+                                    max_adaptations=2)
+        state = init_state(sampler.target, np.zeros(2), rng)
+        for _ in range(2000):
+            state, _ = sampler.step(state)
+            if not sampler.schedule.adaptation_active:
+                break
+        at = lambda kind: [ev.iteration for ev in sampler.events if ev.kind == kind]
+        assert len(at("adapt_start")) >= 1
+        assert at("mle_warn") == [0] + at("adapt_start")
 
     def test_budget_deactivates_adaptation(self, banana):
         rng = np.random.default_rng(18)

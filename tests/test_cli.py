@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpgmc import cli
+from gpgmc import cli, mle
 from gpgmc.emulator import load_design, per_datum_gram
 from gpgmc.errors import ConfigError
 
@@ -399,6 +399,27 @@ class TestRun:
         assert built[0].tuner is not None
         assert built[0].tuner.target == 0.8
 
+    def test_unconverged_adaptive_fits_reach_events_csv(self, tmp_path,
+                                                         monkeypatch):
+        """The start's fit and every refresh's refit that stop at the
+        iteration cap leave an mle_warn event."""
+        monkeypatch.setattr(mle, "FIT_MAX_ITER", 1)
+        cfg = cli.validate_config(banana_config(
+            tmp_path,
+            target={"name": "bbd", "dim": 4, "n_data": 300},
+            sampler={"name": "hmc", "step_size": 0.05, "n_steps": 8},
+            geometry={"mode": "emulated",
+                      "adaptation": {"test_interval": 5, "init_size": 16,
+                                     "max_adaptations": 2,
+                                     "maxmin_radius": 0.3}},
+            iters=150, burnin=30))
+        out = cli.run(cfg)
+        rows = [line.split(",") for line in
+                (out / "events.csv").read_text().splitlines()[1:]]
+        warned = [int(r[0]) for r in rows if r[1] == "mle_warn"]
+        refreshed = [int(r[0]) for r in rows if r[1] == "adapt_start"]
+        assert warned == [0] + refreshed
+
     def test_multiple_chains(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path, iters=60, burnin=10))
         out = cli.run(cfg, n_chains=2)
@@ -439,6 +460,19 @@ class TestDesignCommand:
         design, hyper = load_design(path)
         assert design.n == 20
         assert np.all(hyper.rho > 0)
+
+    def test_unconverged_fits_are_named_on_stderr(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(mle, "FIT_MAX_ITER", 1)
+        cfg = cli.validate_config(banana_config(
+            tmp_path,
+            geometry={"mode": "exact",
+                      "design": {"source": "prior", "count": 60,
+                                 "target_size": 20, "maxmin_radius": 0.1}}))
+        cli.design_cmd(cfg)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[2] for line in err] == ["pool", "final"]
+        assert all(line.startswith("warning: the ") for line in err)
 
     def test_chain_source(self, tmp_path):
         run_cfg = cli.validate_config(banana_config(tmp_path / "run"))

@@ -1,16 +1,19 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SmoothTestFunction, spread_points
+from gpgmc import kernels, samplers
 from gpgmc.emulator import Emulator, Hyperparameters
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.targets import banana_target
 
 
 @st.composite
-def emulated_points(draw):
-    """A random emulator with per-datum data, a point to query it at and the
-    per-datum rows the design's Gram comes from."""
+def emulated_points(draw, m=None):
+    """A random emulator with per-datum data, a point to query it at (``m``
+    points as an (m, D) array, given ``m``) and the per-datum rows the
+    design's Gram comes from."""
     dim = draw(st.sampled_from([2, 3, 4]))
     gradients = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -20,7 +23,8 @@ def emulated_points(draw):
     pts = spread_points(rng, n, dim)
     design = fn.design(pts, gradients=gradients)
     hyper = Hyperparameters(rho=rng.uniform(0.3, 1.5, dim))
-    return Emulator(design, hyper), rng.uniform(-2.0, 2.0, dim), fn.rows(pts, gradients)
+    x = rng.uniform(-2.0, 2.0, dim if m is None else (m, dim))
+    return Emulator(design, hyper), x, fn.rows(pts, gradients)
 
 
 def _rel_err(got, ref):
@@ -102,3 +106,42 @@ def test_exact_metric_query_equals_fused_metric():
     geo = ExactGeometry(target)
     for x in np.random.default_rng(4).uniform(-2.0, 2.0, (10, 2)):
         np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(emulated_points(m=3))
+def test_batch_queries_equal_single_point_queries(case):
+    """Three points at once give the three one-point results row by row."""
+    em, xs, _ = case
+    efi = em.predict_efi(xs)
+    G, T3, grad = em.predict_metric_bundle(xs)
+    np.testing.assert_array_equal(efi, G)  # one routine for both metrics
+    np.testing.assert_array_equal(grad, em.predict(xs, 1).mean)
+    for i, x in enumerate(xs):
+        G1, T1, grad1 = em.predict_metric_bundle(x[None])
+        np.testing.assert_array_equal(em.predict_efi(x[None]), G1)
+        for got, ref in ((G[i], G1[0]), (T3[i], T1[0]), (grad[i], grad1[0])):
+            assert _rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("gradients", [False, True])
+def test_each_query_makes_one_pass_over_the_design(monkeypatch, gradients):
+    """One difference/correlation pass per metric query and per full point,
+    the inverse and the gradient included."""
+    rng = np.random.default_rng(17)
+    dim = 3
+    fn = SmoothTestFunction(rng, dim)
+    pts = spread_points(rng, 8 if gradients else 12, dim)
+    geo = EmulatedGeometry(Emulator(fn.design(pts, gradients=gradients),
+                                    Hyperparameters(rho=np.full(dim, 0.8))))
+    passes = []
+    diff_and_corr = kernels._diff_and_corr
+    monkeypatch.setattr(kernels, "_diff_and_corr", lambda *a: passes.append(1)
+                        or diff_and_corr(*a))
+    x = rng.uniform(-1.0, 1.0, dim)
+    for query in (geo.metric, geo.metric_and_derivs,
+                  lambda t: samplers._metric_inverse(geo, t),
+                  lambda t: samplers._ManifoldPoint(geo, t)):
+        passes.clear()
+        query(x)
+        assert len(passes) == 1

@@ -344,6 +344,46 @@ class TestPositionSweeps:
         assert info.divergent and not info.accepted and info.exact_calls == 0
 
 
+class IndefiniteGeometry(CountingGeometry):
+    """A finite metric that is not positive definite, from the sweep queries
+    (``where="sweep"``) or at every full point after the first ("point")."""
+
+    BAD = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+    def __init__(self, inner, where):
+        super().__init__(inner)
+        self.where = where
+
+    def metric(self, theta):
+        G = super().metric(theta)
+        return self.BAD.copy() if self.where == "sweep" else G
+
+    def metric_and_derivs(self, theta):
+        G, dG, grad = super().metric_and_derivs(theta)
+        if self.where == "point" and self.calls["metric_and_derivs"] > 1:
+            G = self.BAD.copy()
+        return G, dG, grad
+
+
+@pytest.mark.parametrize("kernel, where", [(rhmc_step, "sweep"),
+                                           (rhmc_step, "point"),
+                                           (lmc_step, "point")])
+def test_indefinite_metric_rejects_without_exact_call(gauss2d, kernel, where):
+    """The inverse's factorization fails; the step is divergent, spends no
+    exact evaluation and raises nothing."""
+    target = CountingTarget(gauss2d)
+    geo = IndefiniteGeometry(ExactGeometry(gauss2d), where)
+    state = init_state(target, gauss2d.mean, np.random.default_rng(6))
+    cfg = IntegratorConfig(step_size=0.1, n_steps=2, fixed_point_iters=3,
+                           fixed_point_tol=0.0)
+    evals = target.n_potential
+    new_state, info = kernel(state, target, geo, cfg)
+    assert new_state is state
+    assert info.divergent and not info.accepted and info.exact_calls == 0
+    assert target.n_potential == evals
+    assert geo.calls["metric" if where == "sweep" else "metric_and_derivs"] >= 1
+
+
 class TestRHMC:
     def test_constant_metric_matches_mass_hmc_exactly(self, gauss2d):
         """Same seed, mass = metric: identical chains draw by draw."""
