@@ -105,9 +105,13 @@ def _need(cfg: dict, key: str, typ, path: str):
     if typ in (int, float) and isinstance(val, bool):
         raise ConfigError(f"{path}/{key}", f"expected {typ}, got bool")
     if typ is float and isinstance(val, int):
-        val = float(val)
+        # an integer beyond the largest double reads as inf, refused below
+        val = float(val) if abs(val) <= sys.float_info.max else float("inf")
     if not isinstance(val, typ):
         raise ConfigError(f"{path}/{key}", f"expected {typ}, got {type(val).__name__}")
+    # json reads NaN, Infinity and -Infinity; no float key has a use for them
+    if typ is float and not np.isfinite(val):
+        raise ConfigError(f"{path}/{key}", f"must be finite, got {val!r}")
     return val
 
 

@@ -75,8 +75,7 @@ class EmulatedGeometry:
         """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""
         dim = G.shape[0]
         lam = max(self.reg_scale * float(G.trace()) / dim, 1e-12)
-        d = np.arange(dim)
-        G[d, d] += lam
+        G.flat[::dim + 1] += lam
         return lam
 
     def metric(self, theta) -> np.ndarray:
@@ -92,6 +91,7 @@ class EmulatedGeometry:
         # dG_c[a, b] = T3[a, c, b] + T3[b, c, a]
         dG = T3.transpose(1, 0, 2) + T3.transpose(1, 2, 0)
         if self._regularize(G) > 1e-12:  # off the floor, lam varies with theta
-            d = np.arange(dim)
-            dG[:, d, d] += self.reg_scale * dG.trace(axis1=1, axis2=2)[:, None] / dim
+            # the diagonals of every dG[k], as one strided view
+            np.einsum("kii->ki", dG)[...] += \
+                self.reg_scale * dG.trace(axis1=1, axis2=2)[:, None] / dim
         return G, dG, grad[0]

@@ -14,11 +14,15 @@ A Riemannian or Lagrangian step asks its geometry provider for one full
 point (metric, metric derivatives and gradient) per integrator step, and
 an RHMC position sweep for the metric alone; each answer is one query at
 one point.  The D x D factor and inverse come straight from LAPACK
-(potrf, potri), since at that size the wrappers' fixed cost dominates.
+(potrf, potri), since at that size the wrappers' fixed cost dominates.  The
+fixed-point sweeps reduce each iterate once, to its sup-norm increment, and
+take the finiteness test from it: the iterate is scanned only when the
+increment is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,8 +48,8 @@ class IntegratorConfig:
     mass: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step_size must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
         if self.fixed_point_iters < 1:
@@ -258,30 +262,37 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
     rejects the proposal; a non-finite gradient or metric derivative rejects
     it only at the converged position, since no intermediate iterate uses
     them.
+
+    The finiteness test of a fixed-point iterate rides on the sup-norm
+    increment the sweep computes anyway: a NaN or infinite entry in the new
+    iterate makes the increment NaN or infinite (numpy's max propagates NaN),
+    so the full scan runs only then, and only to tell an overflowing but
+    finite difference from a non-finite iterate.
     """
     eps = cfg.step_size
     point = start if start is not None else _ManifoldPoint(geometry, state_theta)
     theta = np.array(state_theta, dtype=float)
     p = np.array(p, dtype=float)
     for _ in range(cfg.n_steps):
-        # implicit momentum half-step
-        p_half = p.copy()
+        # implicit momentum half-step; no iterate is modified in place, so
+        # the sweeps start from p and theta themselves
+        p_half = p
         for _ in range(cfg.fixed_point_iters):
             p_new = p - 0.5 * eps * (point.gphi - 0.5 * point.nu(p_half))
-            if not _finite(p_new):
-                raise FixedPointDivergence("momentum iterate non-finite")
             delta = np.abs(p_new - p_half).max()
+            if not math.isfinite(delta) and not _finite(p_new):
+                raise FixedPointDivergence("momentum iterate non-finite")
             p_half = p_new
             if delta < cfg.fixed_point_tol:
                 break
         # implicit position full step
-        theta_new = theta.copy()
+        theta_new = theta
         ginv_end = point.Ginv
         for sweep in range(cfg.fixed_point_iters):
             theta_next = theta + 0.5 * eps * (point.Ginv + ginv_end) @ p_half
-            if not _finite(theta_next):
-                raise FixedPointDivergence("position iterate non-finite")
             delta = np.abs(theta_next - theta_new).max()
+            if not math.isfinite(delta) and not _finite(theta_next):
+                raise FixedPointDivergence("position iterate non-finite")
             theta_new = theta_next
             if delta < cfg.fixed_point_tol or sweep == cfg.fixed_point_iters - 1:
                 break

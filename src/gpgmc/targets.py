@@ -4,6 +4,12 @@ Each target exposes the negative log posterior (the potential), its gradient,
 a per-datum decomposition of the likelihood part, and whatever metric
 information is analytically available.  Targets are immutable after
 construction; every evaluation is a pure function of the position.
+
+The BBD likelihood's expected Fisher metric ``(N / sigma_y^2) s s'`` needs the
+data count alone, not the data: ``fisher`` and ``fisher_derivs`` cost O(D^2)
+and O(D^3) whatever N, and are built from broadcast products and strided
+writes, since at D x D numpy's per-call overhead is most of their cost.  The
+potential and its gradient scan every datum, O(N D) per call.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ class BBDTarget:
         self._odd_idx = np.nonzero(self._odd_mask)[0]
         self._even_idx = np.nonzero(~self._odd_mask)[0]
         self._slope_base = np.where(self._odd_mask, 1.0, 0.0)
+        # the likelihood metric is (N / sigma_y^2) s s' with s = d mu / d theta
+        self._fisher_scale = self.data.size / self.sigma_y**2
+        self._prior_prec = 1.0 / self.sigma_theta**2
 
     @classmethod
     def simulate(cls, rng: np.random.Generator, n_data: int = 3000,
@@ -49,12 +58,15 @@ class BBDTarget:
     def data_count(self) -> int:
         return self.data.size
 
+    def _slope(self, theta):
+        """d mu / d theta: 1 at the odd coordinates, 2 theta at the even."""
+        slope = self._slope_base.copy()
+        slope[1::2] = 2.0 * theta[1::2]
+        return slope
+
     def _mu_and_slope(self, theta):
         t_even = theta[self._even_idx]
-        mu = theta[self._odd_idx].sum() + t_even @ t_even
-        slope = self._slope_base.copy()
-        slope[self._even_idx] = 2.0 * t_even
-        return mu, slope
+        return theta[self._odd_idx].sum() + t_even @ t_even, self._slope(theta)
 
     def potential(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -124,27 +136,35 @@ class BBDTarget:
         u = float(values.sum() + (theta**2).sum() / (2 * self.sigma_theta**2))
         return u, values
 
+    def _metric(self, slope):
+        """(N / sigma_y^2) s s' plus the prior precision on the diagonal."""
+        G = slope[:, None] * slope
+        G *= self._fisher_scale
+        G.flat[::self.dim + 1] += self._prior_prec
+        return G
+
     def fisher(self, theta) -> np.ndarray:
-        """Expected Fisher information of the posterior (likelihood + prior)."""
-        theta = np.asarray(theta, dtype=float)
-        _, slope = self._mu_and_slope(theta)
-        fi = (self.data.size / self.sigma_y**2) * np.outer(slope, slope)
-        fi[np.diag_indices_from(fi)] += 1.0 / self.sigma_theta**2
-        return fi
+        """Expected Fisher information of the posterior (likelihood + prior).
+
+        It does not depend on the data, only on their count: a D x D outer
+        product of the slope plus the prior precision, O(D^2) whatever N.
+        """
+        return self._metric(self._slope(np.asarray(theta, dtype=float)))
 
     def fisher_derivs(self, theta):
-        """Metric and its coordinate derivatives (G, dG) with dG[k] = dG/dtheta_k."""
-        theta = np.asarray(theta, dtype=float)
-        _, slope = self._mu_and_slope(theta)
-        scale = self.data.size / self.sigma_y**2
-        G = scale * np.outer(slope, slope)
-        G[np.diag_indices_from(G)] += 1.0 / self.sigma_theta**2
+        """Metric and its coordinate derivatives (G, dG) with dG[k] = dG/dtheta_k.
+
+        ``G`` is bitwise ``fisher(theta)``.  Only an even coordinate k moves
+        the slope (d s_k = 2), so dG[k] is row k plus column k of
+        ``2 N / sigma_y^2 * s`` and zero for odd k.
+        """
+        slope = self._slope(np.asarray(theta, dtype=float))
+        row = (2.0 * self._fisher_scale) * slope
         dG = np.zeros((self.dim, self.dim, self.dim))
-        for k in np.nonzero(~self._odd_mask)[0]:
-            ek = np.zeros(self.dim)
-            ek[k] = 2.0
-            dG[k] = scale * (np.outer(ek, slope) + np.outer(slope, ek))
-        return G, dG
+        ev = self._even_idx
+        dG[ev, ev] = row
+        dG[ev, :, ev] += row  # the shared entry dG[k, k, k] gets row[k] twice
+        return self._metric(slope), dG
 
     def prior_precision(self) -> np.ndarray:
         return np.eye(self.dim) / self.sigma_theta**2

@@ -67,6 +67,23 @@ class TestValidation:
         cli.validate_config(banana_config(tmp_path, sampler={"name": sampler}))
 
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("sampler", "step_size", "Infinity"),
+        ("sampler", "step_size", "NaN"),
+        ("sampler", "fixed_point_tol", "Infinity"),
+        ("target", "sigma_y", "Infinity"),
+        ("target", "mu_true", "-Infinity"),
+        ("sampler", "step_size", "1" + "0" * 400)])
+    def test_non_finite_float_reports_path(self, tmp_path, section, key, text):
+        """json reads these spellings, and integers beyond the largest
+        double; every one is refused at its key."""
+        cfg = banana_config(tmp_path, sampler={"name": "rhmc"})
+        cfg[section] = {**cfg[section], key: json.loads(text)}
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(cfg)
+        assert f"/{section}/{key}" in str(err.value)
+        assert "finite" in str(err.value)
+
     def test_unknown_top_level_key_reports_path(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             cli.validate_config(banana_config(tmp_path, n_dta=500))

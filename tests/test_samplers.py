@@ -8,7 +8,8 @@ from scipy.linalg import cho_factor, cho_solve
 from conftest import SmoothTestFunction, per_datum_design, spread_points
 from gpgmc import adaptation as ad
 from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
-from gpgmc.errors import NonFiniteGradient, RejectionBudgetExhausted
+from gpgmc.errors import (FixedPointDivergence, NonFiniteGradient,
+                          RejectionBudgetExhausted)
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.geometry import christoffel_first_kind
 from gpgmc.mle import fit_hyperparameters
@@ -382,6 +383,72 @@ def test_indefinite_metric_rejects_without_exact_call(gauss2d, kernel, where):
     assert info.divergent and not info.accepted and info.exact_calls == 0
     assert target.n_potential == evals
     assert geo.calls["metric" if where == "sweep" else "metric_and_derivs"] >= 1
+
+
+@pytest.mark.parametrize("step_size", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_integrator_config_rejects_a_step_size_that_is_not_positive_and_finite(
+        step_size):
+    with pytest.raises(ValueError, match="step_size"):
+        IntegratorConfig(step_size=step_size, n_steps=3)
+
+
+class FixedGeometry:
+    """A provider returning fixed arrays: ``G`` and ``dG`` with a zero
+    gradient at every full point, ``sweep_G`` from every ``metric`` query."""
+
+    def __init__(self, G, dG, sweep_G=None):
+        self.G, self.dG = G, dG
+        self.sweep_G = G if sweep_G is None else sweep_G
+
+    def metric(self, theta):
+        return self.sweep_G.copy()
+
+    def metric_and_derivs(self, theta):
+        return self.G.copy(), self.dG.copy(), np.zeros(self.G.shape[0])
+
+
+@pytest.mark.parametrize("geo, where", [
+    # nu(p) = 1e100 (p_1 + p_2)^2 grows the momentum iterates doubly
+    # exponentially until they overflow
+    (FixedGeometry(np.eye(2), np.full((2, 2, 2), 1e100)), "momentum"),
+    # a subnormal sweep metric: its inverse, and so the next position
+    # iterate, overflows
+    (FixedGeometry(np.eye(2), np.zeros((2, 2, 2)), 1e-310 * np.eye(2)),
+     "position")])
+def test_fixed_point_divergence_rejects_without_exact_call(gauss2d, geo, where):
+    cfg = IntegratorConfig(step_size=0.1, n_steps=2, fixed_point_iters=6,
+                           fixed_point_tol=0.0)
+    with pytest.raises(FixedPointDivergence, match=f"{where} iterate non-finite"):
+        generalized_leapfrog(gauss2d.mean, np.array([0.3, 0.5]), geo, cfg)
+    target = CountingTarget(gauss2d)
+    state = init_state(target, gauss2d.mean, np.random.default_rng(7))
+    evals = target.n_potential
+    new_state, info = rhmc_step(state, target, geo, cfg)
+    assert new_state is state
+    assert info.divergent and not info.accepted and info.exact_calls == 0
+    assert target.n_potential == evals
+
+
+def test_finite_iterates_with_an_overflowing_increment_do_not_diverge():
+    """Two finite position iterates of opposite sign near the largest double
+    differ by more than it: the sup-norm increment is inf, yet no iterate is
+    non-finite, so the trajectory goes on as the finiteness scan says."""
+    ginv_start = np.array([[2.0, -1.02], [-1.02, 1.0102]])
+    ginv_sweep = np.array([[20.0, 2.8], [2.8, 0.972]])
+    geo = FixedGeometry(np.linalg.inv(ginv_start), np.zeros((2, 2, 2)),
+                        np.linalg.inv(ginv_sweep))
+    # first iterate ginv_start @ p ~ 0.9 max (-1, 1), the second
+    # (ginv_start + ginv_sweep) @ p / 2 ~ 0.9 max (1, 1)
+    p0 = 0.9 * np.finfo(float).max * np.array([0.01, 1.0])
+    cfg = IntegratorConfig(step_size=1.0, n_steps=1, fixed_point_iters=2,
+                           fixed_point_tol=0.0)
+    start = _ManifoldPoint(geo, np.zeros(2))
+    theta, p, _ = generalized_leapfrog(np.zeros(2), p0, geo, cfg, start=start)
+    first = 0.5 * (start.Ginv + start.Ginv) @ p0
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.abs(theta - first).max())
+    assert np.isfinite(theta).all() and np.isfinite(first).all()
+    np.testing.assert_array_equal(p, p0)
 
 
 class TestRHMC:

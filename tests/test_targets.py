@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpgmc.targets import BBDTarget, CountingTarget, GaussianTarget, banana_target
 
@@ -68,6 +69,44 @@ def test_fisher_derivative_matches_finite_differences():
         e[k] = h
         fd = (target.fisher(theta + e) - target.fisher(theta - e)) / (2 * h)
         np.testing.assert_allclose(dG[k], fd, atol=1e-4)
+
+
+def outer_product_metric(target, theta):
+    """Reference (G, dG): the metric as a scaled np.outer plus the prior, and
+    dG[k] as np.outer pairs of the slope and its derivative, one even k at a
+    time."""
+    dim = target.dim
+    slope = np.where(np.arange(dim) % 2 == 0, 1.0, 2.0 * theta)
+    scale = target.data.size / target.sigma_y**2
+    G = scale * np.outer(slope, slope)
+    G[np.diag_indices_from(G)] += 1.0 / target.sigma_theta**2
+    dG = np.zeros((dim, dim, dim))
+    for k in range(1, dim, 2):
+        ek = np.zeros(dim)
+        ek[k] = 2.0
+        dG[k] = scale * (np.outer(ek, slope) + np.outer(slope, ek))
+    return G, dG
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 6),
+       log10_abs=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+       n_data=st.sampled_from([1, 250, 30_000]),
+       sigma_y=st.sampled_from([0.3, 1.0, 2.0]),
+       sigma_theta=st.sampled_from([0.5, 1.0, 3.0]))
+def test_bbd_metric_is_the_outer_product_formula(dim, log10_abs, signs, n_data,
+                                                 sigma_y, sigma_theta):
+    """``fisher`` is exactly ``fisher_derivs``' G (the metric-only sweeps
+    rely on it), and both equal the np.outer formulas (signed zeros aside)."""
+    theta = np.array(signs[:dim]) * 10.0 ** np.array(log10_abs[:dim])
+    target = BBDTarget(np.zeros(n_data), sigma_y=sigma_y,
+                       sigma_theta=sigma_theta, dim=dim)
+    G, dG = target.fisher_derivs(theta)
+    assert target.fisher(theta).tobytes() == G.tobytes()
+    G_ref, dG_ref = outer_product_metric(target, theta)
+    assert G.tobytes() == G_ref.tobytes()
+    np.testing.assert_array_equal(dG, dG_ref)
 
 
 def test_empirical_fisher_converges_to_expected_likelihood_part():
