@@ -11,15 +11,19 @@ linear map of the stacked design data, so the heavy factorizations are done
 once per design.  Posterior means need no map at all: they read the weights
 ``beta_hat = P u`` and ``w = Q u`` stored at build time, and the kernel term
 is a direct contraction of the kernel-derivative polynomials with ``w``
-(:meth:`kernels.CrossDiffs.dot`), costing O(m n D) for m points of an
+(:func:`kernels.cross_corr_dot`), costing O(m n D) for m points of an
 n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
 Cross blocks are built only for covariances and for the linear maps behind
 the Fisher matrices and connections.
 
 Each query takes the differences and correlations of its points against the
 design once (:class:`kernels.CrossDiffs`); the cross rows and the gradient
-contraction of the query all come from that pass, and the basis terms of
-the order-1 and order-2 maps are slices of ``P`` taken at build time.  At one
+contraction of the query all come from that pass.  What the passes and
+contractions multiply by is built once per emulator: ``2 rho``, the weights
+split as the contraction reads them, and the basis slices of ``beta_hat``
+and ``P``.  The design and rho are checked when the emulator is built, so a
+query checks only its points' dimension.  A one-point gradient query, the
+HMC integrator's, runs the same contraction without the point axis.  At one
 point of an n-point gradient design (n~ = n (1 + D)) the metric query
 (:meth:`Emulator.predict_efi`) costs O(D n~^2) and the full point
 (:meth:`Emulator.predict_metric_bundle`: metric, connection and gradient)
@@ -205,6 +209,12 @@ class Emulator:
         u = design.data_vector()
         self.beta_hat = self.P @ u
         self.w = self.Q @ u
+        # what the mean's contractions multiply by, built once: 2 rho, the
+        # weights w0 and V of kernels.cross_corr_dot, and the basis slices
+        self._dot = kernels._dot_operands(self.w, design.n, hyper.rho,
+                                          design.has_gradients)
+        self._b1 = self.beta_hat[1:1 + design.dim]
+        self._b2 = self.beta_hat[1 + design.dim:]
         quad = float(u @ self.Q @ u)
         self.sigma2_hat = max(quad, 0.0) / (n_tilde - q - 2)
         self.dof = n_tilde - q
@@ -216,9 +226,24 @@ class Emulator:
 
     # -- linear maps -----------------------------------------------------
 
+    def _points(self, points):
+        """Query points as an (m, D) float array; the emulator's design and
+        rho were checked when it was built, so only the points' dimension is
+        left to check, and its passes over the design check nothing."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim < 2:  # one point
+            points = points.reshape(1, -1)
+        if points.shape[1] != self.design.dim:
+            raise ShapeMismatch(f"point dimensions differ: {points.shape[1]} "
+                                f"vs {self.design.dim}")
+        return points
+
+    def _cross(self, points):
+        return kernels.CrossDiffs.unchecked(points, self.design.points,
+                                            self.hyper.rho)
+
     def _cross_corr(self, points, order):
-        return kernels.cross_corr(points, order, self.design.points,
-                                  self.hyper.rho, self.design.has_gradients)
+        return self._cross(points).rows((order,), self.design.has_gradients)[0]
 
     def linear_map(self, points: np.ndarray, order: int,
                    cross: np.ndarray | None = None) -> np.ndarray:
@@ -228,7 +253,7 @@ class Emulator:
         the design, when the caller has already built it.  The basis term of
         orders 1 and 2 is read off slices of P.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self._points(points)
         C_ed = self._cross_corr(points, order) if cross is None else cross
         L = C_ed @ self.Q
         if order == 0:
@@ -248,23 +273,23 @@ class Emulator:
     def _mean(self, points, order, cross=None):
         """Posterior mean H_e beta_hat + C_ed w in natural shape.
 
-        The cross term is a kernel contraction with ``w`` on the points'
-        :class:`kernels.CrossDiffs` (``cross``, when the caller has already
-        built it); no cross block is formed.
+        The cross term is a kernel contraction of the operands built at
+        construction on the points' pass over the design (``cross``, when
+        the caller has already made it); no cross block is formed.  At
+        order 1 ``points`` may be a single (D,) point, whose mean then has
+        no point axis.
         """
-        dim = self.design.dim
-        b = self.beta_hat
         if cross is None:
-            cw = kernels.cross_corr_dot(points, order, self.design.points,
-                                        self.hyper.rho, self.design.has_gradients,
-                                        self.w)
+            diff, corr = kernels._diff_and_corr(points, self.design.points,
+                                                self.hyper.rho)
         else:
-            cw = cross.dot(order, self.design.has_gradients, self.w)
+            diff, corr = cross.diff, cross.corr
+        cw = kernels._corr_dot(diff, corr, order, *self._dot)
         if order == 0:
-            return kernels.basis(points, 0) @ b + cw
+            return kernels.basis(points, 0) @ self.beta_hat + cw
         if order == 1:
-            return b[1:1 + dim] + 2.0 * points * b[1 + dim:] + cw
-        hess = cw + np.diag(2.0 * b[1 + dim:])
+            return self._b1 + 2.0 * points * self._b2 + cw
+        hess = cw + np.diag(2.0 * self._b2)
         return 0.5 * (hess + hess.transpose(0, 2, 1))
 
     # -- predictions -----------------------------------------------------
@@ -276,8 +301,12 @@ class Emulator:
         Covariance is available for orders 0 and 1; the order-2 auto-block
         would need fourth kernel derivatives which are never formed.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        mean = self._mean(points, order)
+        points = self._points(points)
+        if order == 1 and len(points) == 1:
+            # one gradient, as HMC asks: the contraction without a point axis
+            mean = self._mean(points[0], 1)[None]
+        else:
+            mean = self._mean(points, order)
         cov = None
         if with_cov:
             if order not in (0, 1):
@@ -306,7 +335,7 @@ class Emulator:
     def predictive_variance(self, points: np.ndarray, order: int = 0,
                             scaled: bool = True) -> np.ndarray:
         """Pointwise predictive variances (flat layout for order 1)."""
-        var = np.diagonal(self._corr_cov(np.atleast_2d(points), order)).copy()
+        var = np.diagonal(self._corr_cov(self._points(points), order)).copy()
         if scaled:
             var *= self.sigma2_hat
         return var
@@ -330,7 +359,7 @@ class Emulator:
         One pass over the design builds the order-1 rows and map alone; the
         matrices are bitwise those of :meth:`predict_metric_bundle`.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self._points(points)
         return self._fisher(self.linear_map(points, 1), *points.shape)[0]
 
     def predict_metric_bundle(self, points: np.ndarray):
@@ -345,9 +374,9 @@ class Emulator:
         ``grad`` the (m, D) potential gradients, bitwise
         ``predict(points, 1).mean``.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self._points(points)
         m, dim = points.shape
-        cross = kernels.CrossDiffs(points, self.design.points, self.hyper.rho)
+        cross = self._cross(points)
         C1, C2 = cross.rows((1, 2), self.design.has_gradients)
         A1 = self.linear_map(points, 1, C1)
         A2 = self.linear_map(points, 2, C2)

@@ -13,7 +13,8 @@ Gaussian-process emulator, so a sampler runs identically in "full" and
 use the exact target potential.
 
 An emulated query makes one emulator call at one point, and that call one
-pass over the design: ``metric`` builds the order-1 map alone,
+pass over the design: ``grad`` contracts it with weights the emulator built
+once, ``metric`` builds the order-1 map alone,
 ``metric_and_derivs`` the order-1 and order-2 maps and the gradient
 contraction from the same pass.  The regularizer is added to the diagonal
 in place.
@@ -69,7 +70,7 @@ class EmulatedGeometry:
         self.reg_scale = reg_scale
 
     def grad(self, theta) -> np.ndarray:
-        return self.emulator.predict(np.atleast_2d(theta), 1).mean[0]
+        return self.emulator.predict(theta, 1).mean[0]  # theta as one point
 
     def _regularize(self, G):
         """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""

@@ -15,8 +15,12 @@ Each block is a polynomial prefactor times the correlation.  The blocks of
 evaluation points against a design come from :class:`CrossDiffs`, which
 takes the differences and correlations once and builds the rows of every
 evaluation order from them (:meth:`CrossDiffs.rows`).  Posterior means need
-no block: :meth:`CrossDiffs.dot` contracts the prefactors with the weights
-directly.
+no block: :func:`cross_corr_dot` contracts the prefactors with the weights
+directly.  Inputs are checked at the public entry points (:func:`cross_corr`,
+:func:`cross_corr_dot`, :func:`corr_block` and the :class:`CrossDiffs`
+constructor) and nowhere below them, so an emulator, whose design and rho
+were checked when it was built, makes its passes without the checks
+(:meth:`CrossDiffs.unchecked`) and contracts with weights split once.
 
 The maximum-likelihood fit differentiates a design's auto-correlation
 ``C~`` (:func:`tilde_corr`) in rho; :func:`tilde_corr_rho_derivs` gives its
@@ -98,18 +102,29 @@ def _checked_rho(rho, dim):
     return rho
 
 
-def _corr(sq, rho):
-    return np.exp(-np.einsum("ijk,k->ij", sq, rho))
-
-
-def _diff_and_corr(A, B, rho):
+def _checked(A, B, rho):
+    """Evaluation points, design points and rho as float arrays of one
+    dimension; the public entry points check their inputs here, once."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ShapeMismatch(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    rho = _checked_rho(rho, A.shape[1])
-    diff = A[:, None, :] - B[None, :, :]
-    return diff, rho, _corr(diff**2, rho)
+    return A, B, _checked_rho(rho, A.shape[1])
+
+
+def _corr(sq, rho):
+    return np.exp(-np.einsum("...k,k->...", sq, rho))
+
+
+def _diff_and_corr(A, B, rho):
+    """Differences of the points ``A`` against the design ``B``, and their
+    correlations: the one pass over the design that a query makes.
+
+    The inputs are taken as checked (:func:`_checked`).  ``A`` is (m, D), or
+    a single (D,) point, whose results then have no point axis.
+    """
+    diff = A[..., None, :] - B
+    return diff, _corr(diff**2, rho)
 
 
 def _pairs_and_corr(points, rho):
@@ -146,14 +161,27 @@ class CrossDiffs:
     """Differences ``diff[i, j] = x_i - y_j`` of evaluation points against a
     design, with their correlations ``corr`` at one rho.
 
-    Every cross block (:meth:`rows`) and kernel contraction (:meth:`dot`) of
-    the points is built from one instance, so a query that needs several
-    pays for one pass over the design.
+    Every cross block (:meth:`rows`) and kernel contraction
+    (:func:`_corr_dot` on ``diff`` and ``corr``) of the points is built from
+    one instance, so a query that needs several pays for one pass over the
+    design.  The constructor checks its inputs; :meth:`unchecked` skips that
+    for inputs checked once already.
     """
 
     def __init__(self, eval_points, design_points, rho):
-        self.diff, self.rho, self.corr = _diff_and_corr(eval_points,
-                                                        design_points, rho)
+        self._pass(*_checked(eval_points, design_points, rho))
+
+    @classmethod
+    def unchecked(cls, eval_points, design_points, rho):
+        """An instance from float arrays already checked: (m, D) points,
+        (n, D) design points and a (D,) rho, as an emulator holds them."""
+        cross = cls.__new__(cls)
+        cross._pass(eval_points, design_points, rho)
+        return cross
+
+    def _pass(self, A, B, rho):
+        self.rho = rho
+        self.diff, self.corr = _diff_and_corr(A, B, rho)
 
     def rows(self, orders, with_gradients):
         """Cross-correlation rows of each evaluation order in ``orders``.
@@ -216,11 +244,6 @@ class CrossDiffs:
             out.append(first.reshape(-1, (1 + dim if with_gradients else 1) * n))
         return out
 
-    def dot(self, order, with_gradients, w):
-        """``rows((order,), with_gradients)[0] @ w`` without forming the rows;
-        see :func:`cross_corr_dot`."""
-        return _corr_dot(self.diff, self.rho, self.corr, order, with_gradients, w)
-
 
 def cross_corr_dot(eval_points: np.ndarray, order: int,
                    design_points: np.ndarray, rho: np.ndarray,
@@ -244,36 +267,49 @@ def cross_corr_dot(eval_points: np.ndarray, order: int,
     Cost is O(m n D), or O(m n D^2) at order 2, against the block's
     O(m n~ D^order).
     """
-    return _corr_dot(*_diff_and_corr(eval_points, design_points, rho), order,
-                     with_gradients, w)
+    A, B, rho = _checked(eval_points, design_points, rho)
+    return _corr_dot(*_diff_and_corr(A, B, rho), order,
+                     *_dot_operands(w, B.shape[0], rho, with_gradients))
 
 
-def _corr_dot(diff, rho, corr, order, with_gradients, w):
-    """:func:`cross_corr_dot` on the differences and correlations of a pass."""
+def _dot_operands(w, n, rho, with_gradients):
+    """What the contraction with the weights ``w`` of an n-point design
+    multiplies by: ``(2 rho, w0, V)`` in the notation of
+    :func:`cross_corr_dot`, with ``w0 = w`` and ``V = None`` without
+    gradients.  An emulator builds them once for its weights."""
+    two_rho = 2.0 * rho
+    if not with_gradients:
+        return two_rho, w, None
+    return two_rho, w[:n], w[n:].reshape(rho.size, n).T * two_rho
+
+
+def _corr_dot(diff, corr, order, two_rho, w0, V):
+    """:func:`cross_corr_dot` on the differences and correlations of a pass
+    and the :func:`_dot_operands` of the weights.
+
+    A pass of a single point, without the point axis, gives a result without
+    it; the contractions are the same, point by point.
+    """
     if order not in (0, 1, 2):
         raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
-    if order == 0 and not with_gradients:
-        return corr @ w  # plain values, as for the block itself
-    n, dim = diff.shape[1:]
-    two_rho = 2.0 * rho
-    if with_gradients:  # a_j . W1[j] = diff_j . V_j
-        V = w[n:].reshape(dim, n).T * two_rho
-        ks = corr * (w[:n] + np.einsum("ijp,jp->ij", diff, V))
+    if order == 0 and V is None:
+        return corr @ w0  # plain values, as for the block itself
+    if V is not None:  # a_j . W1[j] = diff_j . V_j
+        ks = corr * (w0 + np.einsum("...jp,jp->...j", diff, V))
     else:
-        ks = corr * w
+        ks = corr * w0
     if order == 0:
-        return ks.sum(axis=1)
+        return ks.sum(axis=-1)
     if order == 1:  # sum_j k_j s_j a_j = 2 rho * sum_j k_j s_j diff_j
-        out = np.einsum("ij,ijp->ip", ks, diff) * -two_rho
-        if with_gradients:
-            out += corr @ V
-        return out
+        ksa = np.einsum("...j,...jp->...p", ks, diff) * two_rho
+        return -ksa if V is None else corr @ V - ksa
+    d = np.arange(two_rho.size)
     a = diff * two_rho
-    out = np.einsum("ij,ijk,ijl->ikl", ks, a, a)
-    out[:, np.arange(dim), np.arange(dim)] -= ks.sum(axis=1)[:, None] * two_rho
-    if with_gradients:
-        Va = np.einsum("ij,jk,ijl->ikl", corr, V, a)
-        out -= Va + Va.transpose(0, 2, 1)
+    out = np.einsum("...j,...jk,...jl->...kl", ks, a, a)
+    out[..., d, d] -= ks.sum(axis=-1)[..., None] * two_rho
+    if V is not None:
+        Va = np.einsum("...j,jk,...jl->...kl", corr, V, a)
+        out -= Va + Va.swapaxes(-1, -2)
     return out
 
 

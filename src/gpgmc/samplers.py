@@ -17,7 +17,9 @@ one point.  The D x D factor and inverse come straight from LAPACK
 (potrf, potri), since at that size the wrappers' fixed cost dominates.  The
 fixed-point sweeps reduce each iterate once, to its sup-norm increment, and
 take the finiteness test from it: the iterate is scanned only when the
-increment is not finite.
+increment is not finite.  The HMC leapfrog likewise takes its test from the
+sum of its iterates and gradient, and scans them only when that is not
+finite.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ def rwm_step(state: ChainState, target, proposal_sd: float):
 # -- HMC -------------------------------------------------------------------
 
 def _mass_ops(cfg: IntegratorConfig, dim: int):
+    """Inverse mass (None for the identity), momentum draw and kinetic energy."""
     if cfg.mass is None:
-        return (lambda p: p), (lambda rng: rng.standard_normal(dim)), \
+        return None, (lambda rng: rng.standard_normal(dim)), \
             (lambda p: 0.5 * float(p @ p))
     M = np.asarray(cfg.mass, dtype=float)
     L = cholesky(M, lower=True)
@@ -134,24 +137,30 @@ def _mass_ops(cfg: IntegratorConfig, dim: int):
 def leapfrog(theta, p, grad_fn, step_size, n_steps, mass_inv=None):
     """Stormer-Verlet integration of separable Hamiltonian dynamics.
 
-    ``n_steps = 0`` returns the inputs untouched.  Raises NonFiniteGradient
-    when the gradient field or the iterates leave the finite range.
+    ``n_steps = 0`` returns the inputs untouched; ``mass_inv`` None is the
+    identity.  Raises NonFiniteGradient when the gradient field or the
+    iterates leave the finite range.  Each step takes the finiteness test
+    from one reduction, the sum of the iterates' and the gradient's entries,
+    and scans them only when that sum is not finite, which a non-finite
+    entry always makes it; finite entries whose sum overflows pass the scan.
     """
     if n_steps == 0:
         return theta, p
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
-    minv = mass_inv if mass_inv is not None else (lambda x: x)
+    half = 0.5 * step_size
     g = grad_fn(theta)
     if not _finite(g):
         raise NonFiniteGradient("gradient non-finite at trajectory start")
+    kick = half * g  # the half-step kick, shared by two consecutive steps
     for _ in range(n_steps):
-        p = p - 0.5 * step_size * g
-        theta = theta + step_size * minv(p)
+        p = p - kick
+        theta = theta + step_size * (p if mass_inv is None else mass_inv(p))
         g = grad_fn(theta)
-        if not _finite(theta, p, g):
+        if not math.isfinite((theta + p + g).sum()) and not _finite(theta, p, g):
             raise NonFiniteGradient("trajectory left the finite range")
-        p = p - 0.5 * step_size * g
+        kick = half * g
+        p = p - kick
     return theta, p
 
 

@@ -702,6 +702,28 @@ class TestAdaptiveSampler:
         v_shuf = np.median(shuffles)
         assert abs(v_shuf - v_orig) <= 0.2 * max(v_orig, v_shuf)
 
+    def test_rebuilt_emulator_answers_gradient_queries_afresh(self, banana,
+                                                             spread_banana_design):
+        """Once a refinement swaps in an emulator of a new design, the
+        sampler's gradient queries are a fresh emulator's of that design and
+        its lengthscales: nothing built for the old weights is left in use."""
+        from gpgmc.emulator import build_emulator
+        from gpgmc.geometry import EmulatedGeometry
+        rng = np.random.default_rng(14)
+        sampler = self.make_sampler(banana, spread_banana_design, rng)
+        first = sampler.geometry
+        state = init_state(sampler.target, np.zeros(2), rng)
+        for _ in range(3000):
+            state, _ = sampler.step(state)
+            if sampler.design is not first.emulator.design:
+                break
+        assert sampler.geometry.emulator.design is sampler.design
+        assert sampler.design is not first.emulator.design
+        fresh = EmulatedGeometry(build_emulator(sampler.design, sampler.hyper))
+        for x in np.random.default_rng(15).uniform(-1.5, 1.5, (5, 2)):
+            np.testing.assert_array_equal(sampler.geometry.grad(x), fresh.grad(x))
+            assert not np.array_equal(sampler.geometry.grad(x), first.grad(x))
+
     def test_post_adaptation_segment_converges(self):
         """Once the stop rule fires the kernel is fixed and averages converge."""
         from gpgmc.targets import GaussianTarget

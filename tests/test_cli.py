@@ -370,6 +370,23 @@ class TestRun:
         meta = json.loads((out / "meta.json").read_text())
         assert cli.validate_config(meta["config"])["init"] == [0.5, -0.5]
 
+    def test_summary_times_the_retained_iterations(self, tmp_path, monkeypatch):
+        """s/iter and minESS/s are taken over the retained draws' wall time;
+        chain.csv keeps every iteration's, burn-in included."""
+        clock = iter(range(0, 10**12, 1000))  # every reading 1 us later
+        monkeypatch.setattr(cli.time, "perf_counter_ns", lambda: next(clock))
+        cfg = cli.validate_config(banana_config(tmp_path, timing="real"))
+        out = cli.run(cfg)
+        rows = (out / "chain.csv").read_text().splitlines()[1:]
+        wall_ns = np.array([int(r.split(",")[-1]) for r in rows])
+        assert len(wall_ns) == 120 and np.all(wall_ns == 1000)
+        header, values = (out / "summary.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), map(float, values.split(","))))
+        retained_s = wall_ns[20:].sum() / 1e9
+        assert summary["s/iter"] == pytest.approx(retained_s / 100, rel=1e-12)
+        assert summary["minESS/s"] == pytest.approx(summary["ESS_min"] / retained_s,
+                                                    rel=1e-12)
+
     def test_single_post_burnin_sample_flags_ess(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path, iters=21, burnin=20))
         out = cli.run(cfg)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SmoothTestFunction, spread_points
 from gpgmc import kernels, samplers
 from gpgmc.emulator import Emulator, Hyperparameters
+from gpgmc.errors import ShapeMismatch
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.targets import banana_target
 
@@ -66,6 +67,41 @@ def test_fused_gradient_equals_gradient_query():
     geo = EmulatedGeometry(em)
     for x in rng.uniform(-1.5, 1.5, (5, 3)):
         np.testing.assert_array_equal(geo.metric_and_derivs(x)[2], geo.grad(x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       gradients=st.booleans(), m=st.sampled_from([1, 3]))
+def test_gradient_query_contract(seed, dim, gradients, m):
+    """The HMC gradient query at each of ``m`` points is bitwise the
+    one-point prediction, the batched routine's mean at that point and the
+    metric bundle's gradient, and within 1e-10 of the term sizes of the
+    cross block's product with w plus the basis term, as the m-point
+    prediction is.  A point of the wrong length raises, a length-1 point
+    included, which would otherwise broadcast against the design."""
+    rng = np.random.default_rng(seed)
+    fn = SmoothTestFunction(rng, dim)
+    pts = spread_points(rng, 4 + 2 * dim, dim, spread=3.0, min_sep=0.25)
+    em = Emulator(fn.design(pts, gradients=gradients),
+                  Hyperparameters(rho=rng.uniform(0.3, 1.5, dim)))
+    geo = EmulatedGeometry(em)
+    xs = rng.uniform(-2.5, 2.5, (m, dim))
+    C = kernels.cross_corr(xs, 1, pts, em.hyper.rho, gradients)
+    H = kernels.basis(xs, 1)
+    ref = (H @ em.beta_hat + C @ em.w).reshape(dim, m).T
+    size = (np.abs(H) @ np.abs(em.beta_hat) + np.abs(C) @ np.abs(em.w)
+            ).reshape(dim, m).T
+    assert np.all(np.abs(em.predict(xs, 1).mean - ref) <= 1e-10 * size)
+    for x, x_ref, x_size in zip(xs, ref, size):
+        grad = geo.grad(x)
+        assert grad.shape == (dim,)
+        np.testing.assert_array_equal(grad, em.predict(x[None], 1).mean[0])
+        np.testing.assert_array_equal(grad, em._mean(x[None], 1)[0])
+        np.testing.assert_array_equal(grad, em.predict_metric_bundle(x[None])[2][0])
+        assert np.all(np.abs(grad - x_ref) <= 1e-10 * x_size)
+    for length in {1, dim - 1, dim + 1} - {0, dim}:
+        with pytest.raises(ShapeMismatch):
+            geo.grad(np.zeros(length))
 
 
 def test_exact_provider_queries_metric_then_gradient():

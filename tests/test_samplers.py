@@ -95,6 +95,61 @@ class TestLeapfrog:
                      0.1, 5)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gradient_turning_non_finite_mid_trajectory_is_divergent(
+            self, gauss2d, bad):
+        """A gradient that leaves the finite range at the third of five
+        steps: the proposal is divergent, rejected without an exact call,
+        and nothing is raised."""
+        queries = []
+
+        class Turning:
+            def grad(self, theta):
+                queries.append(1)
+                g = gauss2d.potential_grad(theta)[1]
+                return np.array([bad, g[1]]) if len(queries) == 4 else g
+
+        target = CountingTarget(gauss2d)
+        state = init_state(target, gauss2d.mean, np.random.default_rng(3))
+        evals = target.n_potential
+        new_state, info = hmc_step(state, target, Turning(),
+                                   IntegratorConfig(step_size=0.1, n_steps=5))
+        assert new_state is state
+        assert info.divergent and not info.accepted and info.exact_calls == 0
+        assert target.n_potential == evals
+        assert len(queries) == 4
+
+    @pytest.mark.parametrize("theta0, p0", [
+        # the position's own sum overflows
+        (0.9 * np.finfo(float).max * np.ones(2), np.array([1.0, -2.0])),
+        # the position's and the momentum's sums overflow together
+        (0.9 * np.finfo(float).max * np.array([1.0, 0.0]),
+         0.9 * np.finfo(float).max * np.array([0.0, 1.0]))])
+    def test_finite_iterates_with_an_overflowing_sum_keep_integrating(
+            self, theta0, p0):
+        """Finite iterates near the largest double whose sum is inf are no
+        divergence: the trajectory is the one a scan of every entry allows."""
+        def grad(theta):
+            return np.array([0.5, 0.25]) * (theta / np.finfo(float).max)
+
+        def scanned_leapfrog(theta, p, step_size, n_steps):
+            g = grad(theta)
+            for _ in range(n_steps):
+                p = p - 0.5 * step_size * g
+                theta = theta + step_size * p
+                g = grad(theta)
+                assert all(np.isfinite(a).all() for a in (theta, p, g))
+                p = p - 0.5 * step_size * g
+            return theta, p
+
+        theta, p = leapfrog(theta0, p0, grad, 0.1, 5)
+        theta_ref, p_ref = scanned_leapfrog(theta0, p0, 0.1, 5)
+        np.testing.assert_array_equal(theta, theta_ref)
+        np.testing.assert_array_equal(p, p_ref)
+        with np.errstate(over="ignore"):
+            assert np.isinf(theta.sum() + p.sum() + grad(theta).sum())
+
+
 class TestRWM:
     def test_vanishing_proposal_always_accepts(self, gauss2d):
         rng = np.random.default_rng(0)
