@@ -22,7 +22,7 @@ from .emulator import (DesignSet, Emulator, Hyperparameters, NUGGET_DEFAULT,
                        build_emulator, per_datum_gram)
 from .errors import (AllDegenerate, IllConditioned, OptimFailed,
                      RejectionBudgetExhausted, TooFewPoints)
-from .geometry import EmulatedGeometry, METRIC_REG_SCALE
+from .geometry import EmulatedGeometry, metric_regularizer
 from .mle import fit_hyperparameters
 
 __all__ = ["GaussianMixtureProposal", "build_mixture_proposal", "regen_log_prob",
@@ -108,8 +108,8 @@ def build_mixture_proposal(emulator: Emulator,
         else np.asarray(precision_floor, dtype=float)
     precisions = np.empty_like(efis)
     for i in range(n):
-        lam = max(METRIC_REG_SCALE * float(np.trace(efis[i])) / dim, 1e-12)
-        precisions[i] = 0.5 * (efis[i] + efis[i].T) + floor + lam * np.eye(dim)
+        precisions[i] = 0.5 * (efis[i] + efis[i].T) + floor \
+            + metric_regularizer(efis[i]) * np.eye(dim)
     return GaussianMixtureProposal(design.points, precisions, design.potentials)
 
 
@@ -193,16 +193,6 @@ class MICEConfig:
     maxmin_radius: float = 0.2
     max_size: int = 40
     refit_at_start: bool = True
-
-    # the nuggets MICE scores with are constants, read here by callers that
-    # recompute its ratios
-    @property
-    def nugget(self) -> float:
-        return NUGGET_DEFAULT
-
-    @property
-    def cand_nugget(self) -> float:
-        return CAND_NUGGET
 
 
 def _first_copies(points):

@@ -568,11 +568,30 @@ def _read_chain_csv(path, dim=None, extra=()):
 
 # -- diagnose ----------------------------------------------------------------
 
+def _burnin(chain_path) -> int:
+    """Burn-in recorded by the ``meta.json`` that ``run`` writes beside a
+    chain; 0 without one."""
+    meta = Path(chain_path).parent / "meta.json"
+    if not meta.is_file():
+        return 0
+    try:
+        return int(json.loads(meta.read_text())["config"]["burnin"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ChainFileError(f"{meta}: cannot read burn-in: {exc!r}") from exc
+
+
 def diagnose(chain_path, baseline_path=None):
-    """Summarize a chain CSV; optionally report speedup vs a baseline chain."""
+    """Summarize a chain CSV; optionally report speedup vs a baseline chain.
+
+    Each chain drops the burn-in its run's ``meta.json`` records, so the
+    summary of a run's chain is that run's ``summary.csv``."""
     def load(path, baseline=None):
         theta, _, acc, wall_ns = _read_chain_csv(path, extra=("accepted", "wall_ns"))
-        return summarize(theta, wall_ns.sum() / 1e9, acc.mean(), baseline=baseline)
+        b = _burnin(path)
+        if b >= len(theta):
+            raise ChainFileError(f"{path}: chain has no draws after burn-in {b}")
+        return summarize(theta[b:], wall_ns[b:].sum() / 1e9, acc[b:].mean(),
+                         baseline=baseline)
 
     base = load(baseline_path) if baseline_path is not None else None
     summary = load(chain_path, base)

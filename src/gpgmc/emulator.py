@@ -11,17 +11,18 @@ linear map of the stacked design data, so the heavy factorizations are done
 once per design.  Posterior means need no map at all: they read the weights
 ``beta_hat = P u`` and ``w = Q u`` stored at build time, and the kernel term
 is a direct contraction of the kernel-derivative polynomials with ``w``
-(:func:`kernels.cross_corr_dot`), costing O(m n D) for m points of an
+(:func:`kernels._corr_dot`), costing O(m n D) for m points of an
 n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
 Cross blocks are built only for covariances and for the linear maps behind
 the Fisher matrices and connections.
 
 Each query takes the differences and correlations of its points against the
 design once (:class:`kernels.CrossDiffs`); the cross rows and the gradient
-contraction of the query all come from that pass.  What the passes and
-contractions multiply by is built once per emulator: ``2 rho``, the weights
-split as the contraction reads them, and the basis slices of ``beta_hat``
-and ``P``.  The design and rho are checked when the emulator is built, so a
+contraction of the query all come from that pass, as the design's own
+correlation ``C~`` comes from its own pass (:func:`kernels.tilde_corr`).
+What the passes and contractions multiply by is built once per emulator:
+``2 rho``, the weights split as the contraction reads them, and the basis
+slices of ``beta_hat`` and ``P``.  The design and rho are checked when the emulator is built, so a
 query checks only its points' dimension.  A one-point gradient query, the
 HMC integrator's, runs the same contraction without the point axis.  At one
 point of an n-point gradient design (n~ = n (1 + D)) the metric query
@@ -210,7 +211,7 @@ class Emulator:
         self.beta_hat = self.P @ u
         self.w = self.Q @ u
         # what the mean's contractions multiply by, built once: 2 rho, the
-        # weights w0 and V of kernels.cross_corr_dot, and the basis slices
+        # weights w0 and V of kernels._corr_dot, and the basis slices
         self._dot = kernels._dot_operands(self.w, design.n, hyper.rho,
                                           design.has_gradients)
         self._b1 = self.beta_hat[1:1 + design.dim]
@@ -239,8 +240,9 @@ class Emulator:
         return points
 
     def _cross(self, points):
-        return kernels.CrossDiffs.unchecked(points, self.design.points,
-                                            self.hyper.rho)
+        rho = self.hyper.rho
+        return kernels.CrossDiffs(
+            *kernels._diff_and_corr(points, self.design.points, rho), rho)
 
     def _cross_corr(self, points, order):
         return self._cross(points).rows((order,), self.design.has_gradients)[0]

@@ -26,9 +26,16 @@ import numpy as np
 
 from .emulator import Emulator
 
-__all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind"]
+__all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind",
+           "metric_regularizer"]
 
 METRIC_REG_SCALE = 1e-6
+
+
+def metric_regularizer(G, reg_scale: float = METRIC_REG_SCALE) -> float:
+    """``lam = max(reg_scale * trace(G) / D, 1e-12)``, the multiple of the
+    identity that regularizes a D x D metric ``G``."""
+    return max(reg_scale * float(G.trace()) / G.shape[0], 1e-12)
 
 
 def christoffel_first_kind(dG: np.ndarray) -> np.ndarray:
@@ -74,9 +81,8 @@ class EmulatedGeometry:
 
     def _regularize(self, G):
         """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""
-        dim = G.shape[0]
-        lam = max(self.reg_scale * float(G.trace()) / dim, 1e-12)
-        G.flat[::dim + 1] += lam
+        lam = metric_regularizer(G, self.reg_scale)
+        G.flat[::G.shape[0] + 1] += lam
         return lam
 
     def metric(self, theta) -> np.ndarray:

@@ -11,27 +11,26 @@ points, the first-derivative axis is flattened as ``row = k*m + i`` (coordinate
 operand, e.g. ``(2,1)`` correlates second derivatives at the first point set
 with first derivatives at the second.
 
-Each block is a polynomial prefactor times the correlation.  The blocks of
-evaluation points against a design come from :class:`CrossDiffs`, which
-takes the differences and correlations once and builds the rows of every
-evaluation order from them (:meth:`CrossDiffs.rows`).  Posterior means need
-no block: :func:`cross_corr_dot` contracts the prefactors with the weights
-directly.  Inputs are checked at the public entry points (:func:`cross_corr`,
-:func:`cross_corr_dot`, :func:`corr_block` and the :class:`CrossDiffs`
-constructor) and nowhere below them, so an emulator, whose design and rho
-were checked when it was built, makes its passes without the checks
-(:meth:`CrossDiffs.unchecked`) and contracts with weights split once.
+Each block is a polynomial prefactor times the correlation, and one
+builder writes them all: :meth:`CrossDiffs.rows`, from a pass (the
+differences of points against a design and their correlations at one rho).
+A query's pass is taken against the design points, a design's own from its
+cached differences (:meth:`PairDiffs.at`); the design's auto-correlation
+``C~`` (:func:`tilde_corr`) is its own order-0 and order-1 rows.  Posterior
+means need no block: :func:`_corr_dot` contracts a pass with the weights.
+Inputs are checked at :func:`cross_corr`, :func:`corr_block` and
+:meth:`PairDiffs.at`, and nowhere below them.
 
-The maximum-likelihood fit differentiates a design's auto-correlation
-``C~`` (:func:`tilde_corr`) in rho; :func:`tilde_corr_rho_derivs` gives its
-first and second rho-derivatives from one pass over the design.  With
-``delta = x - y``, ``dk/drho_d = -delta_d^2 k``, and d/drho commutes with
-the point derivatives, so each rho-derivative is a block of ``g k`` for a
-polynomial ``g(delta)``: ``g = -delta_d^2`` for the gradient and
+The maximum-likelihood fit differentiates ``C~`` in rho;
+:func:`tilde_corr_rho_derivs` gives its first and second rho-derivatives
+from one pass over the design.  With ``delta = x - y``,
+``dk/drho_d = -delta_d^2 k``, and d/drho commutes with the point
+derivatives, so each rho-derivative is a block of ``g k`` for a polynomial
+``g(delta)``: ``g = -delta_d^2`` for the gradient and
 ``g = delta_d^2 delta_e^2`` for the Hessian.  A value-only design needs
 ``g k`` alone.  With gradients, the product rule (x-derivatives are
 d/d delta, y-derivatives -d/d delta) gives the blocks of ``g k`` from those
-of ``k``::
+of ``k`` in ``C~``::
 
     G00    = g K00
     G10_k  = g K10_k  + g_k K00
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import ShapeMismatch
 
 __all__ = ["basis", "corr_block", "PairDiffs", "CrossDiffs", "tilde_basis",
-           "tilde_corr", "tilde_corr_rho_derivs", "cross_corr", "cross_corr_dot"]
+           "tilde_corr", "tilde_corr_rho_derivs", "cross_corr"]
 
 
 def basis(points: np.ndarray, order: int = 0) -> np.ndarray:
@@ -94,6 +93,12 @@ class PairDiffs:
         self.diff = self.points[:, None, :] - self.points[None, :, :]
         self.sq = self.diff**2
 
+    def at(self, rho) -> CrossDiffs:
+        """The set's own pass at ``rho`` (checked here), from the cached
+        differences."""
+        rho = _checked_rho(rho, self.points.shape[1])
+        return CrossDiffs(self.diff, _corr(self.sq, rho), rho)
+
 
 def _checked_rho(rho, dim):
     rho = np.asarray(rho, dtype=float)
@@ -127,61 +132,19 @@ def _diff_and_corr(A, B, rho):
     return diff, _corr(diff**2, rho)
 
 
-def _pairs_and_corr(points, rho):
-    """A design's PairDiffs (given, or built from its points) and correlation."""
-    pairs = points if isinstance(points, PairDiffs) else PairDiffs(points)
-    rho = _checked_rho(rho, pairs.points.shape[1])
-    return pairs, rho, _corr(pairs.sq, rho)
-
-
-def _prefactor_table(diff, rho):
-    """Polynomial prefactors ``(T0, T1)`` of a gradient design's own blocks.
-
-    ``T0`` has axes (q, i, j) and ``T1`` axes (k, q, i, j): ``k`` is the
-    derivative axis of the order-1 rows, ``q`` runs over the blocks
-    ``[(o,0); (o,1)_p]`` and ``i, j`` over the points.  With
-    ``a = 2 rho * diff`` the prefactors are
-
-    * (0,0): ``1``, and (0,1): ``a_p``;
-    * (1,0): ``-a_k``, and (1,1): ``2 rho_k d_kp - a_k a_p``.
-
-    :func:`tilde_corr` and the rho-derivatives of
-    :func:`tilde_corr_rho_derivs` are built on them; evaluation points take
-    their blocks from :meth:`CrossDiffs.rows`.
-    """
-    m, n, dim = diff.shape
-    a = 2.0 * rho[:, None, None] * diff.transpose(2, 0, 1)  # (p, i, j)
-    T0 = np.concatenate([np.ones((1, m, n)), a])
-    T1 = -a[:, None] * T0[None]
-    T1[:, 1:] += np.diag(2.0 * rho)[:, :, None, None]
-    return T0, T1
-
-
 class CrossDiffs:
-    """Differences ``diff[i, j] = x_i - y_j`` of evaluation points against a
-    design, with their correlations ``corr`` at one rho.
+    """A pass: differences ``diff[i, j] = x_i - y_j`` of (m, D) evaluation
+    points against an n-point design, and their correlations ``corr`` at one
+    (D,) ``rho``, as :func:`_diff_and_corr` or :meth:`PairDiffs.at` makes
+    them.
 
-    Every cross block (:meth:`rows`) and kernel contraction
-    (:func:`_corr_dot` on ``diff`` and ``corr``) of the points is built from
-    one instance, so a query that needs several pays for one pass over the
-    design.  The constructor checks its inputs; :meth:`unchecked` skips that
-    for inputs checked once already.
+    Every block of the points (:meth:`rows`) and kernel contraction
+    (:func:`_corr_dot` on ``diff`` and ``corr``) is built from one instance,
+    so a query that needs several pays for one pass over the design.
     """
 
-    def __init__(self, eval_points, design_points, rho):
-        self._pass(*_checked(eval_points, design_points, rho))
-
-    @classmethod
-    def unchecked(cls, eval_points, design_points, rho):
-        """An instance from float arrays already checked: (m, D) points,
-        (n, D) design points and a (D,) rho, as an emulator holds them."""
-        cross = cls.__new__(cls)
-        cross._pass(eval_points, design_points, rho)
-        return cross
-
-    def _pass(self, A, B, rho):
-        self.rho = rho
-        self.diff, self.corr = _diff_and_corr(A, B, rho)
+    def __init__(self, diff, corr, rho):
+        self.diff, self.corr, self.rho = diff, corr, rho
 
     def rows(self, orders, with_gradients):
         """Cross-correlation rows of each evaluation order in ``orders``.
@@ -192,9 +155,13 @@ class CrossDiffs:
         ``b = [k; a_p k]`` (just ``k`` without gradients) the rows are
 
         * order 0: ``b``;
-        * order 1: ``-a_k b``, plus ``2 rho_k k`` in block ``p = k``;
+        * order 1: ``-a_k k``, and in block ``p`` the prefactor
+          ``(-a_k a_p) + 2 rho_k d_kp`` times ``k``;
         * order 2: ``(a_k a_l - 2 rho_k d_kl) b``, minus ``2 rho_k a_l k`` in
           block ``p = k`` and ``2 rho_l a_k k`` in block ``p = l``.
+
+        The order-1 prefactors are formed before they multiply ``k``, so a
+        design's own rows are bitwise the ``C~`` every emulator factorizes.
         """
         diff, corr = self.diff, self.corr
         if not with_gradients and not any(orders):
@@ -218,10 +185,11 @@ class CrossDiffs:
             elif order == 1:
                 first = -ak
                 if with_gradients:
-                    # (k, p, i, j)
-                    rest = np.multiply(a[:, None], first[None], out=np.empty(sq))
-                    rest.reshape(dim * dim, m, n)[::dim + 1] += \
-                        two_rho[:, None, None] * corr
+                    # (k, p, i, j): 2 rho_k d_kp - a_k a_p, which is
+                    # (-a_k a_p) + 2 rho_k d_kp bit for bit, signed zeros too
+                    rest = np.multiply(a[:, None], a[None], out=np.empty(sq))
+                    np.subtract(np.diag(two_rho)[:, :, None, None], rest, out=rest)
+                    rest *= corr
                     rest = rest.transpose(0, 2, 1, 3)
             elif order == 2:
                 a2 = np.multiply(a[:, None], a[None], out=np.empty(sq))  # (k, l, i, j)
@@ -245,38 +213,11 @@ class CrossDiffs:
         return out
 
 
-def cross_corr_dot(eval_points: np.ndarray, order: int,
-                   design_points: np.ndarray, rho: np.ndarray,
-                   with_gradients: bool, w: np.ndarray) -> np.ndarray:
-    """``cross_corr(eval_points, order, design_points, rho, with_gradients) @ w``
-    without forming the block.
-
-    The result is in natural shape: (m,), (m, D) or (m, D, D) by order,
-    i.e. the coordinate-major vector ``cross_corr(...) @ w`` with its points
-    axis moved first.  With ``a_j = 2 rho * (x - x_j)``, ``k_j`` the
-    correlation, ``w`` split as ``w0 = w[:n]`` and
-    ``W1[j] = w[n:].reshape(D, n)[:, j]`` (``W1 = 0`` without gradients),
-    ``V_j = 2 rho * W1[j]`` and ``s_j = w0_j + a_j . W1[j]``, the rows of
-    :meth:`CrossDiffs.rows` summed against ``w`` give
-
-    * order 0: ``sum_j k_j s_j``;
-    * order 1: ``sum_j k_j (V_j - a_j s_j)``;
-    * order 2: ``sum_j k_j ((a_j a_j' - diag(2 rho)) s_j - V_j a_j'
-      - a_j V_j')``.
-
-    Cost is O(m n D), or O(m n D^2) at order 2, against the block's
-    O(m n~ D^order).
-    """
-    A, B, rho = _checked(eval_points, design_points, rho)
-    return _corr_dot(*_diff_and_corr(A, B, rho), order,
-                     *_dot_operands(w, B.shape[0], rho, with_gradients))
-
-
 def _dot_operands(w, n, rho, with_gradients):
     """What the contraction with the weights ``w`` of an n-point design
-    multiplies by: ``(2 rho, w0, V)`` in the notation of
-    :func:`cross_corr_dot`, with ``w0 = w`` and ``V = None`` without
-    gradients.  An emulator builds them once for its weights."""
+    multiplies by: ``(2 rho, w0, V)`` in the notation of :func:`_corr_dot`,
+    with ``w0 = w`` and ``V = None`` without gradients.  An emulator builds
+    them once for its weights."""
     two_rho = 2.0 * rho
     if not with_gradients:
         return two_rho, w, None
@@ -284,11 +225,26 @@ def _dot_operands(w, n, rho, with_gradients):
 
 
 def _corr_dot(diff, corr, order, two_rho, w0, V):
-    """:func:`cross_corr_dot` on the differences and correlations of a pass
-    and the :func:`_dot_operands` of the weights.
+    """The order-``order`` rows of :meth:`CrossDiffs.rows` times the weights
+    ``w``, from the pass's differences and correlations and the
+    :func:`_dot_operands` of ``w``, without forming the rows.
 
-    A pass of a single point, without the point axis, gives a result without
-    it; the contractions are the same, point by point.
+    The result is in natural shape: (m,), (m, D) or (m, D, D) by order,
+    i.e. the coordinate-major vector ``rows @ w`` with its points axis moved
+    first.  A pass of a single point, without the point axis, gives a result
+    without it; the contractions are the same, point by point.  With
+    ``a_j = 2 rho * (x - x_j)``, ``k_j`` the correlation, ``w`` split as
+    ``w0 = w[:n]`` and ``W1[j] = w[n:].reshape(D, n)[:, j]`` (``W1 = 0``
+    without gradients), ``V_j = 2 rho * W1[j]`` and
+    ``s_j = w0_j + a_j . W1[j]``, the rows summed against ``w`` give
+
+    * order 0: ``sum_j k_j s_j``;
+    * order 1: ``sum_j k_j (V_j - a_j s_j)``;
+    * order 2: ``sum_j k_j ((a_j a_j' - diag(2 rho)) s_j - V_j a_j'
+      - a_j V_j')``.
+
+    Cost is O(m n D), or O(m n D^2) at order 2, against the rows'
+    O(m n~ D^order).
     """
     if order not in (0, 1, 2):
         raise ValueError(f"evaluation order must be 0, 1 or 2, got {order}")
@@ -313,12 +269,6 @@ def _corr_dot(diff, corr, order, two_rho, w0, V):
     return out
 
 
-def _flatten(blk):
-    """(deriv..., q, i, j) -> (deriv..., i, q, j), as a (rows, q n) matrix."""
-    q, _, n = blk.shape[-3:]
-    return blk.swapaxes(-3, -2).reshape(-1, q * n)
-
-
 def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
                rho: np.ndarray) -> np.ndarray:
     """Cross-correlation block between derivative observations.
@@ -329,27 +279,24 @@ def corr_block(A: np.ndarray, B: np.ndarray, order_a: int, order_b: int,
     """
     if order_b not in (0, 1):
         raise ValueError(f"unsupported block orders ({order_a}, {order_b})")
-    cross = CrossDiffs(A, B, rho)
-    rows = cross.rows((order_a,), with_gradients=order_b == 1)[0]
-    return rows[:, cross.diff.shape[1]:] if order_b == 1 else rows
+    rows = cross_corr(A, order_a, B, rho, with_gradients=order_b == 1)
+    return rows[:, np.atleast_2d(B).shape[0]:] if order_b == 1 else rows
 
 
 def _rho_poly(diff, coords):
-    """g = prod over ``coords`` of ``-diff_c^2``, with its diff-derivatives.
-
-    Returns ``(g, g1, g2)`` with ``g1[k] = dg/d diff_k`` and ``g2[k, l]`` the
-    second derivatives; ``g k`` is the rho-derivative of ``k`` over ``coords``.
-    """
-    m, n, dim = diff.shape
-    g, g1, g2 = np.ones((m, n)), np.zeros((dim, m, n)), np.zeros((dim, dim, m, n))
+    """g = prod over ``coords`` of ``-diff_c^2``, whose ``g k`` is the
+    rho-derivative of ``k`` over ``coords``, with its diff-derivatives
+    ``g1[k]`` and ``g2[k, l]`` in dicts that hold the non-zero ones alone."""
+    g, g1, g2 = 1.0, {}, {}
     for c in coords:  # product rule for one more factor f = -diff_c^2
         f, df = -diff[:, :, c]**2, -2.0 * diff[:, :, c]
-        g2 *= f
-        g2[c] += g1 * df
-        g2[:, c] += g1 * df
-        g2[c, c] -= 2.0 * g
-        g1 *= f
-        g1[c] += g * df
+        g2 = {kl: v * f for kl, v in g2.items()}
+        for k, v in g1.items():
+            for kl in ((c, k), (k, c)):
+                g2[kl] = g2.get(kl, 0.0) + v * df
+        g2[c, c] = g2.get((c, c), 0.0) - 2.0 * g
+        g1 = {k: v * f for k, v in g1.items()}
+        g1[c] = g1.get(c, 0.0) + g * df
         g = g * f
     return g, g1, g2
 
@@ -362,55 +309,64 @@ def tilde_basis(points: np.ndarray, with_gradients: bool) -> np.ndarray:
     return np.vstack([H, basis(points, 1)])
 
 
+def _pairs(points):
+    """``points``' :class:`PairDiffs`: given, or built from the (n, D) design."""
+    return points if isinstance(points, PairDiffs) else PairDiffs(points)
+
+
 def tilde_corr(points, rho: np.ndarray, with_gradients: bool):
     """Design auto-correlation matrix ``C`` of size (n~, n~), n~ = n or n(1+D).
 
-    ``points`` is the (n, D) design or its :class:`PairDiffs`.
+    ``points`` is the (n, D) design or its :class:`PairDiffs`.  With
+    gradients it is the design's own order-0 and order-1 rows stacked.
     """
-    pairs, rho, corr = _pairs_and_corr(points, rho)
+    own = _pairs(points).at(rho)
     if not with_gradients:
-        return corr
-    return np.vstack([_flatten(pref * corr)
-                      for pref in _prefactor_table(pairs.diff, rho)])
+        return own.corr
+    return np.vstack(own.rows((0, 1), True))
 
 
 def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
     """Rho-derivatives of C~, one (n~, n~) matrix per tuple in ``coords``:
     dC~/drho_d for ``(d,)``, d^2 C~/drho_d drho_e for ``(d, e)``.
 
-    ``points`` is as for :func:`tilde_corr`.  All come from one correlation
-    pass and, with gradients, one prefactor table, and are yielded in turn.
-    Without gradients each is ``g k``; with them, the product rule of the
-    module docstring builds its blocks, where K00 = 1, K01_l = a_l and
-    K10_k = -a_k.
+    ``points`` is as for :func:`tilde_corr`.  All come from one pass and,
+    with gradients, one C~, and are yielded in turn.  Without gradients each
+    is ``g k``; with them, the product rule of the module docstring builds
+    its blocks from those of C~, where K00 = k, K01_l = a_l k and
+    K10_k = -a_k k.
     """
-    pairs, rho, corr = _pairs_and_corr(points, rho)
+    pairs = _pairs(points)
+    own = pairs.at(rho)
     if with_gradients:
-        T0, T1 = _prefactor_table(pairs.diff, rho)
-        a = T0[1:]
+        n, dim = own.diff.shape[1:]
+        # C~ as (r, i, s, j): row block r and column block s are 0 for values
+        # and 1 + k for the derivative in coordinate k
+        K = np.vstack(own.rows((0, 1), True)).reshape(1 + dim, n, 1 + dim, n)
+        K00, K01, K10 = K[0, :, 0], K[0, :, 1:], K[1:, :, 0]
     for cs in coords:
-        if not with_gradients:
-            yield reduce(np.multiply, (-pairs.sq[:, :, c] for c in cs)) * corr
+        if not with_gradients:  # from the cached squares, the hot path of fits
+            yield reduce(np.multiply, (-pairs.sq[:, :, c] for c in cs)) * own.corr
             continue
-        g, g1, g2 = _rho_poly(pairs.diff, cs)
-        G0 = g * T0
-        G1 = g * T1
-        G1[:, 0] += g1
-        G0[1:] -= g1  # the (., 1) blocks
-        G1[:, 1:] += g1[:, None] * a[None] + a[:, None] * g1[None] - g2
-        yield np.vstack([_flatten(G0 * corr), _flatten(G1 * corr)])
+        g, g1, g2 = _rho_poly(own.diff, cs)
+        G = g[:, None] * K
+        for k, gk in g1.items():
+            G[1 + k, :, 0] += gk * K00
+            G[0, :, 1 + k] -= gk * K00
+            G[1 + k, :, 1:] += gk[:, None] * K01
+            G[1:, :, 1 + k] -= gk * K10
+        for (k, l), gkl in g2.items():
+            G[1 + k, :, 1 + l] -= gkl * K00
+        yield G.reshape(n * (1 + dim), -1)
 
 
-def cross_corr(eval_points: np.ndarray, order, design_points: np.ndarray,
+def cross_corr(eval_points: np.ndarray, order: int, design_points: np.ndarray,
                rho: np.ndarray, with_gradients: bool):
     """Cross-correlation of order-``order`` evaluations against a design.
 
     Output is (m D^order, n~): the order-0 design block, extended with the
-    order-1 design block when the design carries gradients.  ``order`` may
-    also be a tuple of orders; the matrices of every order are then built
-    from one pass over the design and returned as a tuple.
+    order-1 design block when the design carries gradients.
     """
-    single = np.ndim(order) == 0
-    out = CrossDiffs(eval_points, design_points, rho).rows(
-        (order,) if single else order, with_gradients)
-    return out[0] if single else tuple(out)
+    A, B, rho = _checked(eval_points, design_points, rho)
+    return CrossDiffs(*_diff_and_corr(A, B, rho), rho).rows(
+        (order,), with_gradients)[0]

@@ -17,7 +17,8 @@ from gpgmc import adaptation as ad
 from gpgmc import cli, kernels, mle
 from gpgmc.diagnostics import ess
 from gpgmc.elliptic import EllipticTarget, KLExpansion
-from gpgmc.emulator import DesignSet, Emulator, Hyperparameters, build_emulator
+from gpgmc.emulator import (NUGGET_DEFAULT, DesignSet, Emulator, Hyperparameters,
+                             build_emulator)
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.mle import fit_hyperparameters
 from gpgmc.samplers import (DualAveraging, IntegratorConfig, _ManifoldPoint,
@@ -413,7 +414,7 @@ def test_c11_greedy_selection_oracle(banana, banana_design_points):
         best, best_val = None, -np.inf
         for j in range(n_cand):
             C = kernels.corr_block(design.points, design.points, 0, 0, rho)
-            C[np.diag_indices_from(C)] += cfg.nugget
+            C[np.diag_indices_from(C)] += NUGGET_DEFAULT
             Ci = np.linalg.inv(C)
             c = kernels.corr_block(cand[j:j + 1], design.points, 0, 0, rho)
             H = kernels.basis(design.points, 0)
@@ -423,7 +424,7 @@ def test_c11_greedy_selection_oracle(banana, banana_design_points):
                    + R @ np.linalg.inv(H.T @ Ci @ H) @ R.T)[0, 0]
             others = np.delete(cand, j, axis=0)
             Cc = kernels.corr_block(others, others, 0, 0, rho)
-            Cc[np.diag_indices_from(Cc)] += cfg.cand_nugget
+            Cc[np.diag_indices_from(Cc)] += ad.CAND_NUGGET
             cc = kernels.corr_block(cand[j:j + 1], others, 0, 0, rho)
             Cci = np.linalg.inv(Cc)
             den = (1.0 - cc @ Cci @ cc.T)[0, 0]

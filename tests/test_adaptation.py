@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from conftest import spread_points
 from gpgmc import adaptation as ad, kernels, mle
-from gpgmc.emulator import DesignSet, Hyperparameters, per_datum_gram
+from gpgmc.emulator import NUGGET_DEFAULT, DesignSet, Hyperparameters, per_datum_gram
 from gpgmc.errors import (AllDegenerate, IllConditioned, OptimFailed,
                           RejectionBudgetExhausted, ShapeMismatch)
 from gpgmc.mle import fit_hyperparameters
@@ -419,9 +419,9 @@ class TestMiceSelect:
                         v = v + R @ np.linalg.inv(H.T @ Ci @ H) @ R.T
                     return max(float(v[0, 0]), 0.0)
 
-                num = var_given(design.points, cfg.nugget,
+                num = var_given(design.points, NUGGET_DEFAULT,
                                 design.has_gradients)
-                den = var_given(np.delete(cand, j, axis=0), cfg.cand_nugget)
+                den = var_given(np.delete(cand, j, axis=0), ad.CAND_NUGGET)
                 val = num / den if den > 1e-14 else -np.inf
                 if val > best_val:
                     best, best_val = j, val

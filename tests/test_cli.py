@@ -652,6 +652,24 @@ class TestDiagnose:
         printed = capsys.readouterr().out
         assert "minESS/s" in printed
 
+    def test_drops_the_runs_burnin(self, tmp_path, capsys):
+        """A run's chain diagnoses as the run's own summary: the burn-in that
+        meta.json records is dropped from the ESS, the time and AP."""
+        cfg = cli.validate_config(banana_config(tmp_path, iters=2000, burnin=1000,
+                                                timing="real"))
+        out = cli.run(cfg)
+        with open(out / "summary.csv") as fh:
+            expected = dict(zip(fh.readline().strip().split(","),
+                                fh.readline().strip().split(",")))
+        row = cli.diagnose(out / "chain.csv").row()
+        for key in ("AP", "s/iter", "ESS_min", "ESS_med", "ESS_max", "minESS/s"):
+            assert repr(float(row[key])) == expected[key], key
+        # a chain with no meta.json beside it is summarized whole
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "chain.csv").write_bytes((out / "chain.csv").read_bytes())
+        assert cli.diagnose(alone / "chain.csv").ess_min != float(expected["ESS_min"])
+
 
 def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
@@ -720,3 +738,16 @@ class TestUnreadableInput:
         chain.write_text("iter,theta_1,logpost,accepted,kernel,regen,wall_ns\n")
         assert cli.main(["diagnose", str(chain)]) == 1
         assert f"error: {chain}: chain has no draws" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta, message", [
+        ("{", "cannot read burn-in"), ('{"config": {}}', "cannot read burn-in"),
+        ('{"config": {"burnin": 2}}', "no draws after burn-in 2")])
+    def test_diagnose_chain_beside_an_unusable_meta(self, tmp_path, capsys,
+                                                    meta, message):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iter,theta_1,logpost,accepted,kernel,regen,wall_ns\n"
+                         "0,0.5,-1.0,1,rwm,0,0\n1,0.4,-1.0,1,rwm,0,0\n")
+        (tmp_path / "meta.json").write_text(meta)
+        assert cli.main(["diagnose", str(chain)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -155,8 +155,8 @@ def _natural(flat, m, dim, order):
        gradients=st.booleans(), m=st.integers(1, 40))
 def test_mean_is_the_kernel_contraction_of_the_cross_block(seed, dim, extra, order,
                                                            gradients, m):
-    """The contraction equals cross block @ w, and the posterior mean equals
-    basis @ beta_hat + cross block @ w, to 1e-10 of the summed term sizes."""
+    """The posterior mean equals basis @ beta_hat + cross block @ w, to 1e-10
+    of the summed term sizes."""
     rng = np.random.default_rng(seed)
     fn = SmoothTestFunction(rng, dim)
     pts = spread_points(rng, 4 + 2 * dim + extra, dim, spread=3.0, min_sep=0.25)
@@ -167,16 +167,12 @@ def test_mean_is_the_kernel_contraction_of_the_cross_block(seed, dim, extra, ord
     H = kernels.basis(x, order)
     nat = lambda flat: _natural(flat, m, dim, order)
 
-    got = kernels.cross_corr_dot(x, order, pts, em.hyper.rho, gradients, em.w)
-    size = nat(np.abs(C) @ np.abs(em.w))
-    assert got.shape == size.shape
-    assert np.all(np.abs(got - nat(C @ em.w)) <= 1e-10 * size)
-
     ref = nat(H @ em.beta_hat + C @ em.w)
     if order == 2:
         ref = 0.5 * (ref + ref.transpose(0, 2, 1))
     mean = em._mean(x, order)
-    size = size + nat(np.abs(H) @ np.abs(em.beta_hat))
+    size = nat(np.abs(C) @ np.abs(em.w)) + nat(np.abs(H) @ np.abs(em.beta_hat))
+    assert mean.shape == size.shape
     assert np.all(np.abs(mean - ref) <= 1e-10 * size)
     if order == 0 and not gradients:  # the value-only path is the block's own
         np.testing.assert_array_equal(mean, ref)

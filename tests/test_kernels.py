@@ -156,18 +156,47 @@ def test_single_pass_blocks_match_einsum_reference(dim, orders):
 
 @pytest.mark.parametrize("with_gradients", [False, True])
 def test_cross_corr_orders_share_one_pass(with_gradients):
-    """A tuple of orders gives the same matrices as one call per order."""
+    """The rows of several orders from one pass are those of one
+    ``cross_corr`` call per order, and its blocks side by side."""
     rng = np.random.default_rng(21)
     rho = rng.uniform(0.3, 1.5, 3)
     x = rng.normal(size=(2, 3))
     design = rng.normal(size=(6, 3))
-    together = kernels.cross_corr(x, (0, 1, 2), design, rho, with_gradients)
+    cross = kernels.CrossDiffs(*kernels._diff_and_corr(x, design, rho), rho)
+    together = cross.rows((0, 1, 2), with_gradients)
     for order, got in zip((0, 1, 2), together):
         alone = kernels.cross_corr(x, order, design, rho, with_gradients)
         np.testing.assert_array_equal(got, alone)
         blocks = [kernels.corr_block(x, design, order, b, rho)
                   for b in ((0, 1) if with_gradients else (0,))]
         np.testing.assert_array_equal(got, np.hstack(blocks))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gradient_tilde_corr_is_prefactor_times_k_to_the_bit(dim):
+    """C~ of a gradient design is, bit for bit and signed zeros included,
+    each block's prefactor formed first and then times k: (0,0) ``1``,
+    (0,1) ``a_p``, (1,0) ``-a_k`` and (1,1) ``(-a_k a_p) + 2 rho_k d_kp``,
+    with ``a = 2 rho * diff``.  Every emulator factorizes this matrix, so
+    reordering its products would move every emulated chain."""
+    rng = np.random.default_rng(40 + dim)
+    n = 2 * dim + 4
+    pts = rng.normal(size=(n, dim))
+    rho = rng.uniform(0.3, 1.5, dim)
+    diff = pts[:, None, :] - pts[None, :, :]
+    k = np.exp(-np.einsum("...k,k->...", diff**2, rho))
+    a = 2.0 * rho * diff  # (i, j, p)
+    ref = np.empty((1 + dim, n, 1 + dim, n))  # (row block, i, column block, j)
+    ref[0, :, 0] = 1.0 * k
+    for p in range(dim):
+        ref[0, :, 1 + p] = a[..., p] * k
+        ref[1 + p, :, 0] = -a[..., p] * k
+        for q in range(dim):
+            ref[1 + p, :, 1 + q] = (-a[..., p] * a[..., q]
+                                    + (2.0 * rho[p] if p == q else 0.0)) * k
+    ref = ref.reshape(n * (1 + dim), -1)
+    for points in (pts, kernels.PairDiffs(pts)):
+        assert kernels.tilde_corr(points, rho, True).tobytes() == ref.tobytes()
 
 
 def _rows(i):

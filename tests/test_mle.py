@@ -56,18 +56,19 @@ def test_hessian_matches_gradient_differences(gradients):
 @pytest.mark.parametrize("dim", [1, 2, 4])
 @pytest.mark.parametrize("gradients", [False, True])
 def test_hessian_makes_one_derivative_pass(monkeypatch, dim, gradients):
-    """The emulator's correlation and one pass for every rho-derivative,
-    whatever D; a prefactor table for each only with gradients."""
+    """The emulator's own pass over the design and one pass for every
+    rho-derivative, whatever D; the design's own rows for each only with
+    gradients."""
     design = make_design(11, dim=dim, n=2 * dim + 6, gradients=gradients)
     calls = []
-    pairs_and_corr, prefactor_table = kernels._pairs_and_corr, kernels._prefactor_table
-    monkeypatch.setattr(kernels, "_pairs_and_corr", lambda *a: calls.append(
-        "corr") or pairs_and_corr(*a))
-    monkeypatch.setattr(kernels, "_prefactor_table", lambda *a: calls.append(
-        "table") or prefactor_table(*a))
+    at, rows = kernels.PairDiffs.at, kernels.CrossDiffs.rows
+    monkeypatch.setattr(kernels.PairDiffs, "at", lambda pairs, rho: calls.append(
+        "pass") or at(pairs, rho))
+    monkeypatch.setattr(kernels.CrossDiffs, "rows", lambda cross, *a: calls.append(
+        "rows") or rows(cross, *a))
     mle.profile_loglik_hess(design, np.full(dim, 0.7))
-    assert calls.count("corr") == 2
-    assert calls.count("table") == (2 if gradients else 0)
+    assert calls.count("pass") == 2
+    assert calls.count("rows") == (2 if gradients else 0)
 
 
 def mp_loglik_hess(C, H, u, dC, d2C):
