@@ -192,7 +192,6 @@ class MICEConfig:
     init_keep: int = 5
     maxmin_radius: float = 0.2
     max_size: int = 40
-    refit_at_start: bool = True
 
 
 def _first_copies(points):
@@ -265,8 +264,7 @@ def _kriging_variances(points, rho, nugget, eval_points=None):
     return np.maximum(var, 0.0)
 
 
-def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray,
-                cfg: MICEConfig):
+def mice_select(design: DesignSet, candidates: np.ndarray, rho: np.ndarray):
     """Greedy mutual-information pick from a candidate set.
 
     Maximizes the ratio of the predictive variance given the design (design
@@ -309,9 +307,9 @@ class CandidatePool:
 
 
 def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
-                hyper: Hyperparameters | None = None,
-                rng: np.random.Generator | None = None, rows=None):
-    """Refresh the design from a candidate pool, one greedy pick at a time.
+                rho: np.ndarray, rows=None):
+    """Refresh the design from a candidate pool, one greedy pick at a time,
+    at the inverse squared lengthscales ``rho`` the caller fitted.
 
     Keeps the ``init_keep`` most recently added design points, returns the
     remaining design points to the candidate pool, then grows the design by
@@ -322,28 +320,12 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     Given ``rows``, the design points' per-datum value rows, and a pool with
     rows, the refined design gets the Gram of its rows, which ``info["rows"]``
     lists by reference.  Gradient information is dropped: refined designs
-    are value-based.  ``info["mle_warn"]`` is the refit's ``warn`` flag
-    (False without a refit).  Returns ``(DesignSet, Hyperparameters, info)``.
+    are value-based.  Returns ``(DesignSet, info)``.
     """
     use_pd = rows is not None and pool.per_datum is not None
 
-    # hyperparameters are refreshed once per refresh, on the incoming design
-    mle_warn = False
-    if cfg.refit_at_start or hyper is None:
-        fit_on = DesignSet(points=design.points, potentials=design.potentials)
-        try:
-            hyper, fit_info = fit_hyperparameters(
-                fit_on, rng=rng if rng is not None else np.random.default_rng(0))
-            mle_warn = fit_info["warn"]
-        except (OptimFailed, TooFewPoints, IllConditioned):
-            if hyper is None:
-                raise
-    rho = hyper.rho
-
     if design.n >= cfg.max_size:
-        info = {"added": 0, "final_size": design.n, "rho": rho, "rows": rows,
-                "mle_warn": mle_warn}
-        return design, Hyperparameters(rho=rho), info
+        return design, {"added": 0, "final_size": design.n, "rows": rows}
 
     # order: the kept design points, then the pool, then the recycled design
     # points; candidates are filtered in pool-then-recycled order, which
@@ -361,7 +343,7 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
     while len(chosen) < cfg.max_size and cand.size > 0:
         current = DesignSet(points=points[chosen], potentials=potentials[chosen])
         try:
-            j, _ = mice_select(current, points[cand], rho, cfg)
+            j, _ = mice_select(current, points[cand], rho)
         except AllDegenerate:
             break
         chosen.append(int(cand[j]))
@@ -374,18 +356,14 @@ def mice_refine(design: DesignSet, pool: CandidatePool, cfg: MICEConfig,
         gfi = per_datum_gram(np.array(chosen_rows))
     refined = DesignSet(points=points[chosen], potentials=potentials[chosen],
                         gfi=gfi)
-    info = {"added": len(chosen) - keep, "final_size": refined.n, "rho": rho,
-            "rows": chosen_rows, "mle_warn": mle_warn}
-    return refined, Hyperparameters(rho=rho), info
+    info = {"added": len(chosen) - keep, "final_size": refined.n,
+            "rows": chosen_rows}
+    return refined, info
 
 
-def _holdout_mspe(design: DesignSet, hyper: Hyperparameters, holdout) -> float:
+def _holdout_mspe(emulator: Emulator, holdout) -> float:
     points, potentials = holdout
-    try:
-        em = build_emulator(design, hyper)
-    except (IllConditioned, TooFewPoints):
-        return np.inf
-    pred = em.predict(points, 0).mean
+    pred = emulator.predict(points, 0).mean
     return float(np.mean((pred - potentials)**2))
 
 
@@ -461,6 +439,11 @@ class AdaptiveGPeSampler:
     recycle beside the tour's; a design holds only their Gram, so rows not
     given cost one exact call per design point here.
 
+    The lengthscales are fitted on the design's values at the start (unless
+    ``hyper`` is given) and again by each refresh, whose MICE picks are made
+    at them; a refit that fails keeps the current ones.  A refresh builds
+    one emulator, which its holdout scores.
+
     ``events`` records regenerations, refreshes, exhausted Q draws and, as
     ``mle_warn``, every lengthscale fit (the start's or a refresh's) that did
     not converge.
@@ -500,12 +483,7 @@ class AdaptiveGPeSampler:
         self.design = design
         self._design_rows = rows if rows is not None else [
             target.potential_per_datum(p)[1] for p in design.points]
-        if hyper is None:
-            hyper, info = fit_hyperparameters(
-                DesignSet(points=design.points, potentials=design.potentials),
-                rng=self.rng)
-            self._note_mle(info["warn"])
-        self.hyper = hyper
+        self.hyper = hyper if hyper is not None else self._fit()
         self._rebuild()
 
     # -- assembly --------------------------------------------------------
@@ -523,11 +501,17 @@ class AdaptiveGPeSampler:
         # ratios recorded under the previous proposal are meaningless now
         self._logw_history.clear()
 
-    def _note_mle(self, warn):
-        """An ``mle_warn`` event when a lengthscale fit did not converge."""
-        if warn:
+    def _fit(self) -> Hyperparameters:
+        """Lengthscales fitted on the current design's values, restarts drawn
+        from ``self.rng``; an ``mle_warn`` event when the fit did not
+        converge."""
+        hyper, info = fit_hyperparameters(
+            DesignSet(points=self.design.points,
+                      potentials=self.design.potentials), rng=self.rng)
+        if info["warn"]:
             self.events.append(AdaptEvent(self.iteration, "mle_warn",
                                           self.design.n))
+        return hyper
 
     def _record_tour(self, theta, potential, per_datum):
         self._tour_points.append(np.array(theta))
@@ -590,16 +574,23 @@ class AdaptiveGPeSampler:
     def _adapt(self, state, log_c):
         if self.schedule.refine:
             pool, holdout = self._collect_pool()
-            if pool is not None:
+            if pool is None:
+                # one rebuild per regeneration while designs are being
+                # refined: refreshes the split constant even when the tour
+                # was too thin to attempt a refinement
+                self._rebuild()
+            else:
                 self.events.append(AdaptEvent(self.iteration, "adapt_start",
                                               self.design.n))
-                new_design, new_hyper, info = mice_refine(
-                    self.design, pool, self.mice_cfg, hyper=self.hyper,
-                    rng=self.rng, rows=self._design_rows)
-                self._note_mle(info["mle_warn"])
+                try:
+                    rho = self._fit().rho
+                except (OptimFailed, TooFewPoints, IllConditioned):
+                    rho = self.hyper.rho
+                new_design, info = mice_refine(self.design, pool, self.mice_cfg,
+                                               rho, rows=self._design_rows)
                 q = 1 + 2 * self.design.dim
                 if new_design.n > q + 2:
-                    self.design, self.hyper = new_design, new_hyper
+                    self.design, self.hyper = new_design, Hyperparameters(rho=rho)
                     self._design_rows = info["rows"]
                 self._clear_tour()
                 self.n_adaptations += 1
@@ -608,9 +599,9 @@ class AdaptiveGPeSampler:
                     # step size was tuned against
                     self.tuner = samplers.DualAveraging(
                         max(self.cfg.step_size, 1e-4), target=self.tuner.target)
+                self._rebuild()
                 if holdout is not None:
-                    self.last_holdout_mspe = _holdout_mspe(
-                        self.design, self.hyper, holdout)
+                    self.last_holdout_mspe = _holdout_mspe(self.emulator, holdout)
                     var = float(np.var(holdout[1]))
                     if self.last_holdout_mspe <= self.schedule.stop_mspe_rel * var:
                         self.schedule.adaptation_active = False
@@ -618,10 +609,6 @@ class AdaptiveGPeSampler:
                     self.schedule.adaptation_active = False
                 self.events.append(AdaptEvent(self.iteration, "adapt_done",
                                               self.design.n, self.last_holdout_mspe))
-            # one rebuild per regeneration while designs are being refined:
-            # refreshes the split constant even when the tour was too thin to
-            # attempt a refinement
-            self._rebuild()
             self.n_rebuilds += 1
         # restart from the regeneration kernel, with the split constant that
         # fired the probe

@@ -451,6 +451,8 @@ def _init_adaptive_design(cfg, target, acfg):
 
 def run(cfg: dict, n_chains: int = 1):
     """Execute a validated config; returns the output directory."""
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -511,10 +513,9 @@ def design_cmd(cfg: dict):
     pool = CandidatePool(points[n_init:], pots[n_init:])
     # lengthscales for the greedy selection come from the whole scored
     # candidate set; per-step fits on tiny growing designs are unstable
-    pool_hyper = _fit_design_hyper(points, pots, rng, "pool")
-    mcfg = MICEConfig(init_keep=n_init, max_size=dcfg["target_size"],
-                      refit_at_start=False)
-    design, hyper, info = mice_refine(init, pool, mcfg, hyper=pool_hyper, rng=rng)
+    hyper = _fit_design_hyper(points, pots, rng, "pool")
+    mcfg = MICEConfig(init_keep=n_init, max_size=dcfg["target_size"])
+    design, info = mice_refine(init, pool, mcfg, hyper.rho)
 
     if with_gradients or dcfg["source"] == "prior":
         # the chosen points' per-datum Gram, which metric-based samplers need;
@@ -621,6 +622,8 @@ def main(argv=None) -> int:
     p.add_argument("--baseline", type=Path, default=None)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.chains < 1:
+        sub.choices["run"].error(f"--chains must be at least 1, got {args.chains}")
     try:
         if args.command == "diagnose":
             diagnose(args.chain, args.baseline)

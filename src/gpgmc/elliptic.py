@@ -71,11 +71,6 @@ class KLExpansion:
         K = self._kernel(np.atleast_2d(points), self.nodes)
         return (self.eigenfunctions * self.weights) @ K.T / self.eigenvalues[:, None]
 
-    def log_field(self, theta: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Sum of theta_d sqrt(lambda_d) phi_d at the given points."""
-        phi = self.eigenfunction_values(points)
-        return (np.asarray(theta, dtype=float) * np.sqrt(self.eigenvalues)) @ phi
-
 
 class _Grid:
     """Vertex-centred mesh bookkeeping for one resolution."""
@@ -217,17 +212,13 @@ class EllipticTarget:
 
     # -- forward solve -----------------------------------------------------
 
-    def diffusivity(self, theta, grid: _Grid | None = None):
-        grid = grid or self.grid
-        if grid is self.grid:
-            logc = np.asarray(theta, dtype=float) @ self._modes
-        else:
-            logc = self.kl.log_field(theta, grid.nodes)
+    def diffusivity(self, theta):
+        logc = np.asarray(theta, dtype=float) @ self._modes
         # clip keeps the stiffness matrix finite for absurd proposals; the
         # prior term already makes such points all but certain rejections
         return np.exp(np.clip(logc, -150.0, 150.0))
 
-    def _factor(self, c, grid):
+    def _factor(self, c):
         """Banded LU of the free-node stiffness matrix K and the face
         conductances; K is positive on the diagonal, -c_face off it.
 
@@ -238,7 +229,7 @@ class EllipticTarget:
         k-th Schur complement's row sum.  Where one of these has lost its
         digits, or a pivot was swapped or zero, K is factorized again by
         ``_gth_factor``, which forms every pivot from row sums."""
-        g = grid
+        g = self.grid
         w = g.w
         c_f = _harmonic(c[g.f_lo], c[g.f_hi]) * g.f_w
         ab = np.zeros((g.n_free, g.band_rows))
@@ -253,21 +244,20 @@ class EllipticTarget:
             return _gth_factor(c_f, g), g.no_swaps, c_f
         return lu, piv, c_f
 
-    def solve(self, theta, mesh_size: int | None = None, want_sens: bool = True,
-              bc_bottom=None, bc_top=None):
-        """Solve the PDE; return (field, obs_pred, sens).
+    def solve(self, theta, want_sens: bool = True, bc_bottom=None, bc_top=None):
+        """Solve the PDE on the target's grid; return (field, obs_pred, sens).
 
         ``sens`` is the (D, 121) sensitivity of predicted observations, or
         None when ``want_sens`` is false.  Custom Dirichlet data may be passed
-        as arrays over the edge nodes.
+        as arrays over the edge nodes.  Another mesh needs its own target.
         """
-        grid = self.grid if mesh_size in (None, self.mesh_size) else _Grid(mesh_size)
+        grid = self.grid
         w = grid.w
         xs = grid.x1[grid.idx[0, :]]
         bb = xs if bc_bottom is None else np.asarray(bc_bottom, dtype=float)
         bt = 1.0 - xs if bc_top is None else np.asarray(bc_top, dtype=float)
-        c = self.diffusivity(theta, grid)
-        lu, piv, c_f = self._factor(c, grid)
+        c = self.diffusivity(theta)
+        lu, piv, c_f = self._factor(c)
         # the faces into the Dirichlet rows move c_v * u_D to the right side;
         # they are the first and last w vertical faces
         c_v = c_f[grid.n_h:]
@@ -279,40 +269,33 @@ class EllipticTarget:
         u[:w], u[grid.free], u[-w:] = bb, u_free[:, 0], bt
         if not np.all(np.isfinite(u)):
             raise SolverFailure("solution contains non-finite values")
-        step = grid.m // 10
-        obs_idx = grid.idx[::step, ::step].ravel() if grid is not self.grid else self.obs_idx
-        pred = u[obs_idx]
+        pred = u[self.obs_idx]
         if not want_sens:
             return u, pred, None
-        if grid is self.grid:
-            dlogc = self._modes
-        else:
-            dlogc = (np.sqrt(self.kl.eigenvalues)[:, None]
-                     * self.kl.eigenfunction_values(grid.nodes))
-        r = self._dA_u(dlogc, c, c_f, grid, u)
+        r = self._dA_u(c, c_f, u)
         # the sensitivities vanish on the Dirichlet rows, and A = -K on the
         # free rows, so A s = -r there reads K s = r: one solve, D columns
         s_free, _ = lapack.dgbtrs(lu, w, w, r[:, 1:-1, :].reshape(self.dim, -1).T,
                                   piv, overwrite_b=1)
         s = np.zeros((self.dim, grid.n_nodes))
         s[:, grid.free] = s_free.T
-        return u, pred, s[:, obs_idx]
+        return u, pred, s[:, self.obs_idx]
 
-    def _dA_u(self, dlogc, c, c_f, grid, u):
+    def _dA_u(self, c, c_f, u):
         """(dA/dtheta_d) u for every mode d at once, (D, m+1, m+1), assembled
         facewise without forming dA; A = -K is the discrete div(c grad .)."""
-        g = grid
+        g = self.grid
         m = g.m
         a, b = c[g.f_lo], c[g.f_hi]
         # d c_face = c_face (b dlogc_lo + a dlogc_hi) / (a + b) for the
         # harmonic mean c_face = 2ab/(a + b) times the face weight
         t = c_f * (u[g.f_hi] - u[g.f_lo]) / (a + b)
-        flux = dlogc[:, g.f_lo] * (t * b) + dlogc[:, g.f_hi] * (t * a)
+        flux = self._modes[:, g.f_lo] * (t * b) + self._modes[:, g.f_hi] * (t * a)
         # faces in mesh layout: horizontal [j, i] joins (j, i)-(j, i+1),
         # vertical [j, i] joins (j, i)-(j+1, i)
         fh = flux[:, :g.n_h].reshape(-1, m + 1, m)
         fv = flux[:, g.n_h:].reshape(-1, m, m + 1)
-        r = np.zeros((dlogc.shape[0], m + 1, m + 1))
+        r = np.zeros((self.dim, m + 1, m + 1))
         # row P of A@u gets +c_face*(u_Q - u_P), so its theta-derivative is
         # +dc_face*(u_Q - u_P); row Q the negative
         r[:, :, :-1] += fh

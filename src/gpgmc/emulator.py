@@ -152,15 +152,11 @@ class DesignSet:
 
 @dataclass
 class Prediction:
-    """Posterior-mean prediction with optional scaled covariance.
-
-    ``mean`` is in natural shape ((m,), (m, D) or (m, D, D) by order); ``cov``
-    stays in the flat coordinate-major layout when present.
-    """
+    """Posterior-mean prediction, ``mean`` in natural shape ((m,), (m, D) or
+    (m, D, D) by order); :meth:`Emulator.predictive_variance` serves the
+    variances."""
 
     mean: np.ndarray
-    cov: np.ndarray | None = None
-    dof: int = 0
 
 
 class Emulator:
@@ -296,32 +292,26 @@ class Emulator:
 
     # -- predictions -----------------------------------------------------
 
-    def predict(self, points: np.ndarray, order: int = 0,
-                with_cov: bool = False) -> Prediction:
-        """Predict potentials (order 0), gradients (1) or Hessians (2).
-
-        Covariance is available for orders 0 and 1; the order-2 auto-block
-        would need fourth kernel derivatives which are never formed.
-        """
+    def predict(self, points: np.ndarray, order: int = 0) -> Prediction:
+        """Posterior means of potentials (order 0), gradients (1) or
+        Hessians (2)."""
         points = self._points(points)
         if order == 1 and len(points) == 1:
             # one gradient, as HMC asks: the contraction without a point axis
-            mean = self._mean(points[0], 1)[None]
-        else:
-            mean = self._mean(points, order)
-        cov = None
-        if with_cov:
-            if order not in (0, 1):
-                raise ValueError("covariance only available for orders 0 and 1")
-            cov = self.sigma2_hat * self._corr_cov(points, order)
-        return Prediction(mean=mean, cov=cov, dof=self.dof)
+            return Prediction(mean=self._mean(points[0], 1)[None])
+        return Prediction(mean=self._mean(points, order))
 
     def _corr_cov(self, points, order):
-        """Unscaled predictive covariance C** in flat layout."""
+        """Unscaled predictive covariance C** in flat layout.
+
+        Available for orders 0 and 1; the order-2 auto-block would need
+        fourth kernel derivatives, which are never formed.
+        """
+        if order not in (0, 1):
+            raise ValueError("covariance only available for orders 0 and 1")
         H_e = kernels.basis(points, order)
         C_ed = self._cross_corr(points, order)
-        C_ee = kernels.corr_block(points, points, order, min(order, 1),
-                                  self.hyper.rho) if order <= 1 else None
+        C_ee = kernels.corr_block(points, points, order, order, self.hyper.rho)
         HPC = H_e @ self.P @ C_ed.T
         cov = C_ee - C_ed @ self.Q @ C_ed.T \
             + H_e @ cho_solve(self._chol_B, H_e.T) - HPC - HPC.T

@@ -32,10 +32,10 @@ __all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind",
 METRIC_REG_SCALE = 1e-6
 
 
-def metric_regularizer(G, reg_scale: float = METRIC_REG_SCALE) -> float:
-    """``lam = max(reg_scale * trace(G) / D, 1e-12)``, the multiple of the
-    identity that regularizes a D x D metric ``G``."""
-    return max(reg_scale * float(G.trace()) / G.shape[0], 1e-12)
+def metric_regularizer(G) -> float:
+    """``lam = max(METRIC_REG_SCALE * trace(G) / D, 1e-12)``, the multiple of
+    the identity that regularizes a D x D metric ``G``."""
+    return max(METRIC_REG_SCALE * float(G.trace()) / G.shape[0], 1e-12)
 
 
 def christoffel_first_kind(dG: np.ndarray) -> np.ndarray:
@@ -68,20 +68,20 @@ class EmulatedGeometry:
     """Geometry read off a GP emulator (gradients, Fisher metric, connection).
 
     The emulated Fisher matrix is regularized with ``lam(theta) * I`` where
-    ``lam = reg_scale * trace / D``; the derivative of ``lam`` is carried into
-    the metric derivatives so the regularized field stays an exact gradient.
+    ``lam = METRIC_REG_SCALE * trace / D`` (:func:`metric_regularizer`); the
+    derivative of ``lam`` is carried into the metric derivatives so the
+    regularized field stays an exact gradient.
     """
 
-    def __init__(self, emulator: Emulator, reg_scale: float = METRIC_REG_SCALE):
+    def __init__(self, emulator: Emulator):
         self.emulator = emulator
-        self.reg_scale = reg_scale
 
     def grad(self, theta) -> np.ndarray:
         return self.emulator.predict(theta, 1).mean[0]  # theta as one point
 
     def _regularize(self, G):
         """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""
-        lam = metric_regularizer(G, self.reg_scale)
+        lam = metric_regularizer(G)
         G.flat[::G.shape[0] + 1] += lam
         return lam
 
@@ -100,5 +100,5 @@ class EmulatedGeometry:
         if self._regularize(G) > 1e-12:  # off the floor, lam varies with theta
             # the diagonals of every dG[k], as one strided view
             np.einsum("kii->ki", dG)[...] += \
-                self.reg_scale * dG.trace(axis1=1, axis2=2)[:, None] / dim
+                METRIC_REG_SCALE * dG.trace(axis1=1, axis2=2)[:, None] / dim
         return G, dG, grad[0]

@@ -99,8 +99,7 @@ def profile_loglik_hess(design: DesignSet, rho, nugget: float = NUGGET_DEFAULT):
     return _loglik(em), grad, hess
 
 
-def fit_hyperparameters(design: DesignSet, nugget: float = NUGGET_DEFAULT,
-                        rng: np.random.Generator | None = None):
+def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = None):
     """Fit rho by maximizing the profile likelihood over tau = -log rho.
 
     The first start puts each lengthscale at the design's span in that
@@ -119,7 +118,7 @@ def fit_hyperparameters(design: DesignSet, nugget: float = NUGGET_DEFAULT,
     def neg_l_and_grad(tau):
         rho = np.exp(-np.clip(tau, -TAU_BOUND, TAU_BOUND))
         try:
-            l, g_rho = profile_loglik_grad(design, rho, nugget)
+            l, g_rho = profile_loglik_grad(design, rho)
         except IllConditioned:
             return np.inf, np.zeros_like(tau)
         if not np.isfinite(l):
@@ -151,7 +150,7 @@ def fit_hyperparameters(design: DesignSet, nugget: float = NUGGET_DEFAULT,
 
     tau = best.x
     rho = np.exp(-tau)
-    _, grad_rho = profile_loglik_grad(design, rho, nugget)
+    _, grad_rho = profile_loglik_grad(design, rho)
     # projected gradient of l in tau; components pushing past a bound count 0
     proj = -rho * grad_rho
     at_lo = tau <= -TAU_BOUND + 1e-12
@@ -165,4 +164,4 @@ def fit_hyperparameters(design: DesignSet, nugget: float = NUGGET_DEFAULT,
         "warn": not any_converged,
         "n_restarts": len(starts),
     }
-    return Hyperparameters(rho=rho, nugget=nugget), info
+    return Hyperparameters(rho=rho), info

@@ -404,13 +404,12 @@ def test_c10_regeneration_construction(banana):
 def test_c11_greedy_selection_oracle(banana, banana_design_points):
     t0 = time.perf_counter()
     design = per_datum_design(banana, banana_design_points[:20], False)
-    cfg = ad.MICEConfig()
     rho = np.array([0.7, 0.9])
     rng = np.random.default_rng(1100)
     for _ in range(50):
         n_cand = int(rng.integers(20, 60))
         cand = rng.uniform(-2.5, 2.5, size=(n_cand, 2))
-        idx, _ = ad.mice_select(design, cand, rho, cfg)
+        idx, _ = ad.mice_select(design, cand, rho)
         best, best_val = None, -np.inf
         for j in range(n_cand):
             C = kernels.corr_block(design.points, design.points, 0, 0, rho)
@@ -448,13 +447,13 @@ def test_c11_greedy_selection_oracle(banana, banana_design_points):
     hold_pts = spread_points(np.random.default_rng(1102), 20, 2, spread=2.0,
                              min_sep=0.2)
     holdout = (hold_pts, np.array([banana.potential(p) for p in hold_pts]))
-    hyper0, _ = fit_hyperparameters(
+    hyper, _ = fit_hyperparameters(
         DesignSet(points=init.points, potentials=init.potentials),
         rng=np.random.default_rng(0))
-    before = ad._holdout_mspe(init, hyper0, holdout)
-    refined, hyper1, _ = ad.mice_refine(
-        init, pool, ad.MICEConfig(init_keep=6, max_size=40))
-    after = ad._holdout_mspe(refined, hyper1, holdout)
+    before = ad._holdout_mspe(build_emulator(init, hyper), holdout)
+    refined, _ = ad.mice_refine(
+        init, pool, ad.MICEConfig(init_keep=6, max_size=40), hyper.rho)
+    after = ad._holdout_mspe(build_emulator(refined, hyper), holdout)
     assert after < before
     _report(11, "greedy selection equals exhaustive argmax; holdout improves", t0)
 
@@ -518,9 +517,12 @@ def test_c14_elliptic_inversion():
     target = EllipticTarget.simulate(rng, theta_true, kl=kl)
 
     theta = 0.5 * np.random.default_rng(4).standard_normal(6)
-    ref = target.solve(theta, mesh_size=80, want_sens=False)[1]
-    errs = [np.linalg.norm(target.solve(theta, mesh_size=m, want_sens=False)[1]
-                           - ref) for m in (10, 20, 40)]
+    def pred_on(m):  # the same data and KL modes on an m x m mesh
+        return EllipticTarget(kl, target.obs, mesh_size=m).solve(
+            theta, want_sens=False)[1]
+
+    ref = pred_on(80)
+    errs = [np.linalg.norm(pred_on(m) - ref) for m in (10, 20, 40)]
     assert min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])) >= 1.8
 
     _, _, sens = target.solve(theta)

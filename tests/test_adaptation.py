@@ -8,9 +8,10 @@ from scipy.special import logsumexp
 
 from conftest import spread_points
 from gpgmc import adaptation as ad, kernels, mle
-from gpgmc.emulator import NUGGET_DEFAULT, DesignSet, Hyperparameters, per_datum_gram
+from gpgmc.emulator import (NUGGET_DEFAULT, DesignSet, Hyperparameters,
+                            build_emulator, per_datum_gram)
 from gpgmc.errors import (AllDegenerate, IllConditioned, OptimFailed,
-                          RejectionBudgetExhausted, ShapeMismatch)
+                          RejectionBudgetExhausted, ShapeMismatch, TooFewPoints)
 from gpgmc.mle import fit_hyperparameters
 from gpgmc.samplers import IntegratorConfig, init_state
 from gpgmc.targets import banana_target
@@ -376,18 +377,16 @@ class TestMiceSelectCost:
         for m in (20, 60):
             sizes.clear()
             cand = rng.uniform(-2.5, 2.5, size=(m, 2))
-            ad.mice_select(spread_banana_design, cand, np.array([0.7, 0.9]),
-                           ad.MICEConfig())
+            ad.mice_select(spread_banana_design, cand, np.array([0.7, 0.9]))
             big[m] = sum(1 for s in sizes if s in (m - 1, m))
         assert big == {20: 1, 60: 1}
 
 
 class TestMiceSelect:
     def test_ties_break_to_lowest_index(self, spread_banana_design):
-        cfg = ad.MICEConfig()
         cand = np.array([[5.0, 5.0], [5.0, 5.0], [0.1, 0.2]])
         idx, ratios = ad.mice_select(spread_banana_design, cand,
-                                     np.array([0.6, 0.6]), cfg)
+                                     np.array([0.6, 0.6]))
         assert ratios[0] == ratios[1]
         assert idx in (0, 2)
         if ratios[0] >= ratios[2]:
@@ -395,13 +394,12 @@ class TestMiceSelect:
 
     def test_matches_exhaustive_oracle(self, spread_banana_design):
         from gpgmc import kernels
-        cfg = ad.MICEConfig()
         rho = np.array([0.7, 0.9])
         rng = np.random.default_rng(9)
         design = spread_banana_design
         for _ in range(10):
             cand = rng.uniform(-2.5, 2.5, size=(40, 2))
-            idx, ratios = ad.mice_select(design, cand, rho, cfg)
+            idx, ratios = ad.mice_select(design, cand, rho)
             # independent recomputation with plain dense inverses
             best, best_val = None, -np.inf
             for j in range(40):
@@ -428,10 +426,9 @@ class TestMiceSelect:
             assert idx == best
 
     def test_far_candidate_beats_design_point(self, spread_banana_design):
-        cfg = ad.MICEConfig()
         cand = np.vstack([spread_banana_design.points[0], [8.0, 8.0]])
         idx, ratios = ad.mice_select(spread_banana_design, cand,
-                                     np.array([0.8, 0.8]), cfg)
+                                     np.array([0.8, 0.8]))
         assert idx == 1
         assert ratios[1] > ratios[0]
 
@@ -439,10 +436,16 @@ class TestMiceSelect:
         # zero smoothing nugget and coincident candidates: every candidate is
         # perfectly explained by its twin, so all denominators underflow
         monkeypatch.setattr(ad, "CAND_NUGGET", 0.0)
-        cfg = ad.MICEConfig()
         cand = np.array([[0.3, 0.4], [0.3, 0.4]])
         with pytest.raises(AllDegenerate):
-            ad.mice_select(spread_banana_design, cand, np.array([0.8, 0.8]), cfg)
+            ad.mice_select(spread_banana_design, cand, np.array([0.8, 0.8]))
+
+
+def fitted_rho(design):
+    """The lengthscales the sampler's refresh fits on a design's values."""
+    return fit_hyperparameters(
+        DesignSet(points=design.points, potentials=design.potentials),
+        rng=np.random.default_rng(0))[0].rho
 
 
 class TestMiceRefine:
@@ -450,7 +453,8 @@ class TestMiceRefine:
         cfg = ad.MICEConfig(max_size=spread_banana_design.n)
         pool = ad.CandidatePool(np.array([[0.3, 0.4]]), np.array([1.0]),
                                 np.ones((1, banana.data_count)))
-        out, _, info = ad.mice_refine(spread_banana_design, pool, cfg)
+        out, info = ad.mice_refine(spread_banana_design, pool, cfg,
+                                   fitted_rho(spread_banana_design))
         assert out is spread_banana_design
         assert info["added"] == 0
 
@@ -462,7 +466,8 @@ class TestMiceRefine:
             np.array([banana.potential(p) for p in pool_pts]),
             np.stack([banana.potential_per_datum(p)[1] for p in pool_pts]))
         cfg = ad.MICEConfig(init_keep=5, max_size=35)
-        out, hyper, info = ad.mice_refine(spread_banana_design, pool, cfg)
+        out, info = ad.mice_refine(spread_banana_design, pool, cfg,
+                                   fitted_rho(spread_banana_design))
         assert out.n == 35
         allowed = np.vstack([spread_banana_design.points, pool_pts])
         for p in out.points:
@@ -483,12 +488,10 @@ class TestMiceRefine:
         holdout = (hold_pts, np.array([banana.potential(p) for p in hold_pts]))
         cfg = ad.MICEConfig(init_keep=6, max_size=40)
 
-        hyper0, _ = fit_hyperparameters(
-            DesignSet(points=design.points, potentials=design.potentials),
-            rng=np.random.default_rng(0))
-        before = ad._holdout_mspe(design, hyper0, holdout)
-        refined, hyper, info = ad.mice_refine(design, pool, cfg)
-        after = ad._holdout_mspe(refined, hyper, holdout)
+        hyper = Hyperparameters(rho=fitted_rho(design))
+        before = ad._holdout_mspe(build_emulator(design, hyper), holdout)
+        refined, info = ad.mice_refine(design, pool, cfg, hyper.rho)
+        after = ad._holdout_mspe(build_emulator(refined, hyper), holdout)
         assert after < before
 
     def test_matches_one_pick_at_a_time_reference(self, banana,
@@ -500,12 +503,11 @@ class TestMiceRefine:
             pool_pts,
             np.array([banana.potential(p) for p in pool_pts]),
             np.stack([banana.potential_per_datum(p)[1] for p in pool_pts]))
-        cfg = ad.MICEConfig(init_keep=5, max_size=30, refit_at_start=False)
-        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
+        cfg = ad.MICEConfig(init_keep=5, max_size=30)
+        rho = np.array([0.7, 0.4])
         design = spread_banana_design
         design_rows = value_rows(banana, design.points)
-        out, _, info = ad.mice_refine(design, pool, cfg, hyper=hyper,
-                                      rows=design_rows)
+        out, info = ad.mice_refine(design, pool, cfg, rho, rows=design_rows)
 
         # reference: the kept design points, then one mice_select per pick
         # over the pool followed by the recycled design points
@@ -519,7 +521,7 @@ class TestMiceRefine:
         while len(pts) < cfg.max_size:
             j, _ = ad.mice_select(DesignSet(points=np.array(pts),
                                             potentials=np.array(pots)),
-                                  np.array(c_pts), hyper.rho, cfg)
+                                  np.array(c_pts), rho)
             pts.append(c_pts.pop(j))
             pots.append(c_pots.pop(j))
             rows.append(c_rows.pop(j))
@@ -541,6 +543,7 @@ class TestMiceRefine:
         rows = np.array([v for _, v in evals])
         design = DesignSet(points=pts[:16], potentials=pots[:16])
         pool = ad.CandidatePool(pts[16:], pots[16:], rows[16:])
+        rho = fitted_rho(design)
         builds = []
         build = ad.build_emulator
         monkeypatch.setattr(ad, "build_emulator",
@@ -548,9 +551,8 @@ class TestMiceRefine:
 
         tracemalloc.start()
         try:
-            out, _, info = ad.mice_refine(design, pool, ad.MICEConfig(),
-                                          rng=np.random.default_rng(0),
-                                          rows=rows[:16])
+            out, info = ad.mice_refine(design, pool, ad.MICEConfig(), rho,
+                                       rows=rows[:16])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,16 +564,22 @@ class TestMiceRefine:
 
 
 class TestNarrowedFailures:
-    """Fit and build failures are absorbed; any other error propagates."""
+    """A refresh whose lengthscale fit fails keeps the current lengthscales;
+    any other error propagates, and MICE selection itself makes no fit."""
 
-    def refine(self, banana, design, **cfg_kw):
-        pool_pts = spread_points(np.random.default_rng(10), 12, 2, spread=2.5,
-                                 min_sep=0.3)
-        pool = ad.CandidatePool(pool_pts,
-                                np.array([banana.potential(p) for p in pool_pts]))
-        cfg = ad.MICEConfig(init_keep=5, max_size=design.n + 3, **cfg_kw)
-        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
-        return ad.mice_refine(design, pool, cfg, hyper=hyper)
+    def refresh(self, banana, design):
+        """One refresh of a sampler started at rho = (0.7, 0.4)."""
+        sampler = ad.AdaptiveGPeSampler(
+            banana, design, IntegratorConfig(step_size=0.05, n_steps=10),
+            mice_cfg=ad.MICEConfig(init_keep=5, max_size=design.n + 3),
+            rng=np.random.default_rng(0),
+            hyper=Hyperparameters(rho=np.array([0.7, 0.4])))
+        for p in spread_points(np.random.default_rng(10), 12, 2, spread=2.5,
+                               min_sep=0.3):
+            sampler._record_tour(p, *banana.potential_per_datum(p))
+        state = init_state(sampler.target, np.zeros(2), np.random.default_rng(1))
+        sampler._adapt(state, sampler.log_c)
+        return sampler
 
     @staticmethod
     def raising(exc):
@@ -579,32 +587,35 @@ class TestNarrowedFailures:
             raise exc
         return fit
 
-    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True}])
+    @pytest.mark.parametrize("exc", [OptimFailed("diverged"), TooFewPoints("few"),
+                                     IllConditioned("singular")])
     def test_fit_failure_keeps_rho(self, banana, spread_banana_design,
-                                   monkeypatch, cfg_kw):
-        monkeypatch.setattr(ad, "fit_hyperparameters",
-                            self.raising(OptimFailed("diverged")))
-        _, hyper, info = self.refine(banana, spread_banana_design, **cfg_kw)
-        assert info["added"] > 0
-        np.testing.assert_array_equal(hyper.rho, [0.7, 0.4])
+                                   monkeypatch, exc):
+        monkeypatch.setattr(ad, "fit_hyperparameters", self.raising(exc))
+        sampler = self.refresh(banana, spread_banana_design)
+        assert sampler.n_adaptations == 1
+        assert sampler.design is not spread_banana_design
+        np.testing.assert_array_equal(sampler.hyper.rho, [0.7, 0.4])
 
-    @pytest.mark.parametrize("cfg_kw", [{"refit_at_start": True}])
     @pytest.mark.parametrize("exc", [ShapeMismatch("bad shape"), TypeError("bug")])
     def test_unrelated_fit_error_propagates(self, banana, spread_banana_design,
-                                            monkeypatch, cfg_kw, exc):
+                                            monkeypatch, exc):
         monkeypatch.setattr(ad, "fit_hyperparameters", self.raising(exc))
-        with pytest.raises(type(exc)):
-            self.refine(banana, spread_banana_design, **cfg_kw)
+        with pytest.raises(type(exc)) as raised:
+            self.refresh(banana, spread_banana_design)
+        assert raised.value is exc
 
-    def test_holdout_mspe(self, banana, spread_banana_design, monkeypatch):
-        hyper = Hyperparameters(rho=np.array([0.7, 0.4]))
-        holdout = (np.zeros((1, 2)), np.zeros(1))
-        monkeypatch.setattr(ad, "build_emulator",
-                            self.raising(IllConditioned("singular")))
-        assert ad._holdout_mspe(spread_banana_design, hyper, holdout) == np.inf
-        monkeypatch.setattr(ad, "build_emulator", self.raising(TypeError("bug")))
-        with pytest.raises(TypeError):
-            ad._holdout_mspe(spread_banana_design, hyper, holdout)
+    def test_refine_makes_no_fit(self, banana, spread_banana_design, monkeypatch):
+        monkeypatch.setattr(ad, "fit_hyperparameters",
+                            self.raising(AssertionError("fitted")))
+        pool_pts = spread_points(np.random.default_rng(10), 12, 2, spread=2.5,
+                                 min_sep=0.3)
+        pool = ad.CandidatePool(pool_pts,
+                                np.array([banana.potential(p) for p in pool_pts]))
+        cfg = ad.MICEConfig(init_keep=5, max_size=spread_banana_design.n + 3)
+        out, info = ad.mice_refine(spread_banana_design, pool, cfg,
+                                   np.array([0.7, 0.4]))
+        assert info["added"] > 0 and out.n == cfg.max_size
 
 
 class TestAdaptiveSampler:
@@ -657,7 +668,14 @@ class TestAdaptiveSampler:
         assert sampler.events == []
 
     def test_rebuild_counter_matches_regenerations(self, banana,
-                                                   spread_banana_design):
+                                                   spread_banana_design,
+                                                   monkeypatch):
+        """One emulator build at the start and one per regeneration, the
+        holdout of a refresh scoring the rebuilt emulator."""
+        builds = []
+        build = ad.build_emulator
+        monkeypatch.setattr(ad, "build_emulator",
+                            lambda *a, **k: builds.append(1) or build(*a, **k))
         rng = np.random.default_rng(15)
         sampler = self.make_sampler(banana, spread_banana_design, rng)
         state = init_state(sampler.target, np.zeros(2), rng)
@@ -665,6 +683,9 @@ class TestAdaptiveSampler:
             state, _ = sampler.step(state)
         assert sampler.n_regenerations > 0
         assert sampler.n_rebuilds == sampler.n_regenerations
+        assert any(ev.kind == "adapt_done" and np.isfinite(ev.holdout_mspe)
+                   for ev in sampler.events)
+        assert len(builds) == 1 + sampler.n_regenerations
 
     def test_tours_are_exchangeable(self, banana, spread_banana_design):
         """Shuffling tours leaves the batch-means variance consistent."""

@@ -461,6 +461,20 @@ class TestRun:
         assert (out / "chain_1.csv").exists()
         assert (out / "chain_0.csv").read_bytes() != (out / "chain_1.csv").read_bytes()
 
+    @pytest.mark.parametrize("chains", [0, -1])
+    def test_chain_count_below_one_is_refused(self, tmp_path, capsys, chains):
+        """A usage error before anything is written, and the same refusal
+        from ``run`` itself."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(banana_config(tmp_path)))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", str(path), "--chains", str(chains)])
+        assert exited.value.code == 2
+        assert "--chains must be at least 1" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="at least 1"):
+            cli.run(cli.validate_config(banana_config(tmp_path)), n_chains=chains)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("chains", [1, 2])
     def test_adaptive_start_radius_that_keeps_too_few_draws(self, tmp_path,
                                                             capsys, chains):
@@ -549,7 +563,7 @@ class TestDesignCommand:
     def test_refined_design_beats_random_subsets(self, tmp_path):
         """Greedy selection outperforms random 20-subsets on held-out error."""
         from gpgmc.adaptation import _holdout_mspe, maxmin_filter
-        from gpgmc.emulator import DesignSet
+        from gpgmc.emulator import DesignSet, build_emulator
         from gpgmc.mle import fit_hyperparameters
         from gpgmc.samplers import init_state, rwm_step
 
@@ -577,7 +591,7 @@ class TestDesignCommand:
                 hold_pts.append(st.theta.copy())
         hold_pts = np.array(hold_pts)
         holdout = (hold_pts, np.array([target.potential(p) for p in hold_pts]))
-        mice_mspe = _holdout_mspe(design, hyper, holdout)
+        mice_mspe = _holdout_mspe(build_emulator(design, hyper), holdout)
 
         pts_all, pots_all = cli._read_chain_csv(out / "chain.csv", 2)
         kept = maxmin_filter(pts_all, 0.15)
@@ -588,7 +602,8 @@ class TestDesignCommand:
             pick = rng.choice(cand_pts.shape[0], size=20, replace=False)
             sub = DesignSet(points=cand_pts[pick], potentials=cand_pots[pick])
             sub_hyper, _ = fit_hyperparameters(sub, rng=np.random.default_rng(0))
-            wins += mice_mspe <= _holdout_mspe(sub, sub_hyper, holdout)
+            wins += mice_mspe <= _holdout_mspe(build_emulator(sub, sub_hyper),
+                                               holdout)
         assert wins >= 8
 
     def test_saturated_candidates_return_input(self, tmp_path):

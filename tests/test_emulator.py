@@ -51,9 +51,15 @@ def test_coefficients_match_gls_oracle(gradients):
 
 def test_interpolates_design_points():
     fn, em = make_emulator(seed=1, nugget=0.0)
-    pred = em.predict(em.design.points[:4], 0, with_cov=True)
+    pred = em.predict(em.design.points[:4], 0)
     np.testing.assert_allclose(pred.mean, em.design.potentials[:4], atol=1e-8)
-    assert np.diagonal(pred.cov).max() <= 1e-10
+    assert em.predictive_variance(em.design.points[:4], 0).max() <= 1e-10
+
+
+def test_no_order_2_covariance():
+    _, em = make_emulator(seed=1)
+    with pytest.raises(ValueError, match="orders 0 and 1"):
+        em.predictive_variance(em.design.points[:2], 2)
 
 
 def test_quadratic_data_is_reproduced_exactly():
