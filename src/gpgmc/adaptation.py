@@ -22,7 +22,7 @@ from .emulator import (DesignSet, Emulator, Hyperparameters, NUGGET_DEFAULT,
                        build_emulator, per_datum_gram)
 from .errors import (AllDegenerate, IllConditioned, OptimFailed,
                      RejectionBudgetExhausted, TooFewPoints)
-from .geometry import EmulatedGeometry, metric_regularizer
+from .geometry import EmulatedGeometry
 from .mle import fit_hyperparameters
 
 __all__ = ["GaussianMixtureProposal", "build_mixture_proposal", "regen_log_prob",
@@ -44,9 +44,10 @@ PROBE_WINDOW = 25
 class GaussianMixtureProposal:
     """Mixture of Gaussians centred at design points.
 
-    Component precisions are the (regularized) Fisher matrices at the
-    centres; the mixture weights are the relative posterior probabilities
-    exp(-U) of the centres, normalized by log-sum-exp.
+    Component precisions are the sampler's metric at the centres (Fisher
+    matrix plus prior precision); the mixture weights are the relative
+    posterior probabilities exp(-U) of the centres, normalized by
+    log-sum-exp.
     """
 
     def __init__(self, centers: np.ndarray, precisions: np.ndarray,
@@ -80,36 +81,28 @@ class GaussianMixtureProposal:
 
 
 def build_mixture_proposal(emulator: Emulator,
-                           precision_floor: np.ndarray | None = None
-                           ) -> GaussianMixtureProposal:
+                           precision_floor: np.ndarray) -> GaussianMixtureProposal:
     """Mixture proposal over the emulator's design points.
 
     Centre precisions are the empirical Fisher matrices at the design points
     (exact slices of the generalized Fisher matrix when the design carries
-    per-datum gradients, emulated otherwise), regularized like the sampler
-    metric.  ``precision_floor`` (typically the prior precision) is added to
-    every component: a rank-deficient Fisher matrix alone would give the
-    component near-infinite spread along its null space and the independence
-    kernel would never accept.
+    per-datum gradients, emulated otherwise) plus ``precision_floor``, the
+    prior precision, as in the sampler metric: a rank-deficient Fisher
+    matrix alone would give the component near-infinite spread along its
+    null space and the independence kernel would never accept.
     """
     design = emulator.design
     dim = design.dim
     n = design.n
     if design.gfi is not None and design.has_gradients:
-        efis = np.empty((n, dim, dim))
-        for i in range(n):
-            rows = n + np.arange(dim) * n + i
-            efis[i] = design.gfi[np.ix_(rows, rows)]
+        # the gradient rows of point i are n + k n + i, k < D
+        rows = n + n * np.arange(dim) + np.arange(n)[:, None]
+        efis = design.gfi[rows[:, :, None], rows[:, None, :]]
     elif design.gfi is not None:
         efis = emulator.predict_efi(design.points)
     else:
         raise AllDegenerate("design carries no per-datum information for precisions")
-    floor = np.zeros((dim, dim)) if precision_floor is None \
-        else np.asarray(precision_floor, dtype=float)
-    precisions = np.empty_like(efis)
-    for i in range(n):
-        precisions[i] = 0.5 * (efis[i] + efis[i].T) + floor \
-            + metric_regularizer(efis[i]) * np.eye(dim)
+    precisions = 0.5 * (efis + efis.transpose(0, 2, 1)) + precision_floor
     return GaussianMixtureProposal(design.points, precisions, design.potentials)
 
 
@@ -437,7 +430,8 @@ class AdaptiveGPeSampler:
 
     ``rows`` are the design points' per-datum value rows, which refreshes
     recycle beside the tour's; a design holds only their Gram, so rows not
-    given cost one exact call per design point here.
+    given cost one exact call per design point here.  A value design
+    without a Gram takes it from the rows.
 
     The lengthscales are fitted on the design's values at the start (unless
     ``hyper`` is given) and again by each refresh, whose MICE picks are made
@@ -480,9 +474,12 @@ class AdaptiveGPeSampler:
         self._logw_history: deque[float] = deque(maxlen=PROBE_WINDOW)
         self.last_holdout_mspe = np.nan
 
+        if rows is None:
+            rows = [target.potential_per_datum(p)[1] for p in design.points]
+        if design.gfi is None and not design.has_gradients:
+            design = replace(design, gfi=per_datum_gram(np.array(rows)))
         self.design = design
-        self._design_rows = rows if rows is not None else [
-            target.potential_per_datum(p)[1] for p in design.points]
+        self._design_rows = rows
         self.hyper = hyper if hyper is not None else self._fit()
         self._rebuild()
 
@@ -490,10 +487,9 @@ class AdaptiveGPeSampler:
 
     def _rebuild(self):
         self.emulator = build_emulator(self.design, self.hyper)
-        self.geometry = EmulatedGeometry(self.emulator)
-        floor = self.raw_target.prior_precision() \
-            if hasattr(self.raw_target, "prior_precision") else None
-        self.proposal = build_mixture_proposal(self.emulator, precision_floor=floor)
+        floor = self.raw_target.prior_precision()
+        self.geometry = EmulatedGeometry(self.emulator, floor)
+        self.proposal = build_mixture_proposal(self.emulator, floor)
         # the fixed split constant: median of log(pi/q) over the design points
         self.log_c = float(np.median(
             [-u - self.proposal.logpdf(p)

@@ -80,7 +80,7 @@ _TOP = {"target": dict, "sampler": dict, "geometry": {}, "seed": int,
         "timing": ("real", "none"), "init": list}
 _GEOMETRY = {"mode": ("exact", "emulated"), "design_file": str, "design": {},
              "adaptation": dict}
-_DESIGN = {"source": ("prior", "chain"), "count": 100, "path": str,
+_DESIGN = {"source": ("prior", "chain"), "count": int, "path": str,
            **_dataclass_defaults(MICEConfig, "maxmin_radius"),
            "target_size": 20, "with_gradients": False}
 _ADAPTATION = {
@@ -194,7 +194,9 @@ def validate_config(cfg: dict) -> dict:
     """Validate and normalize a run config; raises ConfigError with a path.
 
     Every section gets its defaults filled in but ``geometry.adaptation``,
-    whose presence selects the adaptive sampler."""
+    whose presence selects the adaptive sampler; ``design.count`` and
+    ``adaptation.init_size`` are filled only for the prior, the one source
+    that reads them."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be an object")
     out = _section(cfg, _TOP, "", "the config",
@@ -210,12 +212,18 @@ def validate_config(cfg: dict) -> dict:
                                      "geometry")
     dcfg = geo["design"] = _section(geo["design"], _DESIGN, "/geometry/design",
                                     "design")
-    if dcfg["source"] == "chain" and "path" not in dcfg:
+    # the prior source reads count alone, the chain source path alone
+    unused = "path" if dcfg["source"] == "prior" else "count"
+    if unused in dcfg:
+        raise ConfigError(f"/geometry/design/{unused}",
+                          f"unused with source {dcfg['source']!r}")
+    if dcfg["source"] == "prior":
+        dcfg.setdefault("count", 100)
+    elif "path" not in dcfg:
         raise ConfigError("/geometry/design/path", "source 'chain' needs a chain CSV")
     if "adaptation" in geo:
         acfg = geo["adaptation"] = _section(
             geo["adaptation"], _ADAPTATION, "/geometry/adaptation", "adaptation")
-        acfg.setdefault("init_size", max(4 + 2 * dim, 10))
         if smp["name"] == "rwm":
             raise ConfigError("/geometry/adaptation", "needs a gradient-based sampler")
         if geo["mode"] != "emulated":
@@ -223,9 +231,14 @@ def validate_config(cfg: dict) -> dict:
         if "design_file" in geo:
             raise ConfigError("/geometry/design_file", "unused with adaptation; "
                               "give adaptation.init_design instead")
-        if acfg["init_design"] != "prior" and not acfg["init_design"].endswith(".json"):
+        if acfg["init_design"] == "prior":
+            acfg.setdefault("init_size", max(4 + 2 * dim, 10))
+        elif not acfg["init_design"].endswith(".json"):
             raise ConfigError("/geometry/adaptation/init_design",
                               "must be 'prior' or a path ending in .json")
+        elif "init_size" in acfg:
+            raise ConfigError("/geometry/adaptation/init_size",
+                              "unused with a design file as init_design")
     elif geo["mode"] == "emulated" and "design_file" not in geo:
         raise ConfigError("/geometry", "emulated mode needs design_file or adaptation")
     tname = out["target"]["name"]
@@ -330,12 +343,11 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
     ``chain.csv`` records every iteration's wall time, burn-in included; the
     summary's time, and so its s/iter and minESS/s, is that of the retained
     iterations whose draws it summarizes.  Chain 0 also writes the target's
-    data to ``data.csv``.
+    data to ``data.csv``, once the geometry is built: a design file that
+    cannot serve the sampler leaves no file of the chain.
     """
     seed = cfg["seed"]
     target = build_target(cfg, seed)
-    if chain_idx == 0:
-        _write_data_csv(out_dir / "data.csv", target)
     dim = target.dim
     scfg = cfg["sampler"]
     gcfg = cfg["geometry"]
@@ -351,7 +363,11 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
         geometry = ExactGeometry(target)
     elif acfg is None:
         design, hyper = load_design(gcfg["design_file"])
-        geometry = EmulatedGeometry(build_emulator(design, hyper))
+        if scfg["name"] in ("rhmc", "lmc") and design.gfi is None:
+            raise ConfigError("/geometry/design_file", f"{scfg['name']} needs a design "
+                              "with a per-datum Gram (from the prior, or with_gradients)")
+        geometry = EmulatedGeometry(build_emulator(design, hyper),
+                                    target.prior_precision())
     else:
         design, rows = _init_adaptive_design(cfg, target, acfg)
         adaptive = AdaptiveGPeSampler(
@@ -360,6 +376,8 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
             mice_cfg=MICEConfig(**_dataclass_args(MICEConfig, acfg)),
             rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
         kernel_tag = f"adp-gpe-{scfg['name']}"
+    if chain_idx == 0:
+        _write_data_csv(out_dir / "data.csv", target)
 
     theta0 = np.asarray(cfg["init"], dtype=float) if "init" in cfg else np.zeros(dim)
     chain_target = adaptive.target if adaptive is not None else target
@@ -430,7 +448,8 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
 
 def _init_adaptive_design(cfg, target, acfg):
     """The adaptive start's design and its per-datum value rows (None from a
-    design file, which holds only their Gram)."""
+    design file, which holds only their Gram); the sampler takes the Gram of
+    a prior design from the rows."""
     if acfg["init_design"] != "prior":
         return load_design(acfg["init_design"])[0], None
     size = acfg["init_size"]
@@ -444,9 +463,7 @@ def _init_adaptive_design(cfg, target, acfg):
                           f"prior draws, fewer than init_size {size}")
     pts = pts[keep[:size]]
     pots, _, rows = _evaluated_rows(target, pts)
-    # the Gram centres a copy: the sampler keeps the rows as evaluated
-    return DesignSet(points=pts, potentials=pots,
-                     gfi=per_datum_gram(rows.copy())), rows
+    return DesignSet(points=pts, potentials=pots), rows
 
 
 def run(cfg: dict, n_chains: int = 1):

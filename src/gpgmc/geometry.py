@@ -9,15 +9,16 @@ Riemannian or Lagrangian integrator point needs, in one call; its ``G`` is
 bitwise the one ``metric`` returns.  Exact providers delegate to a target
 model's analytic formulas; the emulated provider reads everything off a
 Gaussian-process emulator, so a sampler runs identically in "full" and
-"emulated" mode.  Acceptance tests never go through a provider: they always
-use the exact target potential.
+"emulated" mode.  Both define the metric one way: the likelihood's Fisher
+information (exact or emulated) plus the prior precision.  Acceptance tests
+never go through a provider: they always use the exact target potential.
 
 An emulated query makes one emulator call at one point, and that call one
 pass over the design: ``grad`` contracts it with weights the emulator built
 once, ``metric`` builds the order-1 map alone,
 ``metric_and_derivs`` the order-1 and order-2 maps and the gradient
-contraction from the same pass.  The regularizer is added to the diagonal
-in place.
+contraction from the same pass.  The prior precision is added to ``G`` in
+place; it is constant, so ``dG`` is the emulated derivative itself.
 """
 
 from __future__ import annotations
@@ -26,16 +27,7 @@ import numpy as np
 
 from .emulator import Emulator
 
-__all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind",
-           "metric_regularizer"]
-
-METRIC_REG_SCALE = 1e-6
-
-
-def metric_regularizer(G) -> float:
-    """``lam = max(METRIC_REG_SCALE * trace(G) / D, 1e-12)``, the multiple of
-    the identity that regularizes a D x D metric ``G``."""
-    return max(METRIC_REG_SCALE * float(G.trace()) / G.shape[0], 1e-12)
+__all__ = ["ExactGeometry", "EmulatedGeometry", "christoffel_first_kind"]
 
 
 def christoffel_first_kind(dG: np.ndarray) -> np.ndarray:
@@ -67,38 +59,27 @@ class ExactGeometry:
 class EmulatedGeometry:
     """Geometry read off a GP emulator (gradients, Fisher metric, connection).
 
-    The emulated Fisher matrix is regularized with ``lam(theta) * I`` where
-    ``lam = METRIC_REG_SCALE * trace / D`` (:func:`metric_regularizer`); the
-    derivative of ``lam`` is carried into the metric derivatives so the
-    regularized field stays an exact gradient.
+    The metric is the emulated Fisher matrix plus ``precision_floor``, the
+    target's prior precision (``target.prior_precision()``), as the exact
+    targets' metrics are: the likelihood's Fisher matrix alone may be rank
+    deficient.  The floor is constant, so it leaves the derivatives alone.
     """
 
-    def __init__(self, emulator: Emulator):
+    def __init__(self, emulator: Emulator, precision_floor=None):
         self.emulator = emulator
+        self.floor = 0.0 if precision_floor is None else np.asarray(precision_floor)
 
     def grad(self, theta) -> np.ndarray:
         return self.emulator.predict(theta, 1).mean[0]  # theta as one point
 
-    def _regularize(self, G):
-        """Adds ``lam * I`` to ``G`` in place; returns ``lam``."""
-        lam = metric_regularizer(G)
-        G.flat[::G.shape[0] + 1] += lam
-        return lam
-
     def metric(self, theta) -> np.ndarray:
-        """Regularized metric from the order-1 map alone."""
+        """The metric from the order-1 map alone."""
         G = self.emulator.predict_efi(np.atleast_2d(theta))[0]
-        self._regularize(G)
+        G += self.floor
         return G
 
     def metric_and_derivs(self, theta):
         G, T3, grad = self.emulator.predict_metric_bundle(np.atleast_2d(theta))
-        G, T3 = G[0], T3[0]
-        dim = G.shape[0]
+        G[0] += self.floor
         # dG_c[a, b] = T3[a, c, b] + T3[b, c, a]
-        dG = T3.transpose(1, 0, 2) + T3.transpose(1, 2, 0)
-        if self._regularize(G) > 1e-12:  # off the floor, lam varies with theta
-            # the diagonals of every dG[k], as one strided view
-            np.einsum("kii->ki", dG)[...] += \
-                METRIC_REG_SCALE * dG.trace(axis1=1, axis2=2)[:, None] / dim
-        return G, dG, grad[0]
+        return G[0], T3[0].transpose(1, 0, 2) + T3[0].transpose(1, 2, 0), grad[0]

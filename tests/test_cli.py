@@ -216,6 +216,13 @@ SHAPED_CONFIGS = [
      "sampler": {"name": "hmc"},
      "geometry": {"mode": "emulated", "adaptation": {"test_interval": 5}},
      "seed": 1, "iters": 10},
+    {"target": {"name": "banana"}, "sampler": {"name": "rwm"},
+     "geometry": {"design": {"source": "chain", "path": "out/chain.csv",
+                             "with_gradients": True}},
+     "seed": 1, "iters": 10},
+    {"target": {"name": "banana"}, "sampler": {"name": "rhmc"},
+     "geometry": {"mode": "emulated", "adaptation": {"init_design": "design.json"}},
+     "seed": 1, "iters": 10},
 ]
 
 
@@ -266,11 +273,20 @@ FAULTS = [
     (lambda t: adaptive_config(t, stop_mspe_rel=-0.1),
      "/geometry/adaptation/stop_mspe_rel"),
     (lambda t: banana_config(t, seed=-1), "/seed"),
+    # keys the chosen source would not read; a third entry names a case
+    # whose path another row has
+    (lambda t: design_config(t, path=str(t / "absent.csv")),
+     "/geometry/design/path", "/geometry/design/path with source prior"),
+    (lambda t: design_config(t, source="chain", path="chain.csv", count=50),
+     "/geometry/design/count", "/geometry/design/count with source chain"),
+    (lambda t: adaptive_config(t, init_design="design.json", init_size=12),
+     "/geometry/adaptation/init_size"),
 ]
 
 
 class TestConfigTable:
-    @pytest.mark.parametrize("make, path", FAULTS, ids=[path for _, path in FAULTS])
+    @pytest.mark.parametrize("make, path", [f[:2] for f in FAULTS],
+                             ids=[f[-1] for f in FAULTS])
     def test_fault_reports_path_and_exits_2(self, tmp_path, capsys, make, path):
         cfg = make(tmp_path)
         with pytest.raises(ConfigError) as err:
@@ -294,8 +310,12 @@ class TestConfigTable:
                 (norm["sampler"], cli._SAMPLERS[cfg["sampler"]["name"]]),
                 (geo, cli._GEOMETRY), (geo["design"], cli._DESIGN)]:
             assert set(section) >= static_keys(table)
-        if "adaptation" in geo:  # init_size is filled from the target dimension
-            assert set(geo["adaptation"]) == set(cli._ADAPTATION)
+        # count and init_size are filled for a prior source alone
+        assert ("count" in geo["design"]) == (geo["design"]["source"] == "prior")
+        if "adaptation" in geo:
+            from_prior = geo["adaptation"]["init_design"] == "prior"
+            assert set(geo["adaptation"]) == set(cli._ADAPTATION) - (
+                set() if from_prior else {"init_size"})
 
     def test_meta_records_the_config_that_ran(self, tmp_path):
         cfg = cli.validate_config(banana_config(tmp_path))
@@ -497,6 +517,21 @@ class TestRun:
         assert (out / "data.csv").read_text().startswith("y\n")
 
 
+@pytest.fixture(scope="module")
+def value_design(tmp_path_factory):
+    """A design file from a banana chain without gradients: a value design,
+    which carries no per-datum Gram."""
+    tmp = tmp_path_factory.mktemp("value_design")
+    out = cli.run(cli.validate_config(banana_config(tmp / "run")))
+    path, _ = cli.design_cmd(cli.validate_config(banana_config(
+        tmp / "design",
+        geometry={"mode": "exact",
+                  "design": {"source": "chain", "path": str(out / "chain.csv"),
+                             "target_size": 15, "maxmin_radius": 0.05}})))
+    assert load_design(path)[0].gfi is None
+    return path
+
+
 class TestDesignCommand:
     def test_prior_candidates_reach_target_size(self, tmp_path):
         cfg = cli.validate_config(banana_config(
@@ -535,6 +570,36 @@ class TestDesignCommand:
         design, _ = load_design(path)
         assert design.n <= 15
         assert design.gfi is None
+
+    @pytest.mark.parametrize("sampler", ["rhmc", "lmc"])
+    def test_metric_sampler_on_a_design_without_gram_is_refused(
+            self, tmp_path, capsys, value_design, sampler):
+        """A value design from a chain holds no per-datum Gram, so no metric:
+        the run is refused at the design file before any file of the chain
+        is written."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(banana_config(
+            tmp_path, sampler={"name": sampler, "step_size": 0.1, "n_steps": 3},
+            geometry={"mode": "emulated", "design_file": str(value_design)})))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: /geometry/design_file: {sampler} needs a design with "
+            f"a per-datum Gram")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_adaptive_run_from_a_design_without_gram(self, tmp_path, value_design):
+        """The adaptive sampler evaluates the design's per-datum rows, and
+        takes the design's Gram from them."""
+        cfg = cli.validate_config(banana_config(
+            tmp_path, sampler={"name": "rhmc", "step_size": 0.1, "n_steps": 3},
+            geometry={"mode": "emulated",
+                      "adaptation": {"init_design": str(value_design),
+                                     "test_interval": 2}},
+            iters=20, burnin=0))
+        out = cli.run(cfg)
+        assert len((out / "chain.csv").read_text().splitlines()) == 21
+        design, _ = load_design(out / "design.json")
+        assert design.gfi.shape == (design.n_tilde, design.n_tilde)
 
     def test_chain_source_with_gradients_supports_rhmc(self, tmp_path):
         bbd = {"name": "bbd", "dim": 4, "n_data": 300}

@@ -35,31 +35,28 @@ def _rel_err(got, ref):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(emulated_points())
 def test_metric_and_derivs_match_linear_map_oracles(case):
-    """One fused query returns what the per-quantity linear maps give."""
+    """One fused query returns what the per-quantity linear maps give:
+    G = A1 gfi A1', plus the prior precision when given, and dG straight
+    from T3 = A2 gfi A1', which a constant floor leaves alone."""
     em, x, pd = case
     dim = x.size
-    G, dG, grad = EmulatedGeometry(em).metric_and_derivs(x)
-
     L1 = em.linear_map(x[None, :], 1)
     L2 = em.linear_map(x[None, :], 2)
-    assert _rel_err(grad, L1 @ em.design.data_vector()) <= 1e-9
-
     ndata = pd.shape[1]
-    DU = L1 @ pd
-    centered = DU - DU.mean(axis=1, keepdims=True)
-    fisher = centered @ centered.T
-    lam = max(1e-6 * np.trace(fisher) / dim, 1e-12)
-    assert _rel_err(G, fisher + lam * np.eye(dim)) <= 1e-9
-
-    D2U = (L2 @ pd).reshape(dim, dim, ndata)
     J = np.eye(ndata) - np.ones((ndata, ndata)) / ndata
-    gamma = np.einsum("abn,nm,cm->abc", D2U, J, DU)
+    gfi = pd @ J @ pd.T
+    fisher = L1 @ gfi @ L1.T
+    # T3[a, b, c] = Gamma_{ab,c}, the rows of A2 indexed by (a, b)
+    T3 = (L2 @ gfi @ L1.T).reshape(dim, dim, dim)
     # dG_c[a, b] = Gamma_{ac,b} + Gamma_{bc,a}
-    oracle = np.einsum("acb->cab", gamma) + np.einsum("bca->cab", gamma)
-    if lam > 1e-12:  # off its floor, lam varies with x by 1e-6 tr(dG_c) / D
-        oracle += (1e-6 * np.trace(oracle, axis1=1, axis2=2) / dim)[:, None, None] \
-            * np.eye(dim)
-    assert _rel_err(dG, oracle) <= 1e-9
+    oracle = np.einsum("acb->cab", T3) + np.einsum("bca->cab", T3)
+
+    prior = np.diag(np.linspace(0.5, 2.0, dim)) + 0.1
+    for floor, G_ref in ((None, fisher), (prior, fisher + prior)):
+        G, dG, grad = EmulatedGeometry(em, floor).metric_and_derivs(x)
+        assert _rel_err(grad, L1 @ em.design.data_vector()) <= 1e-9
+        assert _rel_err(G, G_ref) <= 1e-9
+        assert _rel_err(dG, oracle) <= 1e-9
 
 
 def test_fused_gradient_equals_gradient_query():
@@ -136,8 +133,9 @@ def test_exact_provider_queries_metric_then_gradient():
 @given(emulated_points())
 def test_emulated_metric_query_equals_fused_metric(case):
     em, x, _ = case
-    geo = EmulatedGeometry(em)
-    np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])
+    for floor in (None, np.eye(x.size) / 0.7**2):
+        geo = EmulatedGeometry(em, floor)
+        np.testing.assert_array_equal(geo.metric(x), geo.metric_and_derivs(x)[0])
 
 
 def test_exact_metric_query_equals_fused_metric():

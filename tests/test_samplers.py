@@ -662,6 +662,37 @@ class TestEmulatedModeContract:
                 div += info.divergent
             assert counter.n_potential - before == n - div
 
+    @pytest.mark.parametrize("step", [rhmc_step, lmc_step])
+    def test_emulated_metric_accepts_like_the_exact_one(self, banana, step):
+        """With the prior precision in the emulated metric, as in the exact
+        one, emulated RHMC and LMC on a 10-point gradient design drawn from
+        an exact chain accept within 0.1 of exact geometry; the likelihood's
+        Fisher matrix alone lets them accept nothing here."""
+        cfg = IntegratorConfig(step_size=0.15, n_steps=8)
+        exact = ExactGeometry(banana)
+        pilot, _ = run_chain(lambda s: rhmc_step(s, banana, exact, cfg),
+                             init_state(banana, np.zeros(2), np.random.default_rng(3)),
+                             200)
+        pool = pilot[50:][ad.maxmin_filter(pilot[50:], 0.1)]
+        # lengthscales from the pool's values, as the design step fits them
+        hyper, _ = fit_hyperparameters(
+            DesignSet(points=pool, potentials=[banana.potential(p) for p in pool]),
+            rng=np.random.default_rng(0))
+        design = per_datum_design(
+            banana, pool[np.linspace(0, len(pool) - 1, 10).astype(int)],
+            gradients=True)
+        emulator = build_emulator(design, hyper)
+
+        def accept_rate(geometry):
+            state = init_state(banana, np.zeros(2), np.random.default_rng(4))
+            return run_chain(lambda s: step(s, banana, geometry, cfg), state, 100)[1]
+
+        target_rate = accept_rate(exact)
+        assert target_rate >= 0.75
+        assert abs(accept_rate(EmulatedGeometry(emulator, banana.prior_precision()))
+                   - target_rate) <= 0.1
+        assert accept_rate(EmulatedGeometry(emulator)) == 0.0
+
 
 class TestExactCallContract:
     """Exact potential calls = transitions - divergent + independence probes
