@@ -465,7 +465,6 @@ class AdaptiveGPeSampler:
 
         self.iteration = 0
         self.n_regenerations = 0
-        self.n_rebuilds = 0
         self.n_adaptations = 0
         self.events: list[AdaptEvent] = []
         self._tour_points: list[np.ndarray] = []
@@ -571,10 +570,10 @@ class AdaptiveGPeSampler:
         if self.schedule.refine:
             pool, holdout = self._collect_pool()
             if pool is None:
-                # one rebuild per regeneration while designs are being
-                # refined: refreshes the split constant even when the tour
-                # was too thin to attempt a refinement
-                self._rebuild()
+                # the tour was too thin to refresh: design and rho, and with
+                # them the emulator, proposal and split constant, stay; the
+                # probe window restarts, as at every regeneration
+                self._logw_history.clear()
             else:
                 self.events.append(AdaptEvent(self.iteration, "adapt_start",
                                               self.design.n))
@@ -605,7 +604,6 @@ class AdaptiveGPeSampler:
                     self.schedule.adaptation_active = False
                 self.events.append(AdaptEvent(self.iteration, "adapt_done",
                                               self.design.n, self.last_holdout_mspe))
-            self.n_rebuilds += 1
         # restart from the regeneration kernel, with the split constant that
         # fired the probe
         try:

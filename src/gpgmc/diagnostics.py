@@ -1,4 +1,4 @@
-"""Chain quality metrics: effective sample size and error-vs-time curves.
+"""Chain quality metrics: effective sample size and the summary table row.
 
 ESS uses the initial-monotone-positive-sequence truncation of the summed
 autocorrelations: paired autocovariances are accumulated until the first
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ess", "ErrorCurve", "error_curves", "ChainSummary", "summarize"]
+__all__ = ["ess", "ChainSummary", "summarize"]
 
 
 def _autocov(x: np.ndarray) -> np.ndarray:
@@ -63,45 +63,6 @@ def ess(chain: np.ndarray):
         tau = max(2.0 * total - 1.0, 1e-12)
         out[d] = min(max(B / tau, 1.0), float(B))
     return out, flags
-
-
-@dataclass
-class ErrorCurve:
-    times: np.ndarray
-    rem: np.ndarray
-    rec: np.ndarray | None
-
-
-def error_curves(chain: np.ndarray, times: np.ndarray, truth_mean: np.ndarray,
-                 truth_cov: np.ndarray | None = None,
-                 max_points: int = 200) -> ErrorCurve:
-    """Relative errors of the running mean (and covariance) against truth.
-
-    ``times`` are cumulative wall times per retained sample.  The relative
-    mean error is in the Euclidean norm, the covariance error in Frobenius
-    norm.  At most ``max_points`` checkpoints are evaluated.
-    """
-    chain = np.atleast_2d(np.asarray(chain, dtype=float))
-    times = np.asarray(times, dtype=float)
-    B = chain.shape[0]
-    truth_mean = np.asarray(truth_mean, dtype=float)
-    idx = np.unique(np.linspace(max(1, min(2, B - 1)), B - 1,
-                                min(max_points, B)).astype(int))
-    # fall back to absolute error when the true mean vanishes
-    mean_norm = np.linalg.norm(truth_mean) or 1.0
-    cum = np.cumsum(chain, axis=0)
-    rem = np.empty(idx.size)
-    rec = np.empty(idx.size) if truth_cov is not None else None
-    cov_norm = np.linalg.norm(truth_cov) if truth_cov is not None else None
-    for j, t in enumerate(idx):
-        nb = t + 1
-        mean_t = cum[t] / nb
-        rem[j] = np.linalg.norm(mean_t - truth_mean) / mean_norm
-        if truth_cov is not None:
-            dev = chain[:nb] - mean_t
-            cov_t = dev.T @ dev / nb
-            rec[j] = np.linalg.norm(cov_t - truth_cov) / cov_norm
-    return ErrorCurve(times=times[idx], rem=rem, rec=rec)
 
 
 @dataclass

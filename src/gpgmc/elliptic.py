@@ -171,7 +171,7 @@ class EllipticTarget:
     """
 
     def __init__(self, kl: KLExpansion, obs: np.ndarray, noise_sd: float = 0.1,
-                 mesh_size: int = 20, name: str = "elliptic"):
+                 mesh_size: int = 20):
         if mesh_size % 10 != 0:
             raise ValueError("mesh_size must be a multiple of 10 to host the "
                              "11x11 observation grid")
@@ -180,7 +180,6 @@ class EllipticTarget:
         self.noise_sd = float(noise_sd)
         self.mesh_size = mesh_size
         self.dim = kl.n_modes
-        self.name = name
         self.n_gth_factorizations = 0
         self.grid = _Grid(mesh_size)
         step = mesh_size // 10
@@ -198,17 +197,16 @@ class EllipticTarget:
     @classmethod
     def simulate(cls, rng: np.random.Generator, theta_true: np.ndarray,
                  kl: KLExpansion | None = None, noise_sd: float = 0.1,
-                 mesh_size: int = 20, name: str = "elliptic"):
+                 mesh_size: int = 20):
         """Build a target with synthetic noisy observations at theta_true."""
         theta_true = np.asarray(theta_true, dtype=float)
         if kl is None:
             kl = KLExpansion(n_modes=theta_true.size, mesh_size=mesh_size)
         clean = cls(kl=kl, obs=np.zeros(121), noise_sd=noise_sd,
-                    mesh_size=mesh_size, name=name)
+                    mesh_size=mesh_size)
         _, pred, _ = clean.solve(theta_true, want_sens=False)
         obs = pred + noise_sd * rng.standard_normal(121)
-        return cls(kl=kl, obs=obs, noise_sd=noise_sd, mesh_size=mesh_size,
-                   name=name)
+        return cls(kl=kl, obs=obs, noise_sd=noise_sd, mesh_size=mesh_size)
 
     # -- forward solve -----------------------------------------------------
 

@@ -13,8 +13,9 @@ once per design.  Posterior means need no map at all: they read the weights
 is a direct contraction of the kernel-derivative polynomials with ``w``
 (:func:`kernels._corr_dot`), costing O(m n D) for m points of an
 n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
-Cross blocks are built only for covariances and for the linear maps behind
-the Fisher matrices and connections.
+Cross blocks are built only for covariances, for the order-1 map behind the
+Fisher matrices and for the connections, which multiply the order-2 block
+into ``Q gfi A1'`` and never form the order-2 map.
 
 Each query takes the differences and correlations of its points against the
 design once (:class:`kernels.CrossDiffs`); the cross rows and the gradient
@@ -28,7 +29,7 @@ HMC integrator's, runs the same contraction without the point axis.  At one
 point of an n-point gradient design (n~ = n (1 + D)) the metric query
 (:meth:`Emulator.predict_efi`) costs O(D n~^2) and the full point
 (:meth:`Emulator.predict_metric_bundle`: metric, connection and gradient)
-O(D^2 n~^2), both dominated by the products with Q and the Gram; at the
+O(D n~^2 + D^3 n~), both dominated by the products with Q and the Gram; at the
 sizes the samplers use (n~ ~ 100, D ~ 4) the fixed cost of each numpy call
 matters as much, so a query makes as few of them as it can.
 """
@@ -243,30 +244,21 @@ class Emulator:
     def _cross_corr(self, points, order):
         return self._cross(points).rows((order,), self.design.has_gradients)[0]
 
-    def linear_map(self, points: np.ndarray, order: int,
+    def linear_map(self, points: np.ndarray,
                    cross: np.ndarray | None = None) -> np.ndarray:
-        """Prediction operator L so that mean = L @ data_vector (flat layout).
+        """Order-1 prediction operator A1, so that the (D m,) gradient means
+        in flat (coordinate-major) layout are A1 @ data_vector.
 
-        ``cross`` is the order-``order`` cross-correlation of ``points`` with
-        the design, when the caller has already built it.  The basis term of
-        orders 1 and 2 is read off slices of P.
+        ``cross`` is the order-1 cross-correlation of ``points`` with the
+        design, when the caller has already built it.  The basis term is read
+        off slices of P.
         """
         points = self._points(points)
-        C_ed = self._cross_corr(points, order) if cross is None else cross
-        L = C_ed @ self.Q
-        if order == 0:
-            return kernels.basis(points, 0) @ self.P + L
+        C1 = self._cross_corr(points, 1) if cross is None else cross
         m, dim = points.shape
-        if order == 1:
-            L = L.reshape(dim, m, -1)
-            L += self._P1 + points.T[:, :, None] * self._P2
-            return L.reshape(dim * m, -1)
-        L = L.reshape(dim, dim, m, -1)
-        d = np.arange(dim)
-        L[d, d] += self._P2
-        # enforce exact (k,l) row symmetry of the second-derivative map
-        L = 0.5 * (L + L.transpose(1, 0, 2, 3))
-        return L.reshape(dim * dim * m, -1)
+        L = (C1 @ self.Q).reshape(dim, m, -1)
+        L += self._P1 + points.T[:, :, None] * self._P2
+        return L.reshape(dim * m, -1)
 
     def _mean(self, points, order, cross=None):
         """Posterior mean H_e beta_hat + C_ed w in natural shape.
@@ -352,30 +344,37 @@ class Emulator:
         matrices are bitwise those of :meth:`predict_metric_bundle`.
         """
         points = self._points(points)
-        return self._fisher(self.linear_map(points, 1), *points.shape)[0]
+        return self._fisher(self.linear_map(points), *points.shape)[0]
 
     def predict_metric_bundle(self, points: np.ndarray):
         """Emulated metric, its raw derivative tensor and the gradient.
 
         One pass over the design (:class:`kernels.CrossDiffs`) gives the
-        order-1 and order-2 rows, hence the maps A1 and A2, and the gradient
-        contraction.  Returns ``(G, T3, grad)`` with ``G`` the (m, D, D)
-        empirical Fisher matrices, ``T3`` the (m, D, D, D) tensors
-        ``T3[i][a,b,c]`` equal to the first-kind connection Gamma_{ab,c} (the
-        metric derivative follows as dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and
-        ``grad`` the (m, D) potential gradients, bitwise
-        ``predict(points, 1).mean``.
+        order-1 and order-2 rows and the gradient contraction.  Returns
+        ``(G, T3, grad)`` with ``G`` the (m, D, D) empirical Fisher matrices,
+        ``T3`` the (m, D, D, D) tensors ``T3[i][a,b,c]`` equal to the
+        first-kind connection Gamma_{ab,c} (the metric derivative follows as
+        dG_c[a,b] = T3[a,c,b] + T3[b,c,a]), and ``grad`` the (m, D) potential
+        gradients, bitwise ``predict(points, 1).mean``.
+
+        The connection is A2 gfi A1' for the order-2 map A2 = C2 Q plus the
+        basis rows 2 d_kl P_{1+D+k}, taken point by point as C2 (Q gfi A1')
+        plus the basis term on the rows k = l, so A2 is never formed.  Each
+        point's products are the ones a one-point query makes, so a batch
+        gives the one-point tensors to round-off in ``gfi A1'`` alone.
         """
         points = self._points(points)
         m, dim = points.shape
         cross = self._cross(points)
         C1, C2 = cross.rows((1, 2), self.design.has_gradients)
-        A1 = self.linear_map(points, 1, C1)
-        A2 = self.linear_map(points, 2, C2)
-        G, gA1 = self._fisher(A1, m, dim)
-        T = A2 @ gA1
-        T5 = T.reshape(dim, dim, m, dim, m)
-        T3 = np.einsum("abici->iabc", T5)
+        G, gA1 = self._fisher(self.linear_map(points, C1), m, dim)
+        # (m, n~, D): each point's columns of gfi A1', contiguous so that its
+        # products take the BLAS path of a one-point query
+        gA1 = np.ascontiguousarray(gA1.reshape(-1, dim, m).transpose(2, 0, 1))
+        T3 = (C2.reshape(dim * dim, m, -1).transpose(1, 0, 2) @ (self.Q @ gA1)
+              ).reshape(m, dim, dim, dim)
+        d = np.arange(dim)
+        T3[:, d, d] += self._P2[:, 0] @ gA1
         return G, T3, self._mean(points, 1, cross)
 
 

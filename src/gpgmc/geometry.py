@@ -16,7 +16,7 @@ never go through a provider: they always use the exact target potential.
 An emulated query makes one emulator call at one point, and that call one
 pass over the design: ``grad`` contracts it with weights the emulator built
 once, ``metric`` builds the order-1 map alone,
-``metric_and_derivs`` the order-1 and order-2 maps and the gradient
+``metric_and_derivs`` the order-1 map, the connection and the gradient
 contraction from the same pass.  The prior precision is added to ``G`` in
 place; it is constant, so ``dG`` is the emulated derivative itself.
 """

@@ -29,14 +29,13 @@ class BBDTarget:
     """
 
     def __init__(self, data: np.ndarray, sigma_y: float = 1.0,
-                 sigma_theta: float = 1.0, dim: int = 4, name: str = "bbd"):
+                 sigma_theta: float = 1.0, dim: int = 4):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.data = np.ascontiguousarray(data, dtype=float)
         self.sigma_y = float(sigma_y)
         self.sigma_theta = float(sigma_theta)
         self.dim = dim
-        self.name = name
         self._odd_mask = (np.arange(dim) % 2) == 0  # 1-based odd coordinates
         self._odd_idx = np.nonzero(self._odd_mask)[0]
         self._even_idx = np.nonzero(~self._odd_mask)[0]
@@ -48,11 +47,10 @@ class BBDTarget:
     @classmethod
     def simulate(cls, rng: np.random.Generator, n_data: int = 3000,
                  mu_true: float = 0.0, sigma_y: float = 1.0,
-                 sigma_theta: float = 1.0, dim: int = 4, name: str = "bbd"):
+                 sigma_theta: float = 1.0, dim: int = 4):
         """Target with synthetic data y ~ N(mu_true, sigma_y^2)."""
         y = mu_true + sigma_y * rng.standard_normal(n_data)
-        return cls(data=y, sigma_y=sigma_y, sigma_theta=sigma_theta, dim=dim,
-                   name=name)
+        return cls(data=y, sigma_y=sigma_y, sigma_theta=sigma_theta, dim=dim)
 
     @property
     def data_count(self) -> int:
@@ -176,23 +174,22 @@ def banana_target(rng: np.random.Generator | None = None, n_data: int = 100,
     """Two-dimensional banana-shaped posterior (the dim=2 observation model)."""
     if data is not None:
         return BBDTarget(data=data, sigma_y=sigma_y, sigma_theta=sigma_theta,
-                         dim=2, name="banana")
+                         dim=2)
     if rng is None:
         raise ValueError("provide either data or an rng to simulate it")
     return BBDTarget.simulate(rng, n_data=n_data, mu_true=mu_true,
                               sigma_y=sigma_y, sigma_theta=sigma_theta,
-                              dim=2, name="banana")
+                              dim=2)
 
 
 class GaussianTarget:
     """Multivariate Gaussian potential, mostly for sampler validation."""
 
-    def __init__(self, mean, cov, name: str = "gaussian"):
+    def __init__(self, mean, cov):
         self.mean = np.asarray(mean, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
         self.prec = np.linalg.inv(self.cov)
         self.dim = self.mean.size
-        self.name = name
         self.data_count = 1
 
     def potential(self, theta) -> float:

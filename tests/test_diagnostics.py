@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpgmc.diagnostics import error_curves, ess, summarize
+from gpgmc.diagnostics import ess, summarize
 
 
 class TestESS:
@@ -47,52 +47,6 @@ class TestESS:
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             ess(np.zeros((5, 2)))
-
-
-class TestErrorCurves:
-    def test_exact_chain_has_zero_error(self):
-        truth = np.array([1.0, 2.0])
-        chain = np.tile(truth, (100, 1))
-        curve = error_curves(chain, np.arange(100, dtype=float), truth)
-        np.testing.assert_array_equal(curve.rem, 0.0)
-
-    def test_iid_error_decays_like_sqrt_time(self):
-        # a single path's slope is noisy; average the curve over replications
-        B = 50_000
-        truth = np.array([1.0, -2.0, 0.5])
-        times = np.arange(1, B + 1, dtype=float)
-        rems = []
-        for seed in range(10):
-            chain = np.random.default_rng(seed).standard_normal((B, 3)) + truth
-            curve = error_curves(chain, times, truth, max_points=300)
-            rems.append(curve.rem)
-        avg = np.mean(rems, axis=0)
-        mask = curve.times >= curve.times[-1] / 10
-        slope = np.polyfit(np.log(curve.times[mask]), np.log(avg[mask]), 1)[0]
-        assert -0.6 <= slope <= -0.4
-
-    def test_final_value_is_permutation_invariant(self):
-        rng = np.random.default_rng(6)
-        chain = rng.standard_normal((500, 2))
-        times = np.arange(500, dtype=float)
-        truth_mean = np.array([0.3, -0.4])
-        truth_cov = np.eye(2)
-        c1 = error_curves(chain, times, truth_mean, truth_cov)
-        perm = rng.permutation(500)
-        c2 = error_curves(chain[perm], times, truth_mean, truth_cov)
-        assert c1.rem[-1] == pytest.approx(c2.rem[-1], rel=1e-12)
-        assert c1.rec[-1] == pytest.approx(c2.rec[-1], rel=1e-12)
-
-    def test_rec_uses_frobenius_norm(self):
-        rng = np.random.default_rng(7)
-        chain = rng.standard_normal((2000, 2))
-        times = np.arange(2000, dtype=float)
-        truth_cov = np.eye(2)
-        curve = error_curves(chain, times, np.zeros(2), truth_cov)
-        dev = chain - chain.mean(axis=0)
-        cov = dev.T @ dev / 2000
-        expected = np.linalg.norm(cov - truth_cov) / np.linalg.norm(truth_cov)
-        assert curve.rec[-1] == pytest.approx(expected, rel=1e-10)
 
 
 class TestSummarize:

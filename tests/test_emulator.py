@@ -194,7 +194,7 @@ class TestEmpiricalFisher:
         got = em.predict_efi(th)[0]
         # oracle: predict each per-datum column's gradient, then assemble
         pd = smooth_fn.rows(pts)
-        DU = em.linear_map(th, 1) @ pd
+        DU = em.linear_map(th) @ pd
         centered = DU - DU.mean(axis=1, keepdims=True)
         oracle = centered @ centered.T
         np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-12)
@@ -239,8 +239,11 @@ class TestConnection:
         got = em.predict_metric_bundle(th)[1][0]
         pd = smooth_fn.rows(pts)
         ndata = pd.shape[1]
-        DU = em.linear_map(th, 1) @ pd
-        D2U = (em.linear_map(th, 2) @ pd).reshape(2, 2, ndata)
+        DU = em.linear_map(th) @ pd
+        # the order-2 map, from the cross block and the basis rows
+        C2 = kernels.cross_corr(th, 2, pts, em.hyper.rho, design.has_gradients)
+        A2 = C2 @ em.Q + kernels.basis(th, 2) @ em.P
+        D2U = (A2 @ pd).reshape(2, 2, ndata)
         J = np.eye(ndata) - np.ones((ndata, ndata)) / ndata
         oracle = np.einsum("abn,nm,cm->abc", D2U, J, DU)
         np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-12)

@@ -37,11 +37,14 @@ def _rel_err(got, ref):
 def test_metric_and_derivs_match_linear_map_oracles(case):
     """One fused query returns what the per-quantity linear maps give:
     G = A1 gfi A1', plus the prior precision when given, and dG straight
-    from T3 = A2 gfi A1', which a constant floor leaves alone."""
+    from T3 = A2 gfi A1', which a constant floor leaves alone.  The order-2
+    map A2 is built here from the cross block and the basis rows."""
     em, x, pd = case
     dim = x.size
-    L1 = em.linear_map(x[None, :], 1)
-    L2 = em.linear_map(x[None, :], 2)
+    L1 = em.linear_map(x[None, :])
+    L2 = kernels.cross_corr(x[None, :], 2, em.design.points, em.hyper.rho,
+                            em.design.has_gradients) @ em.Q \
+        + kernels.basis(x[None, :], 2) @ em.P
     ndata = pd.shape[1]
     J = np.eye(ndata) - np.ones((ndata, ndata)) / ndata
     gfi = pd @ J @ pd.T
@@ -57,6 +60,25 @@ def test_metric_and_derivs_match_linear_map_oracles(case):
         assert _rel_err(grad, L1 @ em.design.data_vector()) <= 1e-9
         assert _rel_err(G, G_ref) <= 1e-9
         assert _rel_err(dG, oracle) <= 1e-9
+
+
+def test_one_linear_map_per_metric_query(monkeypatch):
+    """The metric and the full point each build the order-1 map once; the
+    connection comes from it, not from a second, order-2 map."""
+    rng = np.random.default_rng(4)
+    fn = SmoothTestFunction(rng, 3)
+    em = Emulator(fn.design(spread_points(rng, 8, 3)),
+                  Hyperparameters(rho=np.array([0.6, 0.9, 1.2])))
+    calls = []
+    linear_map = Emulator.linear_map
+    monkeypatch.setattr(Emulator, "linear_map",
+                        lambda *a, **k: calls.append(1) or linear_map(*a, **k))
+    geo = EmulatedGeometry(em)
+    x = rng.uniform(-1.0, 1.0, 3)
+    geo.metric(x)
+    assert len(calls) == 1
+    geo.metric_and_derivs(x)
+    assert len(calls) == 2
 
 
 def test_fused_gradient_equals_gradient_query():
