@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ from .samplers import (DualAveraging, IntegratorConfig, hmc_step, init_state,
 from .targets import BBDTarget, GaussianTarget, banana_target
 
 STREAM_DATA = 0
-STREAM_INIT = 1
 STREAM_DESIGN = 2
 STREAM_CHAIN_BASE = 100
 
@@ -70,7 +70,7 @@ _TARGETS = {
 # the class each target name builds; exact rhmc and lmc need its fisher_derivs
 _TARGET_CLASSES = {"banana": BBDTarget, "bbd": BBDTarget,
                    "gaussian": GaussianTarget, "elliptic": EllipticTarget}
-_HMC = {"step_size": 0.1, "n_steps": 10, "tune": False, "target_accept": 0.7}
+_HMC = {"step_size": 0.1, "n_steps": 10, "tune": False, "target_accept": float}
 _SAMPLERS = {"rwm": {"proposal_sd": 0.5}, "hmc": _HMC, "lmc": _HMC,
              # the fixed points of rhmc's implicit generalized leapfrog
              "rhmc": {**_HMC, **_dataclass_defaults(
@@ -196,7 +196,8 @@ def validate_config(cfg: dict) -> dict:
     Every section gets its defaults filled in but ``geometry.adaptation``,
     whose presence selects the adaptive sampler; ``design.count`` and
     ``adaptation.init_size`` are filled only for the prior, the one source
-    that reads them."""
+    that reads them, and ``sampler.target_accept`` only where ``tune`` is
+    true."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be an object")
     out = _section(cfg, _TOP, "", "the config",
@@ -241,6 +242,8 @@ def validate_config(cfg: dict) -> dict:
                               "unused with a design file as init_design")
     elif geo["mode"] == "emulated" and "design_file" not in geo:
         raise ConfigError("/geometry", "emulated mode needs design_file or adaptation")
+    elif geo["mode"] == "exact" and "design_file" in geo:
+        raise ConfigError("/geometry/design_file", "unused with mode 'exact'")
     tname = out["target"]["name"]
     if smp["name"] in ("rhmc", "lmc") and geo["mode"] == "exact" \
             and not hasattr(_TARGET_CLASSES[tname], "fisher_derivs"):
@@ -249,6 +252,14 @@ def validate_config(cfg: dict) -> dict:
                           f"target {tname!r} does not provide; use hmc or "
                           f"geometry mode 'emulated'")
 
+    # the step size is tuned during burn-in, or an adaptive run's adaptation
+    if smp.get("tune"):
+        if out["burnin"] == 0 and "adaptation" not in geo:
+            raise ConfigError("/sampler/tune", "tunes during burn-in; needs "
+                              "burnin > 0 or adaptation")
+        smp.setdefault("target_accept", 0.7)
+    elif "target_accept" in smp:
+        raise ConfigError("/sampler/target_accept", "unused without tune: true")
     if out["burnin"] >= out["iters"]:
         raise ConfigError("/burnin", "burnin must be < iters")
     if "init" in out:
@@ -374,7 +385,8 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
             target, design, integ, kernel=scfg["name"], rows=rows,
             schedule=RegenSchedule(**_dataclass_args(RegenSchedule, acfg)),
             mice_cfg=MICEConfig(**_dataclass_args(MICEConfig, acfg)),
-            rng=rng, tune=scfg["tune"], target_accept=scfg["target_accept"])
+            rng=rng, **{key: scfg[key] for key in ("tune", "target_accept")
+                        if key in scfg})
         kernel_tag = f"adp-gpe-{scfg['name']}"
     if chain_idx == 0:
         _write_data_csv(out_dir / "data.csv", target)
@@ -383,9 +395,16 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
     chain_target = adaptive.target if adaptive is not None else target
     state = init_state(chain_target, theta0, rng)
 
-    tuner = None
-    if integ is not None and scfg["tune"] and adaptive is None:
-        tuner = DualAveraging(integ.step_size, target=scfg["target_accept"])
+    # bound per run, not at import: benchmarks/tracing.py replaces the steps
+    tuner = kernel = None
+    if scfg["name"] == "rwm":
+        kernel = partial(rwm_step, target=target, proposal_sd=scfg["proposal_sd"])
+    elif adaptive is None:
+        kernel = partial({"hmc": hmc_step, "rhmc": rhmc_step,
+                          "lmc": lmc_step}[scfg["name"]],
+                         target=target, geometry=geometry, cfg=integ)
+        if scfg["tune"]:
+            tuner = DualAveraging(integ.step_size, target=scfg["target_accept"])
 
     chain_path = out_dir / f"chain{suffix}.csv"
     events_path = out_dir / f"events{suffix}.csv"
@@ -404,16 +423,11 @@ def run_single_chain(cfg: dict, chain_idx: int, out_dir: Path, suffix: str = "")
                 state, info = adaptive.step(state)
                 acc = info["accepted"] or bool(info["indep_accepted"])
                 regen = int(info["regenerated"])
-                alpha = info["alpha"]
-            elif scfg["name"] == "rwm":
-                state, sinfo = rwm_step(state, target, scfg["proposal_sd"])
-                acc, alpha = sinfo.accepted, sinfo.alpha
             else:
-                step = {"hmc": hmc_step, "rhmc": rhmc_step, "lmc": lmc_step}[scfg["name"]]
-                state, sinfo = step(state, target, geometry, integ)
-                acc, alpha = sinfo.accepted, sinfo.alpha
+                state, info = kernel(state)
+                acc = info.accepted
                 if tuner is not None and it < burnin:
-                    integ.step_size = tuner.update(alpha)
+                    integ.step_size = tuner.update(info.alpha)
                     if it == burnin - 1:
                         integ.step_size = tuner.tuned_step
             wall_ns = (time.perf_counter_ns() - t0) if timing else 0

@@ -33,24 +33,18 @@ class DegenerateKernel(GpgmcError):
     """Requested more eigenpairs than the numerically nonzero spectrum."""
 
 
-class SolverFailure(GpgmcError):
-    """The discrete PDE system could not be solved."""
+class Divergence(GpgmcError):
+    """A trajectory left the finite or positive-definite range; the one error
+    a transition kernel catches, rejecting with no exact evaluation."""
+
+
+class SolverFailure(Divergence):
+    """The discrete PDE system could not be solved; a proposal that needs
+    the solve diverges."""
 
 
 class OptimFailed(GpgmcError):
     """All hyperparameter optimization restarts diverged."""
-
-
-class NonFiniteGradient(GpgmcError):
-    """Geometry returned NaN/Inf; the proposal should be rejected."""
-
-
-class FixedPointDivergence(GpgmcError):
-    """Implicit integrator iterates became non-finite."""
-
-
-class SingularUpdate(GpgmcError):
-    """An explicit integrator update matrix is numerically singular."""
 
 
 class RejectionBudgetExhausted(GpgmcError):

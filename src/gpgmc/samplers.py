@@ -5,10 +5,13 @@ a geometry provider (used solely to drive the proposal dynamics), so swapping
 exact geometry for an emulated one changes proposals but never the acceptance
 test.  Exactly one exact potential evaluation is spent per completed proposal.
 
-Non-finite geometry during a trajectory auto-rejects the proposal instead of
-aborting: long emulator extrapolations can produce wild values and the chain
-must survive them.  So does a finite metric that is not positive definite,
-which fails the Cholesky factorization behind every inverse metric.
+A trajectory raises ``Divergence`` when the geometry or an iterate leaves
+the finite range, a metric is not positive definite, an LMC update matrix is
+singular or an elliptic solve fails (``SolverFailure``).  A step catches it
+alone and rejects the proposal with no exact evaluation, the state left as
+it was; any other error propagates.  Overflow on the way is expected, so
+each step and integrator has its own ``np.errstate`` instance (numpy < 2
+keeps the saved state on it, and ``hmc_step`` nests ``leapfrog``).
 
 A Riemannian or Lagrangian step asks its geometry provider for one full
 point (metric, metric derivatives and gradient) per integrator step, and
@@ -25,15 +28,14 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, solve, solve_triangular, LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from .errors import (FixedPointDivergence, NonFiniteGradient, SingularUpdate,
-                     SolverFailure)
+from .errors import Divergence
 from .geometry import christoffel_first_kind
 
 __all__ = ["ChainState", "IntegratorConfig", "StepInfo", "init_state",
@@ -60,12 +62,13 @@ class IntegratorConfig:
 
 @dataclass
 class ChainState:
-    """Current position with its exact potential and a private RNG stream."""
+    """Current position with its exact potential, a private RNG stream and
+    the manifold point a manifold step last built at it."""
 
     theta: np.ndarray
     potential: float
     rng: np.random.Generator
-    cache: dict = field(default_factory=dict)
+    point: _ManifoldPoint | None = None
 
 
 @dataclass
@@ -73,7 +76,10 @@ class StepInfo:
     accepted: bool
     alpha: float = 0.0
     divergent: bool = False
-    exact_calls: int = 1
+
+    @property
+    def exact_calls(self) -> int:  # a divergent step makes none
+        return 0 if self.divergent else 1
 
 
 def init_state(target, theta0, rng: np.random.Generator) -> ChainState:
@@ -88,35 +94,28 @@ def _finite(*arrays) -> bool:
     return True
 
 
-def _quiet_overflow(fn):
-    """Divergent trajectories overflow to inf by design; finiteness is
-    checked explicitly, so the warnings are pure noise."""
-
-    def wrapped(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
+def _require_finite(what: str, *arrays):
+    if not _finite(*arrays):
+        raise Divergence(f"{what} non-finite")
 
 
-def _accept(state: ChainState, log_ratio: float):
+def _metropolis(state: ChainState, log_ratio: float, theta, potential,
+                point=None):
+    """The Metropolis test of a proposal: the next state and its StepInfo."""
     alpha = float(np.exp(min(0.0, log_ratio))) if np.isfinite(log_ratio) else 0.0
-    return (state.rng.random() < alpha), alpha
+    if state.rng.random() < alpha:
+        return ChainState(theta, potential, state.rng, point), StepInfo(True, alpha)
+    return state, StepInfo(False, alpha)
 
 
 # -- random walk ---------------------------------------------------------
 
-@_quiet_overflow
+@np.errstate(over="ignore", invalid="ignore")
 def rwm_step(state: ChainState, target, proposal_sd: float):
     """Gaussian random-walk Metropolis; acceptance uses the exact potential."""
     prop = state.theta + proposal_sd * state.rng.standard_normal(state.theta.size)
     u_prop = target.potential(prop)
-    ok, alpha = _accept(state, state.potential - u_prop)
-    if ok:
-        return ChainState(prop, u_prop, state.rng), StepInfo(True, alpha)
-    return state, StepInfo(False, alpha)
+    return _metropolis(state, state.potential - u_prop, prop, u_prop)
 
 
 # -- HMC -------------------------------------------------------------------
@@ -133,12 +132,12 @@ def _mass_ops(cfg: IntegratorConfig, dim: int):
         (lambda p: 0.5 * float(p @ minv(p)))
 
 
-@_quiet_overflow
+@np.errstate(over="ignore", invalid="ignore")
 def leapfrog(theta, p, grad_fn, step_size, n_steps, mass_inv=None):
     """Stormer-Verlet integration of separable Hamiltonian dynamics.
 
     ``n_steps = 0`` returns the inputs untouched; ``mass_inv`` None is the
-    identity.  Raises NonFiniteGradient when the gradient field or the
+    identity.  Raises Divergence when the gradient field or the
     iterates leave the finite range.  Each step takes the finiteness test
     from one reduction, the sum of the iterates' and the gradient's entries,
     and scans them only when that sum is not finite, which a non-finite
@@ -151,35 +150,31 @@ def leapfrog(theta, p, grad_fn, step_size, n_steps, mass_inv=None):
     half = 0.5 * step_size
     g = grad_fn(theta)
     if not _finite(g):
-        raise NonFiniteGradient("gradient non-finite at trajectory start")
+        raise Divergence("gradient non-finite at trajectory start")
     kick = half * g  # the half-step kick, shared by two consecutive steps
     for _ in range(n_steps):
         p = p - kick
         theta = theta + step_size * (p if mass_inv is None else mass_inv(p))
         g = grad_fn(theta)
         if not math.isfinite((theta + p + g).sum()) and not _finite(theta, p, g):
-            raise NonFiniteGradient("trajectory left the finite range")
+            raise Divergence("trajectory left the finite range")
         kick = half * g
         p = p - kick
     return theta, p
 
 
-@_quiet_overflow
+@np.errstate(over="ignore", invalid="ignore")
 def hmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
-    dim = state.theta.size
-    minv, sample_p, kinetic = _mass_ops(cfg, dim)
+    minv, sample_p, kinetic = _mass_ops(cfg, state.theta.size)
     p0 = sample_p(state.rng)
     try:
         theta1, p1 = leapfrog(state.theta, p0, geometry.grad,
                               cfg.step_size, cfg.n_steps, minv)
         u1 = target.potential(theta1)
-    except (NonFiniteGradient, SolverFailure):
-        return state, StepInfo(False, divergent=True, exact_calls=0)
+    except Divergence:
+        return state, StepInfo(False, divergent=True)
     log_ratio = (state.potential + kinetic(p0)) - (u1 + kinetic(p1))
-    ok, alpha = _accept(state, log_ratio)
-    if ok:
-        return ChainState(theta1, u1, state.rng), StepInfo(True, alpha)
-    return state, StepInfo(False, alpha)
+    return _metropolis(state, log_ratio, theta1, u1)
 
 
 # -- RHMC --------------------------------------------------------------------
@@ -189,13 +184,13 @@ def _cholesky_inverse(G):
 
     Calls LAPACK's potrf and potri directly: at D x D the per-call overhead
     of scipy's checked wrappers and a solve against the identity is most of
-    the cost.  A metric that is not positive definite raises LinAlgError.
+    the cost.  A metric that is not positive definite raises Divergence.
     """
     chol, info = dpotrf(G, lower=1, clean=1)
     if info == 0:
         inv, info = dpotri(chol, lower=1)
     if info != 0:
-        raise LinAlgError("metric is not positive definite")
+        raise Divergence("metric is not positive definite")
     # potri fills the lower triangle and leaves chol's zeros above it, so
     # adding the transpose doubles the diagonal alone; halving it is exact
     ginv = inv + inv.T
@@ -206,8 +201,7 @@ def _cholesky_inverse(G):
 def _metric_inverse(geometry, theta):
     """Inverse metric at ``theta`` from the provider's metric-only query."""
     G = geometry.metric(theta)
-    if not _finite(G):
-        raise NonFiniteGradient("metric non-finite")
+    _require_finite("metric", G)
     return _cholesky_inverse(G)[1]
 
 
@@ -217,16 +211,14 @@ class _ManifoldPoint:
     def __init__(self, geometry, theta):
         self.theta = np.asarray(theta, dtype=float)
         G, dG, grad_u = geometry.metric_and_derivs(self.theta)
-        if not _finite(G, dG):
-            raise NonFiniteGradient("metric non-finite")
+        _require_finite("metric", G, dG)
         self.G = G
         self.dG = dG
         self.chol, self.Ginv = _cholesky_inverse(G)
         self.logdet = 2.0 * float(np.log(self.chol.diagonal()).sum())
         # grad of phi = U + log det(G)/2
         self.gphi = grad_u + 0.5 * np.einsum("ij,kji->k", self.Ginv, dG)
-        if not _finite(self.gphi):
-            raise NonFiniteGradient("phi gradient non-finite")
+        _require_finite("phi gradient", self.gphi)
 
     @cached_property
     def gamma2(self):
@@ -253,7 +245,28 @@ class _ManifoldPoint:
         return potential - 0.5 * self.logdet + 0.5 * float(v @ self.G @ v)
 
 
-@_quiet_overflow
+def _manifold_step(state: ChainState, target, geometry, cfg, draw, energy,
+                   integrate):
+    """One RHMC or LMC transition from the state's point (reused when it
+    sits at ``theta``), the auxiliary variable's ``draw`` and ``energy``, and
+    ``integrate``, which returns (theta, aux, point, *log Jacobian terms)."""
+    try:
+        point = state.point
+        if point is None or not np.array_equal(point.theta, state.theta):
+            point = _ManifoldPoint(geometry, state.theta)
+        aux0 = draw(point, state.rng)
+        theta1, aux1, end, *log_jacobian = integrate(state.theta, aux0, geometry,
+                                                     cfg, start=point)
+        u1 = target.potential(theta1)
+    except Divergence:
+        return state, StepInfo(False, divergent=True)
+    state.point = point
+    return _metropolis(state, energy(point, state.potential, aux0)
+                       - energy(end, u1, aux1) + sum(log_jacobian),
+                       theta1, u1, end)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
                          start: _ManifoldPoint | None = None):
     """Semi-implicit reversible integrator for position-dependent metrics.
@@ -289,8 +302,8 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
         for _ in range(cfg.fixed_point_iters):
             p_new = p - 0.5 * eps * (point.gphi - 0.5 * point.nu(p_half))
             delta = np.abs(p_new - p_half).max()
-            if not math.isfinite(delta) and not _finite(p_new):
-                raise FixedPointDivergence("momentum iterate non-finite")
+            if not math.isfinite(delta):
+                _require_finite("momentum iterate", p_new)
             p_half = p_new
             if delta < cfg.fixed_point_tol:
                 break
@@ -300,8 +313,8 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
         for sweep in range(cfg.fixed_point_iters):
             theta_next = theta + 0.5 * eps * (point.Ginv + ginv_end) @ p_half
             delta = np.abs(theta_next - theta_new).max()
-            if not math.isfinite(delta) and not _finite(theta_next):
-                raise FixedPointDivergence("position iterate non-finite")
+            if not math.isfinite(delta):
+                _require_finite("position iterate", theta_next)
             theta_new = theta_next
             if delta < cfg.fixed_point_tol or sweep == cfg.fixed_point_iters - 1:
                 break
@@ -310,33 +323,16 @@ def generalized_leapfrog(state_theta, p, geometry, cfg: IntegratorConfig,
         theta = theta_new
         # explicit momentum half-step
         p = p_half - 0.5 * eps * (end.gphi - 0.5 * end.nu(p_half))
-        if not _finite(p):
-            raise FixedPointDivergence("momentum update non-finite")
+        _require_finite("momentum update", p)
         point = end
     return theta, p, point
 
 
-@_quiet_overflow
+@np.errstate(over="ignore", invalid="ignore")
 def rhmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
-    try:
-        point = state.cache.get("manifold_point")
-        if point is None or not np.array_equal(point.theta, state.theta):
-            point = _ManifoldPoint(geometry, state.theta)
-        p0 = point.sample_momentum(state.rng)
-        h0 = point.hamiltonian(state.potential, p0)
-        theta1, p1, end = generalized_leapfrog(state.theta, p0, geometry, cfg,
-                                               start=point)
-        u1 = target.potential(theta1)
-    except (FixedPointDivergence, NonFiniteGradient, SolverFailure, LinAlgError):
-        return state, StepInfo(False, divergent=True, exact_calls=0)
-    h1 = end.hamiltonian(u1, p1)
-    ok, alpha = _accept(state, h0 - h1)
-    if ok:
-        new = ChainState(theta1, u1, state.rng)
-        new.cache["manifold_point"] = end
-        return new, StepInfo(True, alpha)
-    state.cache["manifold_point"] = point
-    return state, StepInfo(False, alpha)
+    return _manifold_step(state, target, geometry, cfg,
+                          _ManifoldPoint.sample_momentum,
+                          _ManifoldPoint.hamiltonian, generalized_leapfrog)
 
 
 # -- LMC ---------------------------------------------------------------------
@@ -349,11 +345,22 @@ def _omega(point: _ManifoldPoint, v):
 def _logabsdet(M):
     sign, val = np.linalg.slogdet(M)
     if sign == 0 or not np.isfinite(val):
-        raise SingularUpdate("integrator update matrix is singular")
+        raise Divergence("integrator update matrix is singular")
     return val
 
 
-@_quiet_overflow
+def _solve(A, b, what: str):
+    """``A^-1 b`` for an LMC velocity update; a singular ``A`` or a
+    non-finite result raises Divergence."""
+    try:
+        x = solve(A, b)
+    except LinAlgError as exc:
+        raise Divergence(str(exc)) from exc
+    _require_finite(what, x)
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def lmc_integrator(state_theta, v, geometry, cfg: IntegratorConfig,
                    start: _ManifoldPoint | None = None):
     """Fully explicit Lagrangian integrator with its log Jacobian.
@@ -366,30 +373,20 @@ def lmc_integrator(state_theta, v, geometry, cfg: IntegratorConfig,
     point = start if start is not None else _ManifoldPoint(geometry, state_theta)
     theta = np.array(state_theta, dtype=float)
     v = np.array(v, dtype=float)
-    dim = v.size
-    eye = np.eye(dim)
+    eye = np.eye(v.size)
     logdet = 0.0
     for _ in range(cfg.n_steps):
         omega0 = _omega(point, v)
-        try:
-            v_half = solve(eye + 0.5 * eps * omega0,
-                           v - 0.5 * eps * point.Ginv @ point.gphi)
-        except LinAlgError as exc:
-            raise SingularUpdate(str(exc)) from exc
-        if not _finite(v_half):
-            raise SingularUpdate("half-step velocity non-finite")
+        v_half = _solve(eye + 0.5 * eps * omega0,
+                        v - 0.5 * eps * point.Ginv @ point.gphi,
+                        "half-step velocity")
         theta_new = theta + eps * v_half
-        if not _finite(theta_new):
-            raise SingularUpdate("position update non-finite")
+        _require_finite("position update", theta_new)
         end = _ManifoldPoint(geometry, theta_new)
         omega_half_end = _omega(end, v_half)
-        try:
-            v_new = solve(eye + 0.5 * eps * omega_half_end,
-                          v_half - 0.5 * eps * end.Ginv @ end.gphi)
-        except LinAlgError as exc:
-            raise SingularUpdate(str(exc)) from exc
-        if not _finite(v_new):
-            raise SingularUpdate("velocity update non-finite")
+        v_new = _solve(eye + 0.5 * eps * omega_half_end,
+                       v_half - 0.5 * eps * end.Ginv @ end.gphi,
+                       "velocity update")
         logdet += _logabsdet(eye - 0.5 * eps * _omega(end, v_new))
         logdet += _logabsdet(eye - 0.5 * eps * _omega(point, v_half))
         logdet -= _logabsdet(eye + 0.5 * eps * omega_half_end)
@@ -398,27 +395,11 @@ def lmc_integrator(state_theta, v, geometry, cfg: IntegratorConfig,
     return theta, v, point, logdet
 
 
-@_quiet_overflow
+@np.errstate(over="ignore", invalid="ignore")
 def lmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
-    try:
-        point = state.cache.get("manifold_point")
-        if point is None or not np.array_equal(point.theta, state.theta):
-            point = _ManifoldPoint(geometry, state.theta)
-        v0 = point.sample_velocity(state.rng)
-        e0 = point.lagrangian_energy(state.potential, v0)
-        theta1, v1, end, logdet = lmc_integrator(state.theta, v0, geometry, cfg,
-                                                 start=point)
-        u1 = target.potential(theta1)
-    except (SingularUpdate, NonFiniteGradient, SolverFailure, LinAlgError):
-        return state, StepInfo(False, divergent=True, exact_calls=0)
-    e1 = end.lagrangian_energy(u1, v1)
-    ok, alpha = _accept(state, (e0 - e1) + logdet)
-    if ok:
-        new = ChainState(theta1, u1, state.rng)
-        new.cache["manifold_point"] = end
-        return new, StepInfo(True, alpha)
-    state.cache["manifold_point"] = point
-    return state, StepInfo(False, alpha)
+    return _manifold_step(state, target, geometry, cfg,
+                          _ManifoldPoint.sample_velocity,
+                          _ManifoldPoint.lagrangian_energy, lmc_integrator)
 
 
 # -- step-size adaptation ------------------------------------------------

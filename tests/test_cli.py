@@ -223,6 +223,10 @@ SHAPED_CONFIGS = [
     {"target": {"name": "banana"}, "sampler": {"name": "rhmc"},
      "geometry": {"mode": "emulated", "adaptation": {"init_design": "design.json"}},
      "seed": 1, "iters": 10},
+    # an adaptive run tunes during adaptation, with no burn-in
+    {"target": {"name": "banana"},
+     "sampler": {"name": "lmc", "tune": True, "target_accept": 0.8},
+     "geometry": {"mode": "emulated", "adaptation": {}}, "seed": 1, "iters": 10},
 ]
 
 
@@ -252,7 +256,8 @@ FAULTS = [
      "/sampler/target_accept"),
     # range rules
     (lambda t: banana_config(t, burnin=-1), "/burnin"),
-    (lambda t: banana_config(t, sampler={"name": "hmc", "target_accept": 1.0}),
+    (lambda t: banana_config(t, sampler={"name": "hmc", "tune": True,
+                                         "target_accept": 1.0}),
      "/sampler/target_accept"),
     (lambda t: banana_config(t, sampler={"name": "rhmc", "fixed_point_tol": -1e-8}),
      "/sampler/fixed_point_tol"),
@@ -281,6 +286,13 @@ FAULTS = [
      "/geometry/design/count", "/geometry/design/count with source chain"),
     (lambda t: adaptive_config(t, init_design="design.json", init_size=12),
      "/geometry/adaptation/init_size"),
+    # keys no part of the run reads
+    (lambda t: banana_config(t, sampler={"name": "hmc", "tune": True}, burnin=0),
+     "/sampler/tune", "/sampler/tune with burnin 0"),
+    (lambda t: banana_config(t, sampler={"name": "hmc", "target_accept": 0.8}),
+     "/sampler/target_accept", "/sampler/target_accept without tune"),
+    (lambda t: banana_config(t, geometry={"mode": "exact", "design_file": "nope.json"}),
+     "/geometry/design_file", "/geometry/design_file with mode exact"),
 ]
 
 
@@ -310,8 +322,10 @@ class TestConfigTable:
                 (norm["sampler"], cli._SAMPLERS[cfg["sampler"]["name"]]),
                 (geo, cli._GEOMETRY), (geo["design"], cli._DESIGN)]:
             assert set(section) >= static_keys(table)
-        # count and init_size are filled for a prior source alone
+        # count and init_size are filled for a prior source alone, and
+        # target_accept where the step size is tuned
         assert ("count" in geo["design"]) == (geo["design"]["source"] == "prior")
+        assert ("target_accept" in norm["sampler"]) == norm["sampler"].get("tune", False)
         if "adaptation" in geo:
             from_prior = geo["adaptation"]["init_design"] == "prior"
             assert set(geo["adaptation"]) == set(cli._ADAPTATION) - (

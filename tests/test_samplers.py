@@ -3,13 +3,12 @@ import inspect
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from conftest import SmoothTestFunction, per_datum_design, spread_points
 from gpgmc import adaptation as ad
 from gpgmc.emulator import DesignSet, Hyperparameters, build_emulator
-from gpgmc.errors import (FixedPointDivergence, NonFiniteGradient,
-                          RejectionBudgetExhausted)
+from gpgmc.errors import Divergence, RejectionBudgetExhausted
 from gpgmc.geometry import EmulatedGeometry, ExactGeometry
 from gpgmc.geometry import christoffel_first_kind
 from gpgmc.mle import fit_hyperparameters
@@ -19,6 +18,10 @@ from gpgmc.samplers import (ChainState, DualAveraging, IntegratorConfig,
                             rhmc_step, rwm_step)
 from gpgmc.samplers import _omega
 from gpgmc.targets import CountingTarget, GaussianTarget, banana_target
+
+# divergent trajectories overflow by design; each step and integrator keeps
+# numpy's warnings of it quiet, so any that escapes is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +93,7 @@ class TestLeapfrog:
         assert abs(h1 - h0) < 1e-3
 
     def test_non_finite_gradient_raises(self):
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(Divergence):
             leapfrog(np.zeros(2), np.zeros(2), lambda t: np.array([np.nan, 0.0]),
                      0.1, 5)
 
@@ -188,14 +191,14 @@ class TestRWM:
 
 class TestHMC:
     def test_nonpositive_energy_change_always_accepts(self):
-        from gpgmc.samplers import _accept
+        from gpgmc.samplers import _metropolis
         rng = np.random.default_rng(3)
         state = ChainState(np.zeros(1), 0.0, rng)
         for log_ratio in (0.0, 0.5, 3.0, 100.0):
-            ok, alpha = _accept(state, log_ratio)
-            assert ok and alpha == 1.0
-        ok, alpha = _accept(state, -1.0)
-        assert alpha == pytest.approx(np.exp(-1.0))
+            _, info = _metropolis(state, log_ratio, np.ones(1), 1.0)
+            assert info.accepted and info.alpha == 1.0
+        _, info = _metropolis(state, -1.0, np.ones(1), 1.0)
+        assert info.alpha == pytest.approx(np.exp(-1.0))
 
     def test_tuned_acceptance_in_window(self, gauss2d):
         geo = ExactGeometry(gauss2d)
@@ -440,6 +443,70 @@ def test_indefinite_metric_rejects_without_exact_call(gauss2d, kernel, where):
     assert geo.calls["metric" if where == "sweep" else "metric_and_derivs"] >= 1
 
 
+class NaNBeyond:
+    """A provider whose every answer is NaN beyond ``radius`` of the origin."""
+
+    def __init__(self, inner, radius):
+        self.inner, self.radius = inner, radius
+
+    def _spoil(self, theta, *answers):
+        far = np.linalg.norm(theta) > self.radius
+        out = tuple(np.full_like(a, np.nan) if far else a for a in answers)
+        return out if len(out) > 1 else out[0]
+
+    def grad(self, theta):
+        return self._spoil(theta, self.inner.grad(theta))
+
+    def metric(self, theta):
+        return self._spoil(theta, self.inner.metric(theta))
+
+    def metric_and_derivs(self, theta):
+        return self._spoil(theta, *self.inner.metric_and_derivs(theta))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from([hmc_step, rhmc_step, lmc_step]),
+       radius=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1),
+       step_size=st.floats(0.05, 0.6))
+def test_divergence_rejects_with_the_state_unchanged(banana, kernel, radius,
+                                                     seed, step_size):
+    """A divergent transition is rejected, makes no exact call and leaves
+    theta, potential and cached point as they were; any other transition
+    makes exactly one exact call."""
+    target = CountingTarget(banana)
+    geo = NaNBeyond(ExactGeometry(banana), radius)
+    state = init_state(target, np.zeros(2), np.random.default_rng(seed))
+    cfg = IntegratorConfig(step_size=step_size, n_steps=5)
+    for _ in range(8):
+        theta, potential, point = state.theta.copy(), state.potential, state.point
+        evals = target.n_potential
+        new, info = kernel(state, target, geo, cfg)
+        if info.divergent:
+            assert new is state and not info.accepted and info.exact_calls == 0
+            assert target.n_potential == evals
+            assert np.array_equal(new.theta, theta) and new.potential == potential
+            assert new.point is point
+        else:
+            assert info.exact_calls == 1 and target.n_potential == evals + 1
+        state = new
+
+
+@pytest.mark.parametrize("error", [LinAlgError, ValueError])
+@pytest.mark.parametrize("kernel", [hmc_step, rhmc_step, lmc_step])
+def test_errors_other_than_divergence_propagate(gauss2d, kernel, error):
+    """Only Divergence rejects: any other error of a geometry query, a
+    LinAlgError included, leaves the step."""
+    class Failing:
+        def grad(self, theta):
+            raise error("not a divergence")
+
+        metric = metric_and_derivs = grad
+
+    state = init_state(gauss2d, gauss2d.mean, np.random.default_rng(8))
+    with pytest.raises(error, match="not a divergence"):
+        kernel(state, gauss2d, Failing(), IntegratorConfig(step_size=0.1, n_steps=2))
+
+
 @pytest.mark.parametrize("step_size", [0.0, -0.1, np.nan, np.inf, -np.inf])
 def test_integrator_config_rejects_a_step_size_that_is_not_positive_and_finite(
         step_size):
@@ -473,7 +540,7 @@ class FixedGeometry:
 def test_fixed_point_divergence_rejects_without_exact_call(gauss2d, geo, where):
     cfg = IntegratorConfig(step_size=0.1, n_steps=2, fixed_point_iters=6,
                            fixed_point_tol=0.0)
-    with pytest.raises(FixedPointDivergence, match=f"{where} iterate non-finite"):
+    with pytest.raises(Divergence, match=f"{where} iterate non-finite"):
         generalized_leapfrog(gauss2d.mean, np.array([0.3, 0.5]), geo, cfg)
     target = CountingTarget(gauss2d)
     state = init_state(target, gauss2d.mean, np.random.default_rng(7))
