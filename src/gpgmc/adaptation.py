@@ -366,15 +366,13 @@ def _holdout_mspe(emulator: Emulator, holdout) -> float:
 class RegenSchedule:
     """When to probe for regenerations and when to stop adapting.
 
-    ``adaptation_active`` False turns the chain into a plain alternating
-    sampler (no probes, design never mutates).  ``refine`` False keeps the
-    regeneration probes and Q-restarts but never refreshes the design, which
-    gives genuine i.i.d. tours under the fixed split constant
-    ``AdaptiveGPeSampler.log_c``.  While refining, every probe instead takes
-    its split constant from the median of the chain's last ``PROBE_WINDOW``
-    log(pi/q) values, so early regenerations cannot be strangled by a
-    constant calibrated to a bad initial design; the split identity holds
-    for any per-step constant, so the target is untouched.
+    ``refine`` False keeps the regeneration probes and Q-restarts but never
+    refreshes the design, which gives genuine i.i.d. tours under the fixed
+    split constant ``AdaptiveGPeSampler.log_c``.  While refining, every
+    probe instead takes its split constant from the median of the chain's
+    last ``PROBE_WINDOW`` log(pi/q) values, so early regenerations cannot be
+    strangled by a constant calibrated to a bad initial design; the split
+    identity holds for any per-step constant, so the target is untouched.
 
     A refresh needs ``min_pool`` tour points.  It sets ``HOLDOUT_SIZE`` of
     them aside, offers at most ``POOL_CAP`` of the rest to
@@ -384,7 +382,6 @@ class RegenSchedule:
     """
 
     test_interval: int = 20
-    adaptation_active: bool = True
     refine: bool = True
     stop_mspe_rel: float = 1e-2
     max_adaptations: int = 10
@@ -424,9 +421,14 @@ class AdaptiveGPeSampler:
 
     One ``step`` performs a geometric kernel transition and, every
     ``test_interval`` iterations, an independence-sampler transition on which
-    regeneration is evaluated.  While adaptation is active, a regeneration
-    triggers a design refresh from the finished tour, an emulator/proposal
-    rebuild, and a restart draw from the regeneration kernel Q.
+    regeneration is evaluated.  While ``adapting``, a regeneration triggers a
+    design refresh from the finished tour, an emulator/proposal rebuild, and
+    a restart draw from the regeneration kernel Q.  The schedule's stop rule
+    or budget turns ``adapting`` False for good: no probes, and the design
+    never mutates.  The caller's schedule is read, never written.
+
+    ``_tour`` keeps each exact evaluation since the last refresh, accepted
+    or not, as a (point, potential, per-datum values) record to recycle.
 
     ``rows`` are the design points' per-datum value rows, which refreshes
     recycle beside the tour's; a design holds only their Gram, so rows not
@@ -451,25 +453,22 @@ class AdaptiveGPeSampler:
                  tune: bool = False, target_accept: float = 0.7, rows=None):
         if kernel not in ("hmc", "rhmc", "lmc"):
             raise ValueError(f"unknown kernel {kernel!r}")
-        self.raw_target = target
         self.target = _PerDatumRecorder(target)
         self.kernel = kernel
-        # private copies: step-size tuning and the end of adaptation change
-        # them, and the caller's objects stay as given
+        # a private copy: step-size tuning changes it, the caller's stays
         self.cfg = replace(integrator_cfg)
-        self.schedule = replace(schedule) if schedule is not None else RegenSchedule()
+        self.schedule = schedule or RegenSchedule()
         self.mice_cfg = mice_cfg or MICEConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.tuner = samplers.DualAveraging(integrator_cfg.step_size,
                                             target=target_accept) if tune else None
 
+        self.adapting = True
         self.iteration = 0
         self.n_regenerations = 0
         self.n_adaptations = 0
         self.events: list[AdaptEvent] = []
-        self._tour_points: list[np.ndarray] = []
-        self._tour_potentials: list[float] = []
-        self._tour_pd: list[np.ndarray] = []
+        self._tour: list[tuple[np.ndarray, float, np.ndarray]] = []
         self._logw_history: deque[float] = deque(maxlen=PROBE_WINDOW)
         self.last_holdout_mspe = np.nan
 
@@ -486,7 +485,7 @@ class AdaptiveGPeSampler:
 
     def _rebuild(self):
         self.emulator = build_emulator(self.design, self.hyper)
-        floor = self.raw_target.prior_precision()
+        floor = self.target.prior_precision()
         self.geometry = EmulatedGeometry(self.emulator, floor)
         self.proposal = build_mixture_proposal(self.emulator, floor)
         # the fixed split constant: median of log(pi/q) over the design points
@@ -509,10 +508,7 @@ class AdaptiveGPeSampler:
         return hyper
 
     def _record_tour(self, theta, potential, per_datum):
-        self._tour_points.append(np.array(theta))
-        self._tour_potentials.append(float(potential))
-        if per_datum is not None:
-            self._tour_pd.append(np.array(per_datum))
+        self._tour.append((np.array(theta), float(potential), np.array(per_datum)))
 
     # -- kernels -----------------------------------------------------------
 
@@ -524,7 +520,7 @@ class AdaptiveGPeSampler:
             self._record_tour(new_state.theta, new_state.potential,
                               self.target.last_values)
         if self.tuner is not None:
-            if self.schedule.adaptation_active:
+            if self.adapting:
                 self.cfg.step_size = self.tuner.update(info.alpha)
             else:
                 self.cfg.step_size = self.tuner.tuned_step
@@ -534,20 +530,16 @@ class AdaptiveGPeSampler:
         prop = self.proposal.sample(self.rng)
         log_q_prop = self.proposal.logpdf(prop)
         u_prop = self.target.potential(prop)
-        pd_prop = self.target.last_values
-        log_q_cur = self.proposal.logpdf(state.theta)
-        log_w_cur = -state.potential - log_q_cur
+        # the proposal's potential is paid for at the Metropolis test; it is
+        # recycled as a candidate whether or not the move is accepted
+        self._record_tour(prop, u_prop, self.target.last_values)
+        log_w_cur = -state.potential - self.proposal.logpdf(state.theta)
         log_w_prop = -u_prop - log_q_prop
         self._logw_history.append(log_w_cur)
-        accept = np.log(self.rng.random()) < min(0.0, log_w_prop - log_w_cur)
-        if not accept:
-            # the proposal's potential was paid for at the Metropolis test;
-            # recycle it as a candidate even though the move was rejected
-            self._record_tour(prop, u_prop, pd_prop)
+        if not np.log(self.rng.random()) < min(0.0, log_w_prop - log_w_cur):
             return state, False
         new_state = samplers.ChainState(prop, u_prop, state.rng)
-        self._record_tour(prop, u_prop, pd_prop)
-        if self.schedule.adaptation_active:
+        if self.adapting:
             log_c = float(np.median(self._logw_history)) \
                 if self.schedule.refine else self.log_c
             log_r = regen_log_prob(log_w_cur, log_w_prop, log_c)
@@ -560,11 +552,6 @@ class AdaptiveGPeSampler:
         self.events.append(AdaptEvent(self.iteration, "regen", self.design.n,
                                       self.last_holdout_mspe))
         return self._adapt(state, log_c)
-
-    def _clear_tour(self):
-        self._tour_points.clear()
-        self._tour_potentials.clear()
-        self._tour_pd.clear()
 
     def _adapt(self, state, log_c):
         if self.schedule.refine:
@@ -587,7 +574,7 @@ class AdaptiveGPeSampler:
                 if new_design.n > q + 2:
                     self.design, self.hyper = new_design, Hyperparameters(rho=rho)
                     self._design_rows = info["rows"]
-                self._clear_tour()
+                self._tour.clear()
                 self.n_adaptations += 1
                 if self.tuner is not None:
                     # the refreshed emulator changes the energy landscape the
@@ -599,9 +586,9 @@ class AdaptiveGPeSampler:
                     self.last_holdout_mspe = _holdout_mspe(self.emulator, holdout)
                     var = float(np.var(holdout[1]))
                     if self.last_holdout_mspe <= self.schedule.stop_mspe_rel * var:
-                        self.schedule.adaptation_active = False
+                        self.adapting = False
                 if self.n_adaptations >= self.schedule.max_adaptations:
-                    self.schedule.adaptation_active = False
+                    self.adapting = False
                 self.events.append(AdaptEvent(self.iteration, "adapt_done",
                                               self.design.n, self.last_holdout_mspe))
         # restart from the regeneration kernel, with the split constant that
@@ -620,15 +607,15 @@ class AdaptiveGPeSampler:
             return state
 
     def _collect_pool(self):
-        pts = self._tour_points
-        if len(pts) < max(3, self.schedule.min_pool):
+        n = len(self._tour)
+        if n < max(3, self.schedule.min_pool):
             return None, None
-        points = np.array(pts)
-        potentials = np.array(self._tour_potentials)
+        pts, pots, rows = zip(*self._tour)
+        points, potentials = np.array(pts), np.array(pots)
         # reserve a spread holdout before thinning
-        nh = min(HOLDOUT_SIZE, max(0, len(pts) - 5))
-        hold_idx = np.linspace(0, len(pts) - 1, nh).astype(int) if nh >= 3 else []
-        hold_mask = np.zeros(len(pts), dtype=bool)
+        nh = min(HOLDOUT_SIZE, max(0, n - 5))
+        hold_idx = np.linspace(0, n - 1, nh).astype(int) if nh >= 3 else []
+        hold_mask = np.zeros(n, dtype=bool)
         hold_mask[hold_idx] = True
         holdout = (points[hold_mask], potentials[hold_mask]) if nh >= 3 else None
         # the pool is chosen on the points alone, as tour indices; the
@@ -637,12 +624,8 @@ class AdaptiveGPeSampler:
         if idx.size > POOL_CAP:
             idx = idx[np.linspace(0, idx.size - 1, POOL_CAP).astype(int)]
         idx = idx[maxmin_filter(points[idx], self.mice_cfg.maxmin_radius)]
-        if idx.size == 0:
-            return None, holdout
-        pd = None
-        if len(self._tour_pd) == len(pts):
-            pd = [self._tour_pd[i] for i in idx]
-        return CandidatePool(points[idx], potentials[idx], pd), holdout
+        return CandidatePool(points[idx], potentials[idx],
+                             [rows[i] for i in idx]), holdout
 
     # -- public ------------------------------------------------------------
 

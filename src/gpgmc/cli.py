@@ -82,7 +82,7 @@ _GEOMETRY = {"mode": ("exact", "emulated"), "design_file": str, "design": {},
              "adaptation": dict}
 _DESIGN = {"source": ("prior", "chain"), "count": int, "path": str,
            **_dataclass_defaults(MICEConfig, "maxmin_radius"),
-           "target_size": 20, "with_gradients": False}
+           "target_size": int, "with_gradients": False}
 _ADAPTATION = {
     **_dataclass_defaults(RegenSchedule, "test_interval", "stop_mspe_rel",
                           "max_adaptations"),
@@ -190,6 +190,12 @@ def _target_section(tgt: dict) -> dict:
     return out
 
 
+def _at_least(section: dict, key: str, size: int, path: str):
+    if section.get(key, size) < size:
+        raise ConfigError(f"{path}/{key}", f"must be at least 2D + 4 = {size}, "
+                          "the fewest points the lengthscale fit takes")
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate and normalize a run config; raises ConfigError with a path.
 
@@ -197,13 +203,15 @@ def validate_config(cfg: dict) -> dict:
     whose presence selects the adaptive sampler; ``design.count`` and
     ``adaptation.init_size`` are filled only for the prior, the one source
     that reads them, and ``sampler.target_accept`` only where ``tune`` is
-    true."""
+    true.  A design size below 2D + 4, the fewest points the emulator's
+    lengthscale fit takes, is refused; the size defaults are at least that."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be an object")
     out = _section(cfg, _TOP, "", "the config",
                    required=("target", "sampler", "seed", "iters"))
     out["target"] = _target_section(out["target"])
     dim = _target_dim(out["target"])
+    fit_size = 2 * dim + 4  # q + 3: the fit needs more than q + 2 points
     smp = out["sampler"] = _named_section(out["sampler"], "/sampler", _SAMPLERS,
                                           "sampler")
     if "target_accept" in smp and not 0 < smp["target_accept"] < 1:
@@ -219,9 +227,12 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"/geometry/design/{unused}",
                           f"unused with source {dcfg['source']!r}")
     if dcfg["source"] == "prior":
-        dcfg.setdefault("count", 100)
+        dcfg.setdefault("count", max(100, fit_size))
     elif "path" not in dcfg:
         raise ConfigError("/geometry/design/path", "source 'chain' needs a chain CSV")
+    dcfg.setdefault("target_size", max(20, fit_size))
+    for key in ("count", "target_size"):
+        _at_least(dcfg, key, fit_size, "/geometry/design")
     if "adaptation" in geo:
         acfg = geo["adaptation"] = _section(
             geo["adaptation"], _ADAPTATION, "/geometry/adaptation", "adaptation")
@@ -233,7 +244,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("/geometry/design_file", "unused with adaptation; "
                               "give adaptation.init_design instead")
         if acfg["init_design"] == "prior":
-            acfg.setdefault("init_size", max(4 + 2 * dim, 10))
+            acfg.setdefault("init_size", max(fit_size, 10))
+            _at_least(acfg, "init_size", fit_size, "/geometry/adaptation")
         elif not acfg["init_design"].endswith(".json"):
             raise ConfigError("/geometry/adaptation/init_design",
                               "must be 'prior' or a path ending in .json")
@@ -523,10 +535,7 @@ def design_cmd(cfg: dict):
 
     with_gradients = dcfg["with_gradients"]
     if dcfg["source"] == "prior":
-        points = _prior_sample(target, rng, dcfg["count"])
-        # the candidates' potentials, and so the fit and the picks, come from
-        # potential_per_datum's sum, as the design's own do below
-        pots = np.array([target.potential_per_datum(th)[0] for th in points])
+        points, pots = _prior_sample(target, rng, dcfg["count"]), None
     else:
         points, pots = _read_chain_csv(dcfg["path"], target.dim)
 
@@ -537,7 +546,12 @@ def design_cmd(cfg: dict):
         raise ConfigError("/geometry/design/maxmin_radius",
                           f"radius {radius:g} leaves {kept.size} candidates, "
                           f"the design step needs at least {q + 3}")
-    points, pots = points[kept], pots[kept]
+    points = points[kept]
+    # a prior candidate is evaluated once it survives the filter; its
+    # potential, and so the fit and the picks, comes from
+    # potential_per_datum's sum, as the design's own do below
+    pots = pots[kept] if pots is not None else np.array(
+        [target.potential_per_datum(th)[0] for th in points])
 
     n_init = q + 3
     init = DesignSet(points=points[:n_init], potentials=pots[:n_init])

@@ -150,9 +150,9 @@ def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = Non
 
     tau = best.x
     rho = np.exp(-tau)
-    _, grad_rho = profile_loglik_grad(design, rho)
-    # projected gradient of l in tau; components pushing past a bound count 0
-    proj = -rho * grad_rho
+    # projected gradient of l in tau, the negated gradient the optimizer
+    # returns at tau; components pushing past a bound count 0
+    proj = -best.jac
     at_lo = tau <= -TAU_BOUND + 1e-12
     at_hi = tau >= TAU_BOUND - 1e-12
     proj[at_lo & (proj < 0)] = 0.0

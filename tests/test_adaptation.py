@@ -626,10 +626,9 @@ class TestAdaptiveSampler:
         sampler = ad.AdaptiveGPeSampler.__new__(ad.AdaptiveGPeSampler)
         sampler.schedule = ad.RegenSchedule()
         sampler.mice_cfg = ad.MICEConfig(maxmin_radius=1e-3)
-        sampler._tour_points = list(points)
-        sampler._tour_potentials = [float(i) for i in range(n_tour)]
         # each tour row holds its own tour index
-        sampler._tour_pd = [np.full(n_data, float(i)) for i in range(n_tour)]
+        sampler._tour = [(p, float(i), np.full(n_data, float(i)))
+                         for i, p in enumerate(points)]
         tracemalloc.start()
         try:
             pool, holdout = sampler._collect_pool()
@@ -641,7 +640,7 @@ class TestAdaptiveSampler:
         assert pool.points.shape[0] > 150 and holdout[0].shape[0] == ad.HOLDOUT_SIZE
         idx = rows[:, 0].astype(int)
         assert np.array_equal(rows, np.repeat(idx[:, None], n_data, axis=1))
-        assert all(row is sampler._tour_pd[i] for row, i in zip(pool.per_datum, idx))
+        assert all(row is sampler._tour[i][2] for row, i in zip(pool.per_datum, idx))
         assert np.array_equal(pool.points, points[idx])
         assert np.array_equal(pool.potentials, idx.astype(float))
         assert peak <= 1.25 * rows.nbytes
@@ -657,8 +656,8 @@ class TestAdaptiveSampler:
     def test_inactive_adaptation_never_mutates_design(self, banana,
                                                       spread_banana_design):
         rng = np.random.default_rng(14)
-        sampler = self.make_sampler(banana, spread_banana_design, rng,
-                                    adaptation_active=False)
+        sampler = self.make_sampler(banana, spread_banana_design, rng)
+        sampler.adapting = False
         state = init_state(sampler.target, np.zeros(2), rng)
         before = sampler.design
         for _ in range(300):
@@ -765,9 +764,9 @@ class TestAdaptiveSampler:
         state = init_state(sampler.target, mean.copy(), rng)
         for _ in range(3000):
             state, _ = sampler.step(state)
-            if not sampler.schedule.adaptation_active:
+            if not sampler.adapting:
                 break
-        assert not sampler.schedule.adaptation_active
+        assert not sampler.adapting
         draws = np.empty((10_000, 2))
         for i in range(10_000):
             state, _ = sampler.step(state)
@@ -791,12 +790,14 @@ class TestAdaptiveSampler:
         state = init_state(sampler.target, np.zeros(2), rng)
         for _ in range(2000):
             state, _ = sampler.step(state)
-            if not sampler.schedule.adaptation_active:
+            if not sampler.adapting:
                 break
-        # the sampler's own copies moved; the caller's did not
-        assert not sampler.schedule.adaptation_active
+        # the budget stopped adaptation; the sampler's integrator copy moved,
+        # the caller's did not, and the schedule is the caller's, unwritten
+        assert not sampler.adapting and sampler.n_adaptations == 1
         assert sampler.cfg.step_size != 0.05
         assert cfg == IntegratorConfig(step_size=0.05, n_steps=10)
+        assert sampler.schedule is schedule
         assert schedule == ad.RegenSchedule(test_interval=5, min_pool=12,
                                             max_adaptations=1)
 
@@ -810,7 +811,7 @@ class TestAdaptiveSampler:
         state = init_state(sampler.target, np.zeros(2), rng)
         for _ in range(2000):
             state, _ = sampler.step(state)
-            if not sampler.schedule.adaptation_active:
+            if not sampler.adapting:
                 break
         at = lambda kind: [ev.iteration for ev in sampler.events if ev.kind == kind]
         assert len(at("adapt_start")) >= 1
@@ -825,10 +826,10 @@ class TestAdaptiveSampler:
         state = init_state(sampler.target, np.zeros(2), rng)
         for _ in range(2000):
             state, _ = sampler.step(state)
-            if not sampler.schedule.adaptation_active:
+            if not sampler.adapting:
                 break
         assert sampler.n_adaptations <= 2
-        assert not sampler.schedule.adaptation_active
+        assert not sampler.adapting
         # once off, the kernel is frozen
         size = sampler.design.n
         for _ in range(100):

@@ -286,6 +286,12 @@ FAULTS = [
      "/geometry/design/count", "/geometry/design/count with source chain"),
     (lambda t: adaptive_config(t, init_design="design.json", init_size=12),
      "/geometry/adaptation/init_size"),
+    # sizes below q + 3 = 2D + 4, the fewest points the lengthscale fit takes
+    (lambda t: design_config(t, count=6), "/geometry/design/count",
+     "/geometry/design/count below 2D + 4"),
+    (lambda t: design_config(t, target_size=3), "/geometry/design/target_size"),
+    (lambda t: adaptive_config(t, init_size=5), "/geometry/adaptation/init_size",
+     "/geometry/adaptation/init_size below 2D + 4"),
     # keys no part of the run reads
     (lambda t: banana_config(t, sampler={"name": "hmc", "tune": True}, burnin=0),
      "/sampler/tune", "/sampler/tune with burnin 0"),
@@ -324,6 +330,7 @@ class TestConfigTable:
             assert set(section) >= static_keys(table)
         # count and init_size are filled for a prior source alone, and
         # target_accept where the step size is tuned
+        assert "target_size" in geo["design"]
         assert ("count" in geo["design"]) == (geo["design"]["source"] == "prior")
         assert ("target_accept" in norm["sampler"]) == norm["sampler"].get("tune", False)
         if "adaptation" in geo:
@@ -686,7 +693,7 @@ class TestDesignCommand:
         assert wins >= 8
 
     def test_saturated_candidates_return_input(self, tmp_path):
-        # target size below the seeded size: refinement stops immediately
+        # target size equal to the seeded size q + 3: refinement stops at once
         cfg = cli.validate_config(banana_config(
             tmp_path,
             geometry={"mode": "exact",
@@ -710,6 +717,23 @@ class TestDesignCommand:
         assert err.startswith("config error: /geometry/design/maxmin_radius: "
                               "radius 2 leaves ")
         assert err.rstrip().endswith("candidates, the design step needs at least 8")
+
+    def test_prior_candidates_evaluated_after_the_filter(self, tmp_path,
+                                                        monkeypatch):
+        """One exact call per candidate the radius keeps and one per point
+        of the value design, none for a candidate the filter drops."""
+        from gpgmc.targets import BBDTarget
+        calls, kept = [], []
+        potential_per_datum = BBDTarget.potential_per_datum
+        monkeypatch.setattr(BBDTarget, "potential_per_datum", lambda self, th:
+                            calls.append(1) or potential_per_datum(self, th))
+        maxmin_filter = cli.maxmin_filter
+        monkeypatch.setattr(cli, "maxmin_filter", lambda *a: (
+            lambda idx: kept.append(idx.size) or idx)(maxmin_filter(*a)))
+        path, _ = cli.design_cmd(cli.validate_config(design_config(
+            tmp_path, count=60, target_size=12, maxmin_radius=0.3)))
+        assert len(kept) == 1 and kept[0] < 60
+        assert len(calls) == kept[0] + load_design(path)[0].n
 
     def test_evaluated_design_holds_one_copy_of_its_rows(self):
         """Per-datum rows and gradients are written in place into one stacked

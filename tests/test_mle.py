@@ -205,6 +205,33 @@ def test_fit_reaches_first_order_optimum():
     assert info["grad_norm"] < 1e-5 * (1.0 + abs(info["l"]))
 
 
+@pytest.mark.parametrize("gradients", [False, True])
+def test_fit_reports_the_projected_gradient_at_its_rho(gradients):
+    """``grad_norm`` is that of the gradient of l in tau = -log rho at the
+    returned rho, recomputed here from the likelihood."""
+    design = make_design(5, gradients=gradients)
+    hyper, info = mle.fit_hyperparameters(design, rng=np.random.default_rng(0))
+    proj = -hyper.rho * mle.profile_loglik_grad(design, hyper.rho)[1]
+    tau = -np.log(hyper.rho)
+    proj[(tau <= -mle.TAU_BOUND + 1e-12) & (proj < 0)] = 0.0
+    proj[(tau >= mle.TAU_BOUND - 1e-12) & (proj > 0)] = 0.0
+    assert info["grad_norm"] == np.max(np.abs(proj))
+
+
+def test_fit_evaluates_the_likelihood_only_in_its_restarts(monkeypatch):
+    """Every likelihood evaluation is one of an optimizer run's own."""
+    evals, nfev = [], []
+    loglik_grad = mle.profile_loglik_grad
+    monkeypatch.setattr(mle, "profile_loglik_grad",
+                        lambda *a: evals.append(1) or loglik_grad(*a))
+    minimize = mle.minimize
+    monkeypatch.setattr(mle, "minimize", lambda *a, **k: (
+        lambda res: nfev.append(res.nfev) or res)(minimize(*a, **k)))
+    mle.fit_hyperparameters(make_design(5), rng=np.random.default_rng(0))
+    assert len(nfev) == mle.FIT_RESTARTS
+    assert len(evals) == sum(nfev)
+
+
 def test_fit_is_deterministic():
     design = make_design(6)
     h1, i1 = mle.fit_hyperparameters(design, rng=np.random.default_rng(7))
