@@ -579,8 +579,8 @@ def _fit_design_hyper(points, potentials, rng, name):
         DesignSet(points=points, potentials=potentials), rng=rng)
     if info["warn"]:
         print(f"warning: the {name} lengthscale fit of the design step did "
-              f"not converge (projected gradient {info['grad_norm']:.3g})",
-              file=sys.stderr)
+              f"not converge (projected gradient {info['grad_norm']:.3g}, "
+              f"Newton decrement {info['decrement']:.3g})", file=sys.stderr)
     return hyper
 
 

@@ -8,9 +8,16 @@ matrices and connections, and only through the (n~, n~) centred Gram
 cost are free of the data size N.  Every prediction (value,
 gradient, Hessian, empirical Fisher matrix, metric-derivative tensor) is a
 linear map of the stacked design data, so the heavy factorizations are done
-once per design.  Posterior means need no map at all: they read the weights
-``beta_hat = P u`` and ``w = Q u`` stored at build time, and the kernel term
-is a direct contraction of the kernel-derivative polynomials with ``w``
+once per design.  A build makes one correlation pass for ``C~``, one LAPACK
+factorization and inverse of it (:func:`linalg.cholesky_inverse`), with no
+solve against the identity, and a q x q factorization of
+``B = H' C~^-1 H``: O(n~^3) in all.  The likelihood fit builds one emulator
+per evaluation (:mod:`gpgmc.mle`), so this is the cost of each.
+``sigma2_hat`` is the sum of squares of the whitened residual
+``L^-1 (u - H beta_hat)``, which keeps its accuracy near the nugget floor,
+where ``u'Qu`` cancels.  Posterior means need no map at all: they read the
+weights ``beta_hat = P u`` and ``w = Q u`` stored at build time, and the
+kernel term is a direct contraction of the kernel-derivative polynomials with ``w``
 (:func:`kernels._corr_dot`), costing O(m n D) for m points of an
 n-point design, or O(m n D^2) for Hessians, with no cross-correlation block.
 Cross blocks are built only for covariances, for the order-1 map behind the
@@ -43,10 +50,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from . import kernels
 from .errors import (DesignFileError, IllConditioned, MissingPerDatum,
                      ShapeMismatch, TooFewPoints)
+from .linalg import cholesky_inverse
 
 __all__ = ["Hyperparameters", "DesignSet", "Prediction", "Emulator",
            "per_datum_gram", "build_emulator", "save_design", "load_design"]
@@ -177,17 +186,18 @@ class Emulator:
                 f"need n~ > q+2 = {q + 2} stacked observations, have {n_tilde}")
 
         # C is built from points and rho that DesignSet and Hyperparameters
-        # check are finite, so the factorizations and solves skip scipy's
-        # finiteness scans of the n~ x n~ matrices
+        # check are finite, so its factorization skips any finiteness scan;
+        # it is kept, since the likelihood's gradient contracts with it
         C = kernels.tilde_corr(design.pair_diffs, hyper.rho, design.has_gradients)
-        C[np.diag_indices_from(C)] += hyper.nugget
+        C.flat[::n_tilde + 1] += hyper.nugget
         try:
-            self._chol = cho_factor(C, lower=True, check_finite=False)
+            self._chol, Ci = cholesky_inverse(C)
         except LinAlgError as exc:
             raise IllConditioned(f"design correlation factorization failed: {exc}") from exc
+        self.C = C
 
         self.H = kernels.tilde_basis(design.points, design.has_gradients)
-        Ci_H = cho_solve(self._chol, self.H, check_finite=False)
+        Ci_H = Ci @ self.H
         self.B = self.H.T @ Ci_H
         try:
             self._chol_B = cho_factor(self.B, lower=True, check_finite=False)
@@ -200,8 +210,7 @@ class Emulator:
         # over points
         self._P1 = self.P[1:1 + design.dim, None]
         self._P2 = 2.0 * self.P[1 + design.dim:, None]
-        self.Q = cho_solve(self._chol, np.eye(n_tilde), check_finite=False) \
-            - Ci_H @ self.P
+        self.Q = Ci - Ci_H @ self.P
         self.Q = 0.5 * (self.Q + self.Q.T)
 
         u = design.data_vector()
@@ -213,11 +222,13 @@ class Emulator:
                                           design.has_gradients)
         self._b1 = self.beta_hat[1:1 + design.dim]
         self._b2 = self.beta_hat[1 + design.dim:]
-        quad = float(u @ self.Q @ u)
-        self.sigma2_hat = max(quad, 0.0) / (n_tilde - q - 2)
+        # sigma2_hat from the whitened GLS residual L^-1 (u - H beta_hat), a
+        # sum of squares, where u'Qu would cancel near the nugget floor
+        white, _ = dtrtrs(self._chol, u - self.H @ self.beta_hat, lower=1)
+        self.sigma2_hat = float(white @ white) / (n_tilde - q - 2)
         self.dof = n_tilde - q
         self.q = q
-        self.logdet_C = 2.0 * np.sum(np.log(np.diagonal(self._chol[0])))
+        self.logdet_C = 2.0 * np.sum(np.log(np.diagonal(self._chol)))
         self.logdet_B = 2.0 * np.sum(np.log(np.diagonal(self._chol_B[0])))
 
         self.gfi = design.gfi

@@ -13,7 +13,8 @@ with first derivatives at the second.
 
 Each block is a polynomial prefactor times the correlation, and one
 builder writes them all: :meth:`CrossDiffs.rows`, from a pass (the
-differences of points against a design and their correlations at one rho).
+differences of points against a design and their correlations at one rho,
+``k = exp(-((x - y)^2 @ rho))``, one matrix-vector product over the pairs).
 A query's pass is taken against the design points, a design's own from its
 cached differences (:meth:`PairDiffs.at`); the design's auto-correlation
 ``C~`` (:func:`tilde_corr`) is its own order-0 and order-1 rows.  Posterior
@@ -118,7 +119,8 @@ def _checked(A, B, rho):
 
 
 def _corr(sq, rho):
-    return np.exp(-np.einsum("...k,k->...", sq, rho))
+    """``exp(-sq . rho)`` over the last axis: one matrix-vector product."""
+    return np.exp(-(sq @ rho))
 
 
 def _diff_and_corr(A, B, rho):
@@ -165,7 +167,7 @@ class CrossDiffs:
         """
         diff, corr = self.diff, self.corr
         if not with_gradients and not any(orders):
-            # plain values: no prefactor, and the hot path of MLE fits and MICE
+            # plain values: no prefactor, and the hot path of MICE
             return [corr for _ in orders]
         m, n, dim = diff.shape
         two_rho = 2.0 * self.rho
@@ -334,7 +336,9 @@ def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
     with gradients, one C~, and are yielded in turn.  Without gradients each
     is ``g k``; with them, the product rule of the module docstring builds
     its blocks from those of C~, where K00 = k, K01_l = a_l k and
-    K10_k = -a_k k.
+    K10_k = -a_k k.  A fit's likelihood gradient on a value design contracts
+    C~ with the squared differences instead (:func:`mle.profile_loglik_grad`),
+    so value designs come here for the likelihood's Hessian alone.
     """
     pairs = _pairs(points)
     own = pairs.at(rho)
@@ -345,7 +349,7 @@ def tilde_corr_rho_derivs(points, rho, with_gradients, coords):
         K = np.vstack(own.rows((0, 1), True)).reshape(1 + dim, n, 1 + dim, n)
         K00, K01, K10 = K[0, :, 0], K[0, :, 1:], K[1:, :, 0]
     for cs in coords:
-        if not with_gradients:  # from the cached squares, the hot path of fits
+        if not with_gradients:  # from the cached squares
             yield reduce(np.multiply, (-pairs.sq[:, :, c] for c in cs)) * own.corr
             continue
         g, g1, g2 = _rho_poly(own.diff, cs)

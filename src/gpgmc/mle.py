@@ -8,10 +8,15 @@ process variance is
 with C the (nugget-augmented, possibly derivative-augmented) design
 correlation matrix and B = H' C^-1 H.  Every term is read from the
 factorization an :class:`~gpgmc.emulator.Emulator` builds for the design, so
-a failed factorization raises ``IllConditioned``.  Analytic gradient and
-Hessian in rho are available; optimization runs in the unconstrained
-tau = -log rho parameterization with a bounded quasi-Newton iteration and
-random restarts.
+a failed factorization raises ``IllConditioned``; ``sigma2_hat`` is the
+whitened residual's sum of squares.  Analytic gradient and Hessian in rho
+are available.  On a value design the gradient is one contraction of the
+emulator's own C~ with the cached squared differences of the points, so an
+evaluation costs one correlation pass, one LAPACK inverse of C~ and O(n~^2 D)
+more; a gradient design builds one rho-derivative matrix per coordinate.
+Optimization runs in the unconstrained tau = -log rho parameterization with
+a bounded quasi-Newton iteration and random restarts, and one Hessian at the
+returned rho judges whether the fit converged.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ __all__ = ["profile_loglik", "profile_loglik_grad", "profile_loglik_hess",
 TAU_BOUND = 8.0
 FIT_RESTARTS = 5
 FIT_MAX_ITER = 200
+# a fit is converged where l is concave on the free coordinates and a Newton
+# step would raise it by at most this much
+NEWTON_DECREMENT_TOL = 1e-6
 
 
 def _loglik(em: Emulator) -> float:
@@ -56,16 +64,29 @@ def _linear_term(em: Emulator, coef: float, M) -> float:
 
 
 def profile_loglik_grad(design: DesignSet, rho, nugget: float = NUGGET_DEFAULT):
-    """Return (l, dl/drho) with the analytic gradient."""
+    """Return (l, dl/drho) with the analytic gradient.
+
+    Every entry is the linear term of dC~/drho_d.  On a value design
+    dC~/drho_d = -sq_d o C~ for the squared differences ``sq`` of the
+    points, so with W = c ww' - Q/2 the gradient is one contraction,
+    -(W o C~) . sq, against the C~ the emulator built (the nugget drops out:
+    the diagonal of ``sq`` is 0).  A gradient design takes each dC~/drho_d
+    from :func:`kernels.tilde_corr_rho_derivs`."""
     rho = np.asarray(rho, dtype=float)
     em = Emulator(design, Hyperparameters(rho, nugget))
     if em.sigma2_hat <= 0.0:
         return -np.inf, np.full(rho.shape, np.nan)
     coef = _coef(em)
-    grad = np.array([_linear_term(em, coef, dC)
-                     for dC in kernels.tilde_corr_rho_derivs(
-                         design.pair_diffs, rho, design.has_gradients,
-                         [(d,) for d in range(rho.size)])])
+    if design.has_gradients:
+        grad = np.array([_linear_term(em, coef, dC)
+                         for dC in kernels.tilde_corr_rho_derivs(
+                             design.pair_diffs, rho, True,
+                             [(d,) for d in range(rho.size)])])
+    else:
+        W = np.multiply.outer(coef * em.w, em.w)
+        W -= 0.5 * em.Q
+        W *= em.C
+        grad = -(W.reshape(-1) @ design.pair_diffs.sq.reshape(-1, rho.size))
     return _loglik(em), grad
 
 
@@ -105,9 +126,12 @@ def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = Non
     The first start puts each lengthscale at the design's span in that
     coordinate; ``FIT_RESTARTS - 1`` more starts are drawn around it from
     ``rng``, and each runs at most ``FIT_MAX_ITER`` L-BFGS-B iterations.
-    Returns ``(Hyperparameters, info)`` where ``info`` records the achieved
-    likelihood, projected gradient norm and a ``warn`` flag set when no
-    restart converged cleanly.  Deterministic given ``rng``.
+    Returns ``(Hyperparameters, info)`` for the restart with the largest
+    likelihood.  ``info`` records that likelihood ``l``, its projected
+    gradient norm ``grad_norm`` in tau and its Newton ``decrement`` over the
+    coordinates not held at a bound (:func:`_newton_decrement`).  The fit
+    is ``converged`` when the decrement is at most ``NEWTON_DECREMENT_TOL``,
+    and ``warn`` is set otherwise.  Deterministic given ``rng``.
     """
     dim = design.dim
     q = 1 + 2 * dim
@@ -134,7 +158,6 @@ def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = Non
         starts.append(init_tau + rng.normal(scale=1.5, size=dim))
 
     best = None
-    any_converged = False
     bounds = [(-TAU_BOUND, TAU_BOUND)] * dim
     for tau0 in starts:
         res = minimize(neg_l_and_grad, np.clip(tau0, -TAU_BOUND, TAU_BOUND),
@@ -142,7 +165,6 @@ def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = Non
                        options={"maxiter": FIT_MAX_ITER, "gtol": 1e-9, "ftol": 1e-13})
         if not np.isfinite(res.fun):
             continue
-        any_converged = any_converged or bool(res.success)
         if best is None or res.fun < best.fun:
             best = res
     if best is None:
@@ -150,18 +172,35 @@ def fit_hyperparameters(design: DesignSet, rng: np.random.Generator | None = Non
 
     tau = best.x
     rho = np.exp(-tau)
-    # projected gradient of l in tau, the negated gradient the optimizer
-    # returns at tau; components pushing past a bound count 0
-    proj = -best.jac
-    at_lo = tau <= -TAU_BOUND + 1e-12
-    at_hi = tau >= TAU_BOUND - 1e-12
-    proj[at_lo & (proj < 0)] = 0.0
-    proj[at_hi & (proj > 0)] = 0.0
+    # gradient of l in tau, the negated gradient the optimizer returns at
+    # tau; a coordinate at a bound whose gradient pushes past it is held
+    # there, and its projected gradient counts 0
+    g = -best.jac
+    free = ~(((tau <= -TAU_BOUND + 1e-12) & (g < 0))
+             | ((tau >= TAU_BOUND - 1e-12) & (g > 0)))
+    proj = np.where(free, g, 0.0)
+    decrement = _newton_decrement(design, rho, g, free)
+    converged = decrement <= NEWTON_DECREMENT_TOL
     info = {
         "l": -float(best.fun),
         "grad_norm": float(np.max(np.abs(proj))),
-        "converged": any_converged,
-        "warn": not any_converged,
+        "decrement": decrement,
+        "converged": converged,
+        "warn": not converged,
         "n_restarts": len(starts),
     }
     return Hyperparameters(rho=rho), info
+
+
+def _newton_decrement(design, rho, g, free):
+    """Newton decrement g'(-H)^-1 g / 2 of l in tau = -log rho over the
+    ``free`` coordinates, with ``g`` the gradient in tau at ``rho``; inf
+    where the free Hessian is not negative definite."""
+    _, g_rho, h_rho = profile_loglik_hess(design, rho)
+    # rho_d = exp(-tau_d): d2l/dtau_d dtau_e = rho_d rho_e H_de + d_de rho_d g_d
+    neg_h = -(np.outer(rho, rho) * h_rho + np.diag(rho * g_rho))[np.ix_(free, free)]
+    try:
+        z = np.linalg.solve(np.linalg.cholesky(neg_h), g[free])
+    except np.linalg.LinAlgError:
+        return np.inf
+    return 0.5 * float(z @ z)

@@ -16,13 +16,13 @@ keeps the saved state on it, and ``hmc_step`` nests ``leapfrog``).
 A Riemannian or Lagrangian step asks its geometry provider for one full
 point (metric, metric derivatives and gradient) per integrator step, and
 an RHMC position sweep for the metric alone; each answer is one query at
-one point.  The D x D factor and inverse come straight from LAPACK
-(potrf, potri), since at that size the wrappers' fixed cost dominates.  The
-fixed-point sweeps reduce each iterate once, to its sup-norm increment, and
-take the finiteness test from it: the iterate is scanned only when the
-increment is not finite.  The HMC leapfrog likewise takes its test from the
-sum of its iterates and gradient, and scans them only when that is not
-finite.
+one point.  The D x D factor and inverse come straight from LAPACK's potrf
+and potri (:func:`linalg.cholesky_inverse`), since at that size the
+wrappers' fixed cost dominates.  The fixed-point sweeps reduce each iterate
+once, to its sup-norm increment, and take the finiteness test from it: the
+iterate is scanned only when the increment is not finite.  The HMC leapfrog
+likewise takes its test from the sum of its iterates and gradient, and scans
+them only when that is not finite.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, solve, solve_triangular, LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import Divergence
 from .geometry import christoffel_first_kind
+from .linalg import cholesky_inverse
 
 __all__ = ["ChainState", "IntegratorConfig", "StepInfo", "init_state",
            "rwm_step", "leapfrog", "hmc_step", "generalized_leapfrog",
@@ -180,22 +180,12 @@ def hmc_step(state: ChainState, target, geometry, cfg: IntegratorConfig):
 # -- RHMC --------------------------------------------------------------------
 
 def _cholesky_inverse(G):
-    """Lower Cholesky factor and inverse of a metric already checked finite.
-
-    Calls LAPACK's potrf and potri directly: at D x D the per-call overhead
-    of scipy's checked wrappers and a solve against the identity is most of
-    the cost.  A metric that is not positive definite raises Divergence.
-    """
-    chol, info = dpotrf(G, lower=1, clean=1)
-    if info == 0:
-        inv, info = dpotri(chol, lower=1)
-    if info != 0:
-        raise Divergence("metric is not positive definite")
-    # potri fills the lower triangle and leaves chol's zeros above it, so
-    # adding the transpose doubles the diagonal alone; halving it is exact
-    ginv = inv + inv.T
-    ginv.flat[::G.shape[0] + 1] *= 0.5
-    return chol, ginv
+    """Lower Cholesky factor and inverse of a metric already checked finite;
+    a metric that is not positive definite raises Divergence."""
+    try:
+        return cholesky_inverse(G)
+    except LinAlgError:
+        raise Divergence("metric is not positive definite") from None
 
 
 def _metric_inverse(geometry, theta):

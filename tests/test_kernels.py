@@ -184,7 +184,7 @@ def test_gradient_tilde_corr_is_prefactor_times_k_to_the_bit(dim):
     pts = rng.normal(size=(n, dim))
     rho = rng.uniform(0.3, 1.5, dim)
     diff = pts[:, None, :] - pts[None, :, :]
-    k = np.exp(-np.einsum("...k,k->...", diff**2, rho))
+    k = np.exp(-(diff**2 @ rho))
     a = 2.0 * rho * diff  # (i, j, p)
     ref = np.empty((1 + dim, n, 1 + dim, n))  # (row block, i, column block, j)
     ref[0, :, 0] = 1.0 * k

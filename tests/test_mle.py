@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import SmoothTestFunction, spread_points
-from gpgmc import kernels, mle
+from gpgmc import kernels, linalg, mle
 from gpgmc.emulator import DesignSet, Emulator, Hyperparameters
 from gpgmc.errors import IllConditioned, TooFewPoints
 
@@ -151,15 +151,25 @@ def test_hessian_matches_50_digit_evaluation(design, rho):
 
 def loglik_grad_from_scratch(design, rho, nugget=1e-8):
     """profile_loglik_grad on a fresh copy of the design, with the stacked
-    rho-derivatives built from its points."""
+    rho-derivatives built from its points; on a value design, the
+    contraction -(W o C~) . sq with W = c ww' - Q/2 on C~ and the squared
+    differences built from its points."""
     fresh = DesignSet(points=design.points.copy(),
                       potentials=design.potentials.copy(),
                       gradients=None if design.gradients is None
                       else design.gradients.copy())
     em = Emulator(fresh, Hyperparameters(rho, nugget))
+    coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
+    if not fresh.has_gradients:
+        C = kernels.tilde_corr(fresh.points, rho, False)
+        C.flat[::fresh.n + 1] += nugget
+        sq = (fresh.points[:, None, :] - fresh.points[None, :, :])**2
+        W = np.multiply.outer(coef * em.w, em.w)
+        W -= 0.5 * em.Q
+        W *= C
+        return mle._loglik(em), -(W.reshape(-1) @ sq.reshape(-1, rho.size))
     dC = kernels.tilde_corr_rho_derivs(fresh.points, rho, fresh.has_gradients,
                                        [(d,) for d in range(rho.size)])
-    coef = em.dof / (2.0 * (em.dof - 2) * em.sigma2_hat)
     grad = np.array([coef * (em.w @ dC_d @ em.w) - 0.5 * np.sum(em.Q * dC_d.T)
                      for dC_d in dC])
     return mle._loglik(em), grad
@@ -275,3 +285,85 @@ def test_singular_design_correlation_raises_ill_conditioned():
     design = DesignSet(points=pts, potentials=rng.normal(size=9))
     with pytest.raises(IllConditioned):
         mle.profile_loglik(design, np.ones(2), nugget=0.0)
+
+
+def mp_sigma2_and_grad(C, H, u, dC):
+    """sigma2_hat = u'Qu / (dof - 2) and dl/drho at 50 digits by dense
+    inverses, from the float C~ (nugget included), H~, u and the matrices
+    dC[d] = dC~/drho_d: entry d of the gradient is
+    c w'dC_d w - tr(Q dC_d) / 2 with w = Q u and c = dof / (2 (dof - 2) s2)."""
+    with mp.workdps(50):
+        C, H, u = (mp.matrix(a.tolist()) for a in (C, H, u))
+        Ci = C**-1
+        CiH = Ci * H
+        Q = Ci - CiH * (H.T * CiH)**-1 * CiH.T
+        w = Q * u
+        dof = H.rows - H.cols
+        s2 = (u.T * w)[0] / (dof - 2)
+        c = dof / (2 * (dof - 2) * s2)
+        grad = []
+        for a in dC:
+            a = mp.matrix(a.tolist())
+            QdC = Q * a
+            grad.append(c * (w.T * a * w)[0]
+                        - mp.fsum(QdC[i, i] for i in range(QdC.rows)) / 2)
+        return float(s2), np.array([float(g) for g in grad])
+
+
+def mp_case(design, rho, nugget=1e-8):
+    C = kernels.tilde_corr(design.points, rho, design.has_gradients) \
+        + nugget * np.eye(design.n_tilde)
+    dC = list(kernels.tilde_corr_rho_derivs(design.points, rho, design.has_gradients,
+                                            [(d,) for d in range(design.dim)]))
+    return mp_sigma2_and_grad(C, kernels.tilde_basis(design.points, design.has_gradients),
+                              design.data_vector(), dC)
+
+
+@pytest.mark.parametrize("design, rho", hessian_cases())
+def test_sigma2_hat_and_gradient_match_50_digit_evaluation(design, rho):
+    """sigma2_hat, the whitened residual's sum of squares, within 1e-9
+    relative of u'Qu at 50 digits on the same float inputs, up to condition
+    numbers of 1e9 (u'Qu in double was off by 1.0e-8 there); the gradient,
+    the contraction on value designs and per coordinate with gradients,
+    within 1e-6 of its largest entry: near condition number 1e9 the
+    explicit Q alone costs about cond(C~) eps = 1e-7 (1.0e-7 seen)."""
+    s2, grad = mp_case(design, rho)
+    em = Emulator(design, Hyperparameters(rho, 1e-8))
+    assert abs(em.sigma2_hat - s2) <= 1e-9 * s2
+    got = mle.profile_loglik_grad(design, rho, 1e-8)[1]
+    assert np.abs(got - grad).max() <= 1e-6 * np.abs(grad).max()
+
+
+def test_value_fit_makes_one_factorization_per_evaluation(monkeypatch):
+    """A value-design fit factorizes C~ once per likelihood evaluation and
+    builds per-coordinate rho-derivatives only for the Hessian that closes
+    it, whose emulator is the one more factorization."""
+    potrf, derivs, evals = [], [], []
+    dpotrf = linalg.dpotrf
+    monkeypatch.setattr(linalg, "dpotrf",
+                        lambda *a, **k: potrf.append(1) or dpotrf(*a, **k))
+    rho_derivs = kernels.tilde_corr_rho_derivs
+    monkeypatch.setattr(kernels, "tilde_corr_rho_derivs",
+                        lambda *a: derivs.append(1) or rho_derivs(*a))
+    loglik_grad = mle.profile_loglik_grad
+    monkeypatch.setattr(mle, "profile_loglik_grad",
+                        lambda *a: evals.append(1) or loglik_grad(*a))
+    mle.fit_hyperparameters(make_design(5, dim=3, n=20),
+                            rng=np.random.default_rng(0))
+    assert len(evals) > 10
+    assert len(potrf) == len(evals) + 1
+    assert len(derivs) == 1
+
+
+def test_fit_judges_convergence_at_the_returned_rho(monkeypatch):
+    """``converged`` and ``warn`` describe the returned fit alone, through
+    its Newton decrement: a fit run to the end is converged, one capped at a
+    single iteration is not, whatever the restarts report."""
+    design = make_design(5)
+    _, info = mle.fit_hyperparameters(design, rng=np.random.default_rng(0))
+    assert info["converged"] and not info["warn"]
+    assert 0.0 <= info["decrement"] <= mle.NEWTON_DECREMENT_TOL
+    monkeypatch.setattr(mle, "FIT_MAX_ITER", 1)
+    _, info = mle.fit_hyperparameters(design, rng=np.random.default_rng(0))
+    assert info["warn"] and not info["converged"]
+    assert info["decrement"] > mle.NEWTON_DECREMENT_TOL
